@@ -685,7 +685,7 @@ let e11 () =
            (fun (at, _, v) ->
              ignore (v : Fd.Fd_view.t);
              at > t0)
-           (let tl = Spec.Eventually.of_views ~component run.Spec.Fd_props.trace ~pid:observer in
+           (let tl = Spec.Fd_props.timeline run observer in
             let rec switches prev acc = function
               | [] -> acc
               | (at, (v : Fd.Fd_view.t)) :: rest ->

@@ -14,7 +14,9 @@ type 'a timeline = (Sim.Sim_time.t * 'a) list
 
 val of_views :
   component:string -> Sim.Trace.t -> pid:Sim.Pid.t -> Fd.Fd_view.t timeline
-(** The recorded output views of one failure-detector module. *)
+(** The recorded output views of one failure-detector module.  Each call
+    scans the whole trace once; to read several processes' views of the
+    same run, use {!Fd_props.timeline}, which indexes the trace once. *)
 
 val stabilization : ('a -> bool) -> 'a timeline -> Sim.Sim_time.t option
 (** Earliest instant from which the predicate holds through the end of the

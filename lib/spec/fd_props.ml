@@ -3,36 +3,76 @@ type report = {
   since : Sim.Sim_time.t option;
 }
 
+(* What the checkers read of a trace, gathered in one pass: every pid's
+   view timeline for the component and every crashed pid's earliest
+   crash.  [covered] is the trace length the index was built at; a trace
+   that grew since (a run made before the engine ran on) is indexed
+   again. *)
+type index = {
+  mutable covered : int;
+  mutable views : (Sim.Pid.t, Fd.Fd_view.t Eventually.timeline) Hashtbl.t;
+  mutable first_crash : Sim.Sim_time.t Sim.Pid.Map.t;
+}
+
 type run = {
   trace : Sim.Trace.t;
   component : string;
   n : int;
+  index : index;
 }
 
-let make_run ~component ~n trace = { trace; component; n }
+let make_run ~component ~n trace =
+  let index = { covered = -1; views = Hashtbl.create 0; first_crash = Sim.Pid.Map.empty } in
+  { trace; component; n; index }
 
-let crashed_set run = Sim.Pid.set_of_list (List.map fst (Sim.Trace.crashes run.trace))
+let build run =
+  let views = Hashtbl.create 64 in
+  let first_crash = ref Sim.Pid.Map.empty in
+  Sim.Trace.iter run.trace (fun (e : Sim.Trace.event) ->
+      match e.body with
+      | Sim.Trace.Fd_view { at; pid; component; suspected; trusted }
+        when String.equal component run.component ->
+        let rev = Option.value (Hashtbl.find_opt views pid) ~default:[] in
+        Hashtbl.replace views pid ((at, { Fd.Fd_view.suspected; trusted }) :: rev)
+      | Sim.Trace.Crash { at; pid } ->
+        first_crash :=
+          Sim.Pid.Map.update pid
+            (function Some t -> Some (Sim.Sim_time.min t at) | None -> Some at)
+            !first_crash
+      | _ -> ());
+  Hashtbl.filter_map_inplace (fun _ rev -> Some (List.rev rev)) views;
+  let ix = run.index in
+  ix.views <- views;
+  ix.first_crash <- !first_crash;
+  ix.covered <- Sim.Trace.length run.trace
+
+let index run =
+  if run.index.covered <> Sim.Trace.length run.trace then build run;
+  run.index
+
+let timeline run p = Option.value (Hashtbl.find_opt (index run).views p) ~default:[]
 
 let correct_processes run =
-  let crashed = crashed_set run in
-  List.filter (fun p -> not (Sim.Pid.Set.mem p crashed)) (Sim.Pid.all ~n:run.n)
+  let first_crash = (index run).first_crash in
+  List.filter (fun p -> not (Sim.Pid.Map.mem p first_crash)) (Sim.Pid.all ~n:run.n)
 
-let crashed_processes run = Sim.Pid.Set.elements (crashed_set run)
-
-let timeline run p = Eventually.of_views ~component:run.component run.trace ~pid:p
+let crashed_processes run = List.map fst (Sim.Pid.Map.bindings (index run).first_crash)
 
 let report_of_since since = { holds = Option.is_some since; since }
 
 (* "For every correct observer p, [pred q] stabilizes on p's views", for
-   every q in [targets]; conjunction over all pairs. *)
+   every q in [targets].  Each observer's timeline is walked once against
+   the conjunction over the targets: the latest stabilization of the
+   conjuncts is the stabilization of their conjunction. *)
 let for_all_pairs run ~targets pred =
-  let observers = correct_processes run in
-  Eventually.all
-    (List.concat_map
-       (fun p ->
-         let tl = timeline run p in
-         List.map (fun q -> Eventually.stabilization (pred q) tl) targets)
-       observers)
+  match targets with
+  | [] -> Some Sim.Sim_time.zero
+  | _ ->
+    let all_targets v = List.for_all (fun q -> pred q v) targets in
+    Eventually.all
+      (List.map
+         (fun p -> Eventually.stabilization all_targets (timeline run p))
+         (correct_processes run))
 
 let suspected_in q (v : Fd.Fd_view.t) = Sim.Pid.Set.mem q v.Fd.Fd_view.suspected
 
@@ -62,9 +102,10 @@ let eventual_weak_accuracy run =
   in
   report_of_since (Eventually.any (List.map for_leader correct))
 
+let trusts l (v : Fd.Fd_view.t) = Option.equal Sim.Pid.equal v.Fd.Fd_view.trusted (Some l)
+
 let leadership run =
   let correct = correct_processes run in
-  let trusts l (v : Fd.Fd_view.t) = Option.equal Sim.Pid.equal v.Fd.Fd_view.trusted (Some l) in
   let for_leader l =
     Eventually.all
       (List.map (fun p -> Eventually.stabilization (trusts l) (timeline run p)) correct)
@@ -99,7 +140,6 @@ let class_matrix run = List.map (fun p -> (p, check p run)) Fd.Classes.all_prope
 
 let eventual_leader run =
   let correct = correct_processes run in
-  let trusts l (v : Fd.Fd_view.t) = Option.equal Sim.Pid.equal v.Fd.Fd_view.trusted (Some l) in
   List.find_opt
     (fun l ->
       List.for_all
@@ -132,14 +172,13 @@ let false_suspicion_events_after run ~after =
   (* Transitions, at correct observers, where a correct process becomes
      newly suspected strictly after [after]. *)
   let correct = correct_processes run in
+  let correct_set = Sim.Pid.set_of_list correct in
   let count_observer p =
     let rec walk prev acc = function
       | [] -> acc
       | (at, (v : Fd.Fd_view.t)) :: rest ->
         let fresh = Sim.Pid.Set.diff v.Fd.Fd_view.suspected prev in
-        let wrong =
-          Sim.Pid.Set.cardinal (Sim.Pid.Set.filter (fun q -> List.mem q correct) fresh)
-        in
+        let wrong = Sim.Pid.Set.cardinal (Sim.Pid.Set.inter fresh correct_set) in
         walk v.Fd.Fd_view.suspected (if at > after then acc + wrong else acc) rest
     in
     walk Sim.Pid.Set.empty 0 (timeline run p)
@@ -147,9 +186,9 @@ let false_suspicion_events_after run ~after =
   List.fold_left (fun acc p -> acc + count_observer p) 0 correct
 
 let demotions_of_live_leaders run p =
-  let crash_times = Sim.Trace.crashes run.trace in
+  let first_crash = (index run).first_crash in
   let alive_at q at =
-    not (List.exists (fun (victim, t) -> Sim.Pid.equal victim q && t <= at) crash_times)
+    match Sim.Pid.Map.find_opt q first_crash with Some t -> at < t | None -> true
   in
   List.length
     (List.filter

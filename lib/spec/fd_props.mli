@@ -6,23 +6,43 @@
     holds if its finite-trace approximation (see {!Eventually}) does.  Each
     checker reports the stabilization instant, so experiments can also
     compare {i convergence times} (e.g. the ring's detection latency,
-    experiment E3). *)
+    experiment E3).
+
+    Cost: the first query on a run walks the trace once and indexes every
+    pid's views of the component and the crashes; later queries read the
+    index (it is rebuilt only if the trace has grown since).  Each checker
+    then costs O(Σ views × targets) — every correct observer's timeline
+    is walked once per property against the conjunction over its targets,
+    not once per (observer, target) pair. *)
 
 type report = {
   holds : bool;
   since : Sim.Sim_time.t option;  (** Stabilization instant, when it holds. *)
 }
 
-type run = {
+type index
+(** Per-pid view timelines and crash instants, built on first use. *)
+
+type run = private {
   trace : Sim.Trace.t;
   component : string;  (** The detector's component name. *)
   n : int;
+  index : index;
 }
+(** Only {!make_run} builds one, so the index always matches the trace. *)
 
 val make_run : component:string -> n:int -> Sim.Trace.t -> run
 
+val timeline : run -> Sim.Pid.t -> Fd.Fd_view.t Eventually.timeline
+(** The recorded output views of the process's module, in trace order —
+    {!Eventually.of_views} read from the run's index.  Pids [>= n] are
+    indexed too; a pid with no views of the component gets [[]]. *)
+
 val correct_processes : run -> Sim.Pid.t list
+(** Processes [0 .. n-1] that never crash in the trace. *)
+
 val crashed_processes : run -> Sim.Pid.t list
+(** Every pid with a crash event, ascending (pids [>= n] included). *)
 
 val strong_completeness : run -> report
 val weak_completeness : run -> report

@@ -49,12 +49,9 @@ let render_rows ~width run ~horizon ~cell =
   let buffer = Buffer.create 1024 in
   List.iter
     (fun p ->
-      let tl =
-        Eventually.of_views ~component:run.Fd_props.component run.Fd_props.trace ~pid:p
-      in
       let row =
-        sample_slices ~width ~horizon ~equal:Fd.Fd_view.equal ~timeline:tl ~render:(cell p)
-          ~mixed:'?'
+        sample_slices ~width ~horizon ~equal:Fd.Fd_view.equal
+          ~timeline:(Fd_props.timeline run p) ~render:(cell p) ~mixed:'?'
       in
       let crash_at = List.assoc_opt p crashes in
       Buffer.add_string buffer

@@ -465,7 +465,7 @@ let oracle_scripted_tests =
         in
         Test_util.check_class "oracle" Fd.Classes.P_eventual run;
         (* Strong accuracy holds from the very start: no premature suspicion. *)
-        let tl = Spec.Eventually.of_views ~component:(Fd.Fd_handle.component p) (Sim.Engine.trace e) ~pid:0 in
+        let tl = Spec.Fd_props.timeline run 0 in
         Alcotest.(check bool) "never suspects correct p4" true
           (List.for_all (fun (_, v) -> not (Fd.Fd_view.suspects v 3)) tl));
     tc "scripted applies steps at their instants" (fun () ->

@@ -33,9 +33,7 @@ let scenario_tests =
             Alcotest.(check bool)
               (Scenario.detector_name detector ^ " produced views")
               true
-              (Spec.Eventually.of_views
-                 ~component:run.Spec.Fd_props.component run.Spec.Fd_props.trace ~pid:0
-              <> []))
+              (Spec.Fd_props.timeline run 0 <> []))
           all_detectors);
     tc "detector names are unique" (fun () ->
         let names = List.map Scenario.detector_name all_detectors in
