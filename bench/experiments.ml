@@ -670,7 +670,6 @@ let e11 () =
                 (fun ~rng ~now ~src ~dst ->
                   if now >= blackout_from && now <= blackout_to then Sim.Link.Drop
                   else base.Sim.Link.fate ~rng ~now ~src ~dst);
-              min_delay = Sim.Link.min_delay_bound base;
             }
           else base)
     in

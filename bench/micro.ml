@@ -106,28 +106,12 @@ type e20_row = {
   hb_capacity : int;
 }
 
-type e21_row = {
-  sh_n : int;
-  sh_k : int;
-  sh_events : int;
-  sh_elapsed : float;
-  sh_eps : float;
-  sh_windows : int;
-  sh_null_windows : int;
-  sh_null_fraction : float;
-  sh_direct : int;
-  sh_busy_s : float;
-  sh_pool_wall_s : float;
-  sh_speedup : float;
-}
-
 let churn_result : churn_result option ref = ref None
 let e20_result : e20_row list option ref = ref None
-let e21_result : e21_row list option ref = ref None
 
 let emit_sim_core_json () =
   let oc = open_out sim_core_json_file in
-  Printf.fprintf oc "{\n  \"bench\": \"sim_core\",\n  \"schema_version\": 3,\n";
+  Printf.fprintf oc "{\n  \"bench\": \"sim_core\",\n  \"schema_version\": 4,\n";
   (match !churn_result with
   | None -> Printf.fprintf oc "  \"churn\": null,\n"
   | Some c ->
@@ -159,7 +143,7 @@ let emit_sim_core_json () =
       c.ch_cancelled c.ch_orphaned c.ch_reclaimed c.ch_capacity c.ch_max_residency
       c.ch_residency_end c.ch_heap_pop_words c.ch_obs_json);
   (match !e20_result with
-  | None -> Printf.fprintf oc "  \"e20\": null,\n"
+  | None -> Printf.fprintf oc "  \"e20\": null\n"
   | Some rows ->
     Printf.fprintf oc "  \"e20\": {\n    \"heartbeat_rows\": [";
     List.iteri
@@ -169,19 +153,6 @@ let emit_sim_core_json () =
           (if i = 0 then "" else ",")
           r.hb_n r.hb_events r.hb_elapsed r.hb_eps r.hb_words_per_event r.hb_queue_hw
           r.hb_capacity)
-      rows;
-    Printf.fprintf oc "\n    ]\n  },\n");
-  (match !e21_result with
-  | None -> Printf.fprintf oc "  \"e21\": null\n"
-  | Some rows ->
-    Printf.fprintf oc "  \"e21\": {\n    \"sharded_rows\": [";
-    List.iteri
-      (fun i r ->
-        Printf.fprintf oc
-          "%s\n      { \"n\": %d, \"shards\": %d, \"events\": %d, \"elapsed_s\": %.6f, \"events_per_sec\": %.1f, \"windows\": %d, \"null_windows\": %d, \"null_window_fraction\": %.4f, \"direct_steps\": %d, \"busy_s\": %.6f, \"pool_wall_s\": %.6f, \"busy_wall_speedup\": %.3f }"
-          (if i = 0 then "" else ",")
-          r.sh_n r.sh_k r.sh_events r.sh_elapsed r.sh_eps r.sh_windows r.sh_null_windows
-          r.sh_null_fraction r.sh_direct r.sh_busy_s r.sh_pool_wall_s r.sh_speedup)
       rows;
     Printf.fprintf oc "\n    ]\n  }\n");
   Printf.fprintf oc "}\n";
@@ -294,7 +265,7 @@ let sim_core () =
              spans, so the message-path histograms (engine.delivery_latency,
              engine.span_duration) are structurally zero here.  Publishing
              all-zero counts read as a broken recording site — deliveries do
-             record into the histogram, test/test_shard.ml pins that — so
+             record into the histogram, test/test_obs.ml pins that — so
              drop never-observed histograms from this snapshot instead. *)
           (let snap = Obs.Registry.snapshot (Sim.Engine.obs engine) in
            Obs.Registry.json_of_snapshot
@@ -501,126 +472,6 @@ let e20 () =
   emit_sim_core_json ();
   Tables.note "Wrote %s (ECFD_E20_NS / ECFD_E20_EVENTS trim the sweep)." sim_core_json_file;
   e20_alloc_gate rows
-
-(* ------------------------------------------------------------------ *)
-(* E21: sharded-engine scaling.  The e20 heartbeat mix plus a sparse  *)
-(* cross-shard ring, run through the conservative parallel back-end   *)
-(* at K in {1, 2, 4, 8} shards, n in {1k, 10k}.  Reports events/sec,  *)
-(* window count, null-window fraction and the pool's busy/wall        *)
-(* speedup into BENCH_sim_core.json.  K = 1 is the exact sequential   *)
-(* code path — the baseline every other row is byte-identical to.     *)
-(* ------------------------------------------------------------------ *)
-
-let e21_default_ticks = 300
-
-let e21_ints_env var default =
-  let parse s =
-    let parts = String.split_on_char ',' (String.trim s) in
-    let vs = List.filter_map int_of_string_opt (List.map String.trim parts) in
-    match List.filter (fun v -> v > 0) vs with [] -> None | vs -> Some vs
-  in
-  match Sys.getenv_opt var with
-  | Some s -> ( match parse s with Some vs -> vs | None -> default)
-  | None -> default
-
-let e21_sizes () = e21_ints_env "ECFD_E21_NS" [ 1_000; 10_000 ]
-let e21_shards () = e21_ints_env "ECFD_E21_KS" [ 1; 2; 4; 8 ]
-
-let e21_ticks () =
-  match Sys.getenv_opt "ECFD_E21_TICKS" with
-  | Some s -> (
-    match int_of_string_opt s with Some v when v > 0 -> v | _ -> e21_default_ticks)
-  | None -> e21_default_ticks
-
-let e21_wall () =
-  (Unix.gettimeofday
-   [@lint.allow ambient "wall-clock throughput of a parallel section; reads no simulated state"])
-    ()
-
-let e21_run_one ~n ~k ~ticks =
-  (* Synchronous delay 8 = lookahead 8: each parallel window spans 8 ticks
-     of per-shard heartbeat work between barriers. *)
-  let engine =
-    Sim.Engine.create ~seed:173 ~shards:k ~n ~link:(Sim.Link.synchronous ~delay:8) ()
-  in
-  List.iter
-    (fun p ->
-      ignore
-        (Sim.Engine.every engine p ~phase:(1 + (p mod 7)) ~period:(1 + (p mod 4)) (fun () -> ())
-          : unit -> unit))
-    (Sim.Pid.all ~n);
-  (* Sparse ring traffic so windows also carry cross-shard mailbox
-     exchanges: every 64th process pings its successor every 16 ticks. *)
-  let component = "e21.ring" in
-  List.iter
-    (fun p -> Sim.Engine.register engine ~component p (fun ~src:_ _payload -> ()))
-    (Sim.Pid.all ~n);
-  let rec pingers p acc = if p >= n then List.rev acc else pingers (p + 64) (p :: acc) in
-  List.iter
-    (fun p ->
-      ignore
-        (Sim.Engine.every engine p ~phase:(1 + (p mod 16)) ~period:16 (fun () ->
-             Sim.Engine.send engine ~component ~tag:"ping" ~src:p ~dst:((p + 1) mod n)
-               Sim.Payload.Blank)
-          : unit -> unit))
-    (pingers 0 []);
-  Exec.Pool.reset_metrics ();
-  let t0 = e21_wall () in
-  Sim.Engine.run_until engine ticks;
-  let elapsed = e21_wall () -. t0 in
-  let pool = Exec.Pool.metrics () in
-  let lc = Sim.Stats.lifecycle (Sim.Engine.stats engine) in
-  let windows, null_windows, direct, _ = Sim.Engine.window_stats engine in
-  let events = lc.Sim.Stats.events_executed in
-  {
-    sh_n = n;
-    sh_k = k;
-    sh_events = events;
-    sh_elapsed = elapsed;
-    sh_eps = (if elapsed > 0.0 then float_of_int events /. elapsed else 0.0);
-    sh_windows = windows;
-    sh_null_windows = null_windows;
-    sh_null_fraction =
-      (if windows > 0 then float_of_int null_windows /. float_of_int windows else 0.0);
-    sh_direct = direct;
-    sh_busy_s = pool.Exec.Pool.busy_s;
-    sh_pool_wall_s = pool.Exec.Pool.wall_s;
-    sh_speedup =
-      (if pool.Exec.Pool.wall_s > 0.0 then pool.Exec.Pool.busy_s /. pool.Exec.Pool.wall_s
-       else 1.0);
-  }
-
-let e21 () =
-  Tables.heading "E21" "Sharded simulation: conservative parallel windows at K shards";
-  let ticks = e21_ticks () in
-  let rows =
-    List.concat_map
-      (fun n -> List.map (fun k -> e21_run_one ~n ~k ~ticks) (e21_shards ()))
-      (e21_sizes ())
-  in
-  Tables.table
-    ~headers:
-      [ "n"; "K"; "events"; "elapsed (s)"; "events/sec"; "windows"; "null %"; "busy/wall" ]
-    ~rows:
-      (List.map
-         (fun r ->
-           [
-             string_of_int r.sh_n;
-             string_of_int r.sh_k;
-             string_of_int r.sh_events;
-             Printf.sprintf "%.3f" r.sh_elapsed;
-             Printf.sprintf "%.0f" r.sh_eps;
-             string_of_int r.sh_windows;
-             Printf.sprintf "%.1f" (100.0 *. r.sh_null_fraction);
-             Printf.sprintf "%.2f" r.sh_speedup;
-           ])
-         rows);
-  Tables.note "K = 1 is the sequential engine; all rows produce byte-identical traces.";
-  Tables.note "busy/wall is the Domain pool's achieved speedup inside parallel windows.";
-  e21_result := Some rows;
-  emit_sim_core_json ();
-  Tables.note "Wrote %s (ECFD_E21_NS / ECFD_E21_KS / ECFD_E21_TICKS trim the sweep)."
-    sim_core_json_file
 
 let run () =
   Tables.heading "B1-B4" "Bechamel micro-benchmarks of the reproduction substrate";

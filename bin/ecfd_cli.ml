@@ -18,16 +18,6 @@ let seed_arg =
   let doc = "Simulation seed (runs are deterministic per seed)." in
   Arg.(value & opt int 1 & info [ "seed" ] ~docv:"SEED" ~doc)
 
-let shards_arg =
-  let doc =
-    "Engine shards: 1 = sequential, $(docv) >= 2 advances processes in parallel \
-     conservative time windows (default: \\$(b,ECFD_SHARDS) or 1).  The output is \
-     byte-identical at every value."
-  in
-  Arg.(value & opt (some int) None & info [ "shards" ] ~docv:"K" ~doc)
-
-let apply_shards shards = Option.iter Sim.Shard.set_default_shards shards
-
 let gst_arg =
   let doc = "Global stabilisation time: before it, delays are unbounded-looking." in
   Arg.(value & opt int 0 & info [ "gst" ] ~docv:"T" ~doc)
@@ -136,8 +126,7 @@ let print_matrix run =
 (* --- fd subcommand --- *)
 
 let fd_cmd =
-  let run detector n seed gst delta horizon crashes verbose timeline dump shards =
-    apply_shards shards;
+  let run detector n seed gst delta horizon crashes verbose timeline dump =
     let schedule = Sim.Fault.crashes crashes in
     let detector = to_detector ~schedule detector in
     let _, run, stats =
@@ -168,7 +157,7 @@ let fd_cmd =
           & opt detector_conv `Ec_from_leader
           & info [ "detector"; "d" ] ~docv:"DETECTOR" ~doc:"Which detector to install.")
       $ n_arg $ seed_arg $ gst_arg $ delta_arg $ horizon_arg $ crashes_arg $ verbose_arg
-      $ timeline_arg $ dump_trace_arg $ shards_arg)
+      $ timeline_arg $ dump_trace_arg)
 
 (* --- consensus subcommand --- *)
 
@@ -179,8 +168,7 @@ let protocol_conv =
     ]
 
 let consensus_cmd =
-  let run protocol detector n seed gst delta horizon crashes verbose timeline dump shards =
-    apply_shards shards;
+  let run protocol detector n seed gst delta horizon crashes verbose timeline dump =
     let schedule = Sim.Fault.crashes crashes in
     let detector = to_detector ~schedule detector in
     let protocol =
@@ -251,13 +239,12 @@ let consensus_cmd =
           & opt detector_conv `Ec_from_leader
           & info [ "detector"; "d" ] ~docv:"DETECTOR" ~doc:"Which detector to install.")
       $ n_arg $ seed_arg $ gst_arg $ delta_arg $ horizon_arg $ crashes_arg $ verbose_arg
-      $ timeline_arg $ dump_trace_arg $ shards_arg)
+      $ timeline_arg $ dump_trace_arg)
 
 (* --- transform subcommand --- *)
 
 let transform_cmd =
-  let run n seed gst delta horizon crashes piggyback shards =
-    apply_shards shards;
+  let run n seed gst delta horizon crashes piggyback =
     let schedule = Sim.Fault.crashes crashes in
     let engine = Scenario.engine ~net:(net ~seed ~gst ~delta) ~n () in
     Sim.Fault.apply engine schedule;
@@ -290,15 +277,12 @@ let transform_cmd =
       $ Arg.(
           value & flag
           & info [ "piggyback" ]
-              ~doc:"Ride the suspect lists on the underlying detector's heartbeats.")
-      $ shards_arg)
+              ~doc:"Ride the suspect lists on the underlying detector's heartbeats."))
 
 (* --- trace subcommand --- *)
 
 let trace_cmd =
-  let run protocol detector n seed gst delta horizon crashes format out shards profile =
-    apply_shards shards;
-    if profile then Sim.Shard.set_default_profile true;
+  let run protocol detector n seed gst delta horizon crashes format out =
     let schedule = Sim.Fault.crashes crashes in
     let detector = to_detector ~schedule detector in
     let protocol =
@@ -318,10 +302,7 @@ let trace_cmd =
     in
     let rendered =
       match format with
-      | `Chrome ->
-        Sim.Trace_export.chrome_string
-          ~profiler:(Sim.Engine.profiler_windows r.Scenario.engine)
-          r.Scenario.trace
+      | `Chrome -> Sim.Trace_export.chrome_string r.Scenario.trace
       | `Jsonl -> Sim.Trace_export.jsonl_string r.Scenario.trace
     in
     match out with
@@ -356,21 +337,12 @@ let trace_cmd =
       $ Arg.(
           value
           & opt (some string) None
-          & info [ "out"; "o" ] ~docv:"FILE" ~doc:"Write to $(docv) instead of stdout.")
-      $ shards_arg
-      $ Arg.(
-          value & flag
-          & info [ "profile" ]
-              ~doc:
-                "Enable the sharded-engine runtime profiler (also: \\$(b,ECFD_PROFILE=1)); with \
-                 --format chrome the export gains a per-window profiler track (shard busy time, \
-                 barrier replay, op-log sizes).  Needs --shards >= 2 to produce records."))
+          & info [ "out"; "o" ] ~docv:"FILE" ~doc:"Write to $(docv) instead of stdout."))
 
 (* --- qos subcommand --- *)
 
 let qos_cmd =
-  let run detector n seed gst delta horizon crashes output shards =
-    apply_shards shards;
+  let run detector n seed gst delta horizon crashes output =
     let schedule = Sim.Fault.crashes crashes in
     let detector = to_detector ~schedule detector in
     let handle, fdrun, _stats =
@@ -392,8 +364,7 @@ let qos_cmd =
   in
   let doc =
     "Run a failure detector and emit its QoS / SLA rollup as JSON (detection time, mistake \
-     rate, query accuracy, availability; schema docs/schemas/qos.schema.json).  The output \
-     is byte-identical at every --shards value."
+     rate, query accuracy, availability; schema docs/schemas/qos.schema.json)."
   in
   Cmd.v
     (Cmd.info "qos" ~doc)
@@ -407,14 +378,13 @@ let qos_cmd =
       $ Arg.(
           value
           & opt (some string) None
-          & info [ "out"; "o" ] ~docv:"FILE" ~doc:"Write the JSON to $(docv) instead of stdout.")
-      $ shards_arg)
+          & info [ "out"; "o" ] ~docv:"FILE" ~doc:"Write the JSON to $(docv) instead of stdout."))
 
 (* --- bench-diff subcommand --- *)
 
 (* Flatten a bench JSON document (BENCH_sim_core.json, BENCH_qos.json,
    BENCH_experiments.json) into (path, number) leaves.  Array elements
-   are keyed by their identifying fields (name / n / shards / K) when
+   are keyed by their identifying fields (name / n / observer / subject) when
    present, so rows still line up after a sweep is extended. *)
 let rec bench_flatten prefix (j : Tracequery_core.Json_min.t) acc =
   let open Tracequery_core.Json_min in
@@ -437,7 +407,7 @@ let rec bench_flatten prefix (j : Tracequery_core.Json_min.t) acc =
               | Some (Int v) -> Some (Printf.sprintf "%s=%d" k v)
               | Some (String s) -> Some (Printf.sprintf "%s=%s" k s)
               | _ -> None)
-            [ "name"; "n"; "shards"; "observer"; "subject" ]
+            [ "name"; "n"; "observer"; "subject" ]
         in
         if ids = [] then string_of_int i else String.concat "," ids
       | _ -> string_of_int i
@@ -555,9 +525,8 @@ let bench_diff_cmd =
 (* --- sweep subcommand --- *)
 
 let sweep_cmd =
-  let run protocol detector param values seeds n delta horizon domains shards =
+  let run protocol detector param values seeds n delta horizon domains =
     Option.iter Exec.Pool.set_default_domains domains;
-    apply_shards shards;
     let protocol =
       match protocol with
       | `Ec -> Scenario.Ec Ecfd.Ec_consensus.default_params
@@ -654,8 +623,7 @@ let sweep_cmd =
               ~doc:
                 "Worker domains for the sweep grid (default: \\$(b,ECFD_DOMAINS) or the \
                  machine's recommended count, capped at 8; 1 = sequential).  The output is \
-                 identical at every value.")
-      $ shards_arg)
+                 identical at every value."))
 
 (* --- check subcommand --- *)
 

@@ -28,13 +28,7 @@ let env_domains () =
     | Some _ | None -> None)
 
 let default_domains () =
-  match
-    (!default_override
-    [@race.allow publish
-        "written only by the coordinator between runs (set_default_domains / \
-         with_domains); Domain.spawn publishes the value to workers, and a \
-         nested run inside a worker only reads it"])
-  with
+  match !default_override with
   | Some d -> d
   | None -> (
     match env_domains () with Some d -> d | None -> recommended_domains ())
@@ -163,14 +157,8 @@ let run ?domains jobs =
         (fun acc slot -> match slot with Some (_, d) -> acc +. d | None -> acc)
         0.0 results
     in
-    (incr acc_runs;
-     acc_jobs := !acc_jobs + n;
-     acc_busy := !acc_busy +. busy;
-     acc_wall := !acc_wall +. (wall () -. t_start))
-    [@race.allow escape
-        "coordinator-only accounting: this branch is unreachable from a \
-         worker (the in_worker guard routes nested runs to run_nested), and \
-         it executes after every worker has been joined"]
-    [@race.allow publish
-        "same join barrier: no worker is alive to race the read-modify-write"];
+    incr acc_runs;
+    acc_jobs := !acc_jobs + n;
+    acc_busy := !acc_busy +. busy;
+    acc_wall := !acc_wall +. (wall () -. t_start);
     collect results

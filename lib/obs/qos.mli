@@ -35,8 +35,7 @@
     election ([None -> Some l]).
 
     All arithmetic is integer ticks over the deterministic stream: two
-    byte-identical traces yield byte-identical reports (the property the
-    sharded-vs-sequential rollup tests pin). *)
+    byte-identical traces yield byte-identical reports. *)
 
 type event =
   | Crash of { at : int; pid : int }

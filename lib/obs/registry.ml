@@ -1,41 +1,22 @@
-(* Every instrument carries its registry's shared [hook] cell so updates
-   can be intercepted without a per-update registry lookup: the sharded
-   engine diverts updates made inside a parallel window into the recording
-   shard's log and re-applies them (via {!apply}) in global order at the
-   window barrier.  With no hook installed — the sequential engine, and
-   the sharded engine outside windows — every update is the same direct
-   field mutation as before, still allocation-free. *)
-type counter = { mutable count : int; c_hook : hook }
-and gauge = { mutable level : int; g_hook : hook }
+type counter = { mutable count : int }
+type gauge = { mutable level : int }
 
-and histogram = {
+type histogram = {
   bounds : int array;  (** Strictly increasing inclusive upper bounds. *)
   bucket_counts : int array;  (** [Array.length bounds + 1]: the last slot is overflow. *)
   mutable h_count : int;
   mutable h_sum : int;
   mutable h_max : int;
-  h_hook : hook;
 }
-
-and hook = { mutable hook : (op -> bool) option }
-
-and op =
-  | Op_incr of counter
-  | Op_add of counter * int
-  | Op_set of gauge * int
-  | Op_set_max of gauge * int
-  | Op_observe of histogram * int
 
 type metric =
   | M_counter of counter
   | M_gauge of gauge
   | M_histogram of histogram
 
-type t = { table : (string, metric) Hashtbl.t; hooks : hook }
+type t = { table : (string, metric) Hashtbl.t }
 
-let create () = { table = Hashtbl.create 32; hooks = { hook = None } }
-
-let set_hook t f = t.hooks.hook <- f
+let create () = { table = Hashtbl.create 32 }
 
 let kind_name = function
   | M_counter _ -> "counter"
@@ -52,7 +33,7 @@ let counter t ~name =
   | Some (M_counter c) -> c
   | Some m -> mismatch ~name ~wanted:"counter" m
   | None ->
-    let c = { count = 0; c_hook = t.hooks } in
+    let c = { count = 0 } in
     Hashtbl.add t.table name (M_counter c);
     c
 
@@ -61,7 +42,7 @@ let gauge t ~name =
   | Some (M_gauge g) -> g
   | Some m -> mismatch ~name ~wanted:"gauge" m
   | None ->
-    let g = { level = 0; g_hook = t.hooks } in
+    let g = { level = 0 } in
     Hashtbl.add t.table name (M_gauge g);
     g
 
@@ -93,18 +74,17 @@ let histogram t ~name ~buckets =
         h_count = 0;
         h_sum = 0;
         h_max = 0;
-        h_hook = t.hooks;
       }
     in
     Hashtbl.add t.table name (M_histogram h);
     h
 
-let incr_direct c = c.count <- c.count + 1
-let add_direct c k = c.count <- c.count + k
-let set_direct g v = g.level <- v
-let set_max_direct g v = if v > g.level then g.level <- v
+let incr c = c.count <- c.count + 1
+let add c k = c.count <- c.count + k
+let set g v = g.level <- v
+let set_max g v = if v > g.level then g.level <- v
 
-let observe_direct h v =
+let observe h v =
   let n = Array.length h.bounds in
   (* Few buckets per histogram; a linear scan beats binary search at these
      sizes and stays branch-predictable. *)
@@ -114,56 +94,6 @@ let observe_direct h v =
   h.h_count <- h.h_count + 1;
   h.h_sum <- h.h_sum + v;
   if v > h.h_max then h.h_max <- v
-
-(* The hooked-capture branches allocate the [op] box by design (a window
-   capture is buffered work); the sequential [None] branches stay on the
-   direct allocation-free mutations, which is what the engine's
-   [@alloc.zero] roots actually execute. *)
-
-let incr c =
-  match c.c_hook.hook with
-  | None -> incr_direct c
-  | Some f ->
-    (if not (f (Op_incr c)) then incr_direct c)
-    [@alloc.allow extern
-        "sharded-window capture: op boxing happens only with a hook installed, i.e. \
-         inside a parallel window, never on the sequential hot path"]
-
-let add c k =
-  match c.c_hook.hook with
-  | None -> add_direct c k
-  | Some f ->
-    if not (f (Op_add (c, k))) then add_direct c k
-
-let set g v =
-  match g.g_hook.hook with
-  | None -> set_direct g v
-  | Some f ->
-    if not (f (Op_set (g, v))) then set_direct g v
-
-let set_max g v =
-  match g.g_hook.hook with
-  | None -> set_max_direct g v
-  | Some f ->
-    (if not (f (Op_set_max (g, v))) then set_max_direct g v)
-    [@alloc.allow extern
-        "sharded-window capture: op boxing happens only with a hook installed, i.e. \
-         inside a parallel window, never on the sequential hot path"]
-
-let observe h v =
-  match h.h_hook.hook with
-  | None -> observe_direct h v
-  | Some f ->
-    if not (f (Op_observe (h, v))) then observe_direct h v
-
-let apply = function
-  | Op_incr c -> incr_direct c
-  | Op_add (c, k) -> add_direct c k
-  | Op_set (g, v) -> set_direct g v
-  | Op_set_max (g, v) -> set_max_direct g v
-  | Op_observe (h, v) -> observe_direct h v
-
-let noop_op = Op_add ({ count = 0; c_hook = { hook = None } }, 0)
 
 type value =
   | Counter of int

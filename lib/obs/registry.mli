@@ -53,29 +53,6 @@ val set_max : gauge -> int -> unit
 
 val observe : histogram -> int -> unit
 
-(** {1 Update interception}
-
-    Used by the sharded simulation engine: updates made inside a parallel
-    window are captured as {!op} values by a hook installed with
-    {!set_hook}, then re-applied with {!apply} in the global deterministic
-    order at the window barrier.  With no hook installed every update is a
-    direct allocation-free field mutation, exactly as before. *)
-
-type op
-(** One captured update, closed over its instrument. *)
-
-val set_hook : t -> (op -> bool) option -> unit
-(** Install (or clear) the capture hook shared by every instrument of this
-    registry.  The hook returns [true] when it captured the op (the update
-    is then deferred until {!apply}) and [false] to let the update apply
-    directly — the sharded engine declines outside parallel windows. *)
-
-val apply : op -> unit
-(** Apply a captured update, bypassing the hook. *)
-
-val noop_op : op
-(** An op whose {!apply} changes nothing — a filler value for op buffers. *)
-
 (** {1 Snapshots} *)
 
 type value =

@@ -4,8 +4,7 @@
     {!to_json} renders a list of them as the [BENCH_qos.json] document
     validated by [docs/schemas/qos.schema.json].  The renderer is shared
     by `ecfd qos`, the tracequery `rollup` subcommand and bench e22, so
-    identical traces produce byte-identical rollups on every surface
-    (and, via trace byte-identity, at every `--shards K`). *)
+    identical traces produce byte-identical rollups on every surface. *)
 
 type agg = {
   a_pairs : int;  (** Ordered (observer, subject) pairs, [n*(n-1)]. *)

@@ -28,19 +28,6 @@ val schedule : 'a t -> at:Sim_time.t -> 'a -> unit
     the past of an already-popped instant is the caller's bug; the queue
     itself does not check monotonicity.  Consumes one {!alloc_seq} ticket. *)
 
-val schedule_at_seq : 'a t -> at:Sim_time.t -> seq:int -> 'a -> unit
-(** Enqueue with an externally allocated sequence number, leaving this
-    queue's counter untouched.  The sharded engine ({!Shard}) uses this to
-    file barrier-reconciled deliveries into a shard's local queue under the
-    global scheduling order. *)
-
-val remap_seqs : 'a t -> (int -> int) -> unit
-(** Rewrite every pending entry's sequence number in place.  [f] must be
-    strictly order-preserving on the pending seqs relative to their (time,
-    seq) ranking, so the heap invariant survives the in-place update (the
-    sharded engine's provisional-to-global renumbering is: identity below
-    the provisional base, a monotone window map above it). *)
-
 val next_time : 'a t -> Sim_time.t option
 (** Timestamp of the earliest pending event. *)
 

@@ -62,11 +62,5 @@ val clear : 'a t -> unit
     a fresh heap grows to on first push, keeping [clear]+[push] consistent
     with the growth policy rather than re-starting from an aliased [[||]]). *)
 
-val iter : ('a -> unit) -> 'a t -> unit
-(** Apply [f] to every element in unspecified (array) order.  [f] must not
-    push or pop; mutating a field of an element is allowed as long as the
-    ordering relative to the other elements is preserved (the event queue's
-    in-place sequence renumbering relies on exactly that). *)
-
 val to_list_unordered : 'a t -> 'a list
 (** All elements in unspecified order (inspection/testing). *)

@@ -5,31 +5,19 @@ type fate =
 type t = {
   describe : string;
   fate : rng:Rng.t -> now:Sim_time.t -> src:Pid.t -> dst:Pid.t -> fate;
-  min_delay : int;
 }
-
-(* Conservative lookahead for the sharded engine (Shard): every fate this
-   link can return is [Drop] or [Deliver_at d] with [d >= now + min_delay].
-   [0] is always sound (it just forces the sharded engine into sequential
-   merging), so custom fates built as record literals default to it. *)
-let min_delay_bound t = t.min_delay
-
-(* Drops everything: no delivery ever undercuts any window, so the
-   lookahead is effectively infinite.  Kept far from [max_int] so window
-   arithmetic ([t + lookahead]) cannot overflow. *)
-let unbounded_lookahead = max_int / 4
 
 let reliable ?(min_delay = 1) ?(max_delay = 8) () =
   assert (min_delay >= 0 && max_delay >= min_delay);
   let fate ~rng ~now ~src:_ ~dst:_ =
     Deliver_at (now + Rng.int_in_range rng ~lo:min_delay ~hi:max_delay)
   in
-  { describe = Printf.sprintf "reliable[%d,%d]" min_delay max_delay; fate; min_delay }
+  { describe = Printf.sprintf "reliable[%d,%d]" min_delay max_delay; fate }
 
 let synchronous ~delay =
   assert (delay >= 0);
   let fate ~rng:_ ~now ~src:_ ~dst:_ = Deliver_at (now + delay) in
-  { describe = Printf.sprintf "synchronous[%d]" delay; fate; min_delay = delay }
+  { describe = Printf.sprintf "synchronous[%d]" delay; fate }
 
 let partially_synchronous ?(min_delay = 1) ?pre_gst_max ~gst ~delta () =
   assert (delta >= min_delay);
@@ -42,10 +30,7 @@ let partially_synchronous ?(min_delay = 1) ?pre_gst_max ~gst ~delta () =
       Deliver_at (Sim_time.min raw bound)
     end
   in
-  (* Both regimes deliver at >= now + min_delay: post-GST the clamp bound is
-     max now gst + delta >= now + delta >= now + min_delay, pre-GST the raw
-     draw starts at now + min_delay and the bound is at least that too. *)
-  { describe = Printf.sprintf "partially-synchronous[gst=%d,delta=%d]" gst delta; fate; min_delay }
+  { describe = Printf.sprintf "partially-synchronous[gst=%d,delta=%d]" gst delta; fate }
 
 let fair_lossy ~drop_probability ~underlying =
   assert (drop_probability >= 0.0 && drop_probability < 1.0);
@@ -53,9 +38,7 @@ let fair_lossy ~drop_probability ~underlying =
     if Rng.bool rng ~p:drop_probability then Drop else underlying.fate ~rng ~now ~src ~dst
   in
   { describe = Printf.sprintf "fair-lossy[p=%.2f over %s]" drop_probability underlying.describe;
-    fate;
-    (* Drops only remove deliveries, so the underlying bound still holds. *)
-    min_delay = underlying.min_delay }
+    fate }
 
 let growing_blackouts ?(min_delay = 1) ?(max_delay = 8) ?(open_window = 60)
     ?(initial_blackout = 60) ?(blackout_growth = 60) () =
@@ -82,7 +65,6 @@ let growing_blackouts ?(min_delay = 1) ?(max_delay = 8) ?(open_window = 60)
       Printf.sprintf "growing-blackouts[open=%d,start=%d,+%d]" open_window initial_blackout
         blackout_growth;
     fate;
-    min_delay;
   }
 
 let ever_slower ?(min_delay = 1) ~slowdown_divisor () =
@@ -91,18 +73,10 @@ let ever_slower ?(min_delay = 1) ~slowdown_divisor () =
     let jitter = Rng.int_in_range rng ~lo:0 ~hi:(Stdlib.max 1 (now / (4 * slowdown_divisor))) in
     Deliver_at (now + min_delay + (now / slowdown_divisor) + jitter)
   in
-  (* delay = min_delay + now/div + jitter >= min_delay since the extra
-     terms are non-negative. *)
-  { describe = Printf.sprintf "ever-slower[/%d]" slowdown_divisor; fate; min_delay }
+  { describe = Printf.sprintf "ever-slower[/%d]" slowdown_divisor; fate }
 
-let route ?(min_delay = 0) ~describe select =
+let route ~describe select =
   let fate ~rng ~now ~src ~dst = (select ~src ~dst).fate ~rng ~now ~src ~dst in
-  (* The selector is an arbitrary function, so we cannot derive a bound from
-     the constituent links; callers that know the minimum across all routes
-     may pass it, everyone else gets the conservative 0 (sequential merge). *)
-  { describe; fate; min_delay }
+  { describe; fate }
 
-let never =
-  { describe = "never";
-    fate = (fun ~rng:_ ~now:_ ~src:_ ~dst:_ -> Drop);
-    min_delay = unbounded_lookahead }
+let never = { describe = "never"; fate = (fun ~rng:_ ~now:_ ~src:_ ~dst:_ -> Drop) }

@@ -25,21 +25,7 @@ type fate =
 type t = {
   describe : string;
   fate : rng:Rng.t -> now:Sim_time.t -> src:Pid.t -> dst:Pid.t -> fate;
-  min_delay : int;
-      (** Lookahead contract: every fate the link returns is either [Drop] or
-          [Deliver_at d] with [d >= now + min_delay].  The sharded engine
-          ({!Shard}) uses this as its conservative window lookahead; [0] is
-          always sound and merely forces sequential merging, so custom record
-          literals that cannot prove a bound should use [0]. *)
 }
-
-val min_delay_bound : t -> int
-(** [min_delay_bound l] is [l.min_delay] (see the field documentation). *)
-
-val unbounded_lookahead : int
-(** Lookahead stand-in for links that never deliver ([never]): large enough
-    that windows always extend to the horizon, small enough that
-    [now + unbounded_lookahead] cannot overflow. *)
 
 val reliable : ?min_delay:int -> ?max_delay:int -> unit -> t
 (** Uniform delay in [[min_delay, max_delay]]; defaults 1 and 8. *)
@@ -84,11 +70,8 @@ val ever_slower : ?min_delay:int -> slowdown_divisor:int -> unit -> t
     the "weak reliability and synchrony assumptions" setting of Aguilera et
     al. (PODC 2003) that the paper cites in Section 1.1 (experiment E12). *)
 
-val route : ?min_delay:int -> describe:string -> (src:Pid.t -> dst:Pid.t -> t) -> t
-(** Per-directed-pair model selection.  The selector is opaque, so no delay
-    bound can be derived from the routed links; [min_delay] defaults to the
-    conservative [0] (sequential merge under sharding) — pass the minimum of
-    the constituent links' bounds to restore parallel windows. *)
+val route : describe:string -> (src:Pid.t -> dst:Pid.t -> t) -> t
+(** Per-directed-pair model selection. *)
 
 val never : t
 (** Drops everything (crash of a link; used for adversarial tests). *)

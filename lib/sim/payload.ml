@@ -11,12 +11,9 @@ type envelope = {
   tag : string;
   payload : t;
   sent_at : Sim_time.t;
-  mutable msg : int;
+  msg : int;
       (** Engine-allocated message id shared by the Send/Deliver/Drop trace
-          events; [-1] for local self-sends, which are not traced.  Mutable
-          only for the sharded engine's barrier reconciliation, which stamps
-          the globally ordered id onto envelopes buffered during a parallel
-          window; the sequential engine never mutates it. *)
+          events; [-1] for local self-sends, which are not traced. *)
 }
 
 let pp_envelope ppf e =

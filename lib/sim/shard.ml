@@ -1,1517 +1,5 @@
-(* Conservative parallel discrete-event core (see shard.mli for the
-   contract).  The implementation mirrors Engine's sequential data
-   structures per shard — timer wheel, event heap, slot/generation timer
-   registry — and adds three reconciliation mechanisms that make the
-   parallel execution byte-identical to the sequential one:
-
-   1. Op logs.  Inside a window a shard performs no globally visible
-      effect: every trace record, stats/obs update, send, and timer
-      lifecycle transition is appended to a flat int op log (with side
-      buffers for envelopes, trace bodies, obs ops and span closures).
-      At the barrier the K logs are merged by (time, seq) — provably the
-      sequential execution order — and replayed on the coordinating
-      domain, where global sequence numbers, message/span ids and RNG
-      fate draws are allocated in replay order and therefore coincide
-      with the sequential run's.
-
-   2. Provisional sequence numbers.  In-window scheduling (timer arms,
-      self-sends) cannot draw from the global sequence counter without a
-      race, so each shard stamps window-local provisional seqs starting
-      at [prov_base] (far above every real seq).  Replay allocates the
-      true seq for each ARM/SELF op in merged order and records it in
-      the shard's seq map; after replay the wheel's and heap's pending
-      provisional seqs are renumbered in place (order-preserving, since
-      provisional order within a shard equals its local allocation
-      order and all true seqs are smaller).
-
-   3. A virtual timer-slot allocator.  Timer slots are shard-local (so
-      shards can arm/reclaim without contention), but e18 prints the
-      sequential engine's global slot-table capacity.  A virtual
-      LIFO free-list allocator replays the sequential slot lifecycle at
-      barrier time — alloc on ARM, free on RECLAIM, in merged order —
-      so [timer_table_capacity] reproduces the sequential figure
-      exactly.
-
-   Cross-shard sends are buffered into per-(src shard, dst shard)
-   mailboxes during replay and flushed into the destination heaps at
-   the barrier; the delivery seq was allocated in replay order, so heap
-   ordering — not flush order — fixes their execution order. *)
-
-type timer_state = Free | Armed | Cancelled
-
-type periodic = {
-  mutable p_slot : int;
-  mutable p_gen : int;
-  p_period : Sim_time.t;
-  mutable p_stopped : bool;
-}
-
-let no_ctl = { p_slot = -1; p_gen = -1; p_period = 0; p_stopped = false }
-let no_callback () = ()
-let no_fn () = ()
-
-let no_env =
-  { Payload.src = 0; dst = 0; component = ""; tag = ""; payload = Payload.Blank;
-    sent_at = Sim_time.zero; msg = -1 }
-
-let no_body = Trace.Crash { at = Sim_time.zero; pid = 0 }
-
-(* Global events — crashes and harness callbacks — are not bound by the
-   link lookahead, so they live in one global queue and force direct
-   (sequential) steps when due. *)
-type gkind = Crash_now of Pid.t | Harness of (unit -> unit)
-
-(* Provisional seqs start here: far above any true seq a run can reach
-   (the global counter counts scheduled events), yet with headroom so
-   [prov_base + window allocations] cannot overflow. *)
-let prov_base = 1 lsl 60
-
-(* ------------------------------------------------------------------ *)
-(* Runtime-profiler configuration.  Off by default: the profiler adds
-   wall-clock reads and a per-window record allocation to the drive
-   loop, and its obs histograms would appear in every snapshot, so it
-   is an explicit opt-in ([set_default_profile] / [ECFD_PROFILE=1]).
-   The profiler only observes — simulated state never reads it — so
-   trace bytes, stats and stdout stay byte-identical with it on or
-   off; only the obs snapshot (its own histograms) and wall-clock
-   figures differ. *)
-
-let profile_override = ref None
-
-let env_profile =
-  lazy
-    (match Sys.getenv_opt "ECFD_PROFILE" with
-    | Some ("1" | "true" | "yes") -> Some true
-    | Some _ | None -> None)
-
-let default_profile () =
-  match
-    (!profile_override
-    [@race.allow publish
-        "written only by the coordinator between runs (set_default_profile / \
-         with_profile); Domain.spawn publishes the value, and a nested engine \
-         built inside a job only reads it"])
-  with
-  | Some b -> b
-  | None -> ( match Lazy.force env_profile with Some b -> b | None -> false)
-
-let set_default_profile b = profile_override := Some b
-
-let with_profile b f =
-  let prev = !profile_override in
-  profile_override := Some b;
-  Fun.protect ~finally:(fun () -> profile_override := prev) f
-
-(* One record per parallel window (direct steps excluded), captured at
-   the barrier.  Sim-time and op-log fields are deterministic at a given
-   shard count; the [_s] fields are host wall-clock. *)
-type window_profile = {
-  wp_from : Sim_time.t;
-  wp_until : Sim_time.t;
-  wp_active : int;
-  wp_events : int array;  (* per shard: events executed this window *)
-  wp_ops_words : int array;  (* per shard: op-log words replayed *)
-  wp_busy_s : float array;  (* per shard: in-window wall-clock *)
-  wp_replay_s : float;  (* barrier replay + mailbox flush wall-clock *)
-}
-
-type prof_metrics = {
-  pm_window_span : Obs.Registry.histogram;
-  pm_window_events : Obs.Registry.histogram;
-  pm_ops_words : Obs.Registry.histogram;
-  pm_imbalance : Obs.Registry.histogram;
-  pm_busy_us : Obs.Registry.histogram;
-  pm_replay_us : Obs.Registry.histogram;
-}
-
-(* Op log opcodes.  Every group starts with a STEP carrying the executed
-   event's (time, raw seq); the ops that follow, in program order, are
-   the globally visible effects that event performed.  Arity includes
-   the opcode word. *)
-let op_step_timer = 0 (* at, rawseq; arity 3 *)
-let op_step_heap = 1 (* at, rawseq; arity 3 *)
-let op_reclaim = 2 (* local slot; arity 2 *)
-let op_fired = 3 (* arity 1 *)
-let op_orphaned = 4 (* arity 1 *)
-let op_cancelled = 5 (* arity 1 *)
-let op_arm = 6 (* local slot; arity 2 *)
-let op_self = 7 (* arity 1 *)
-let op_send = 8 (* env index; arity 2 *)
-let op_deliver_ok = 9 (* env index; arity 2 *)
-let op_drop_dead = 10 (* env index; arity 2 *)
-let op_trace = 11 (* body index; arity 2 *)
-let op_obs = 12 (* obs-op index; arity 2 *)
-let op_fn = 13 (* closure index; arity 2 *)
-
-type shard = {
-  sid : int;
-  wheel : Timer_wheel.t;
-  heap : Payload.envelope Event_queue.t;
-      (* Seqs always injected via [schedule_at_seq]: true seqs from the
-         global counter, or provisional in-window ones.  The heap's own
-         counter is never used. *)
-  mutable snow : Sim_time.t;  (* shard-local clock: last executed instant *)
-  (* Local timer registry: same five columns as the sequential engine,
-     plus [vmap] (local slot -> virtual global slot). *)
-  mutable tgens : int array;
-  mutable tstates : timer_state array;
-  mutable tpids : int array;
-  mutable tcbs : (unit -> unit) array;
-  mutable tctl : periodic array;
-  mutable vmap : int array;
-  mutable tfree : int array;
-  mutable tfree_len : int;
-  mutable tnext_slot : int;
-  mutable tgen_floor : int;
-  (* Window op log and side buffers (owned by the executing domain
-     during a window, read by the coordinating domain after the join). *)
-  mutable ops : int array;
-  mutable ops_len : int;
-  mutable envs : Payload.envelope array;
-  mutable envs_len : int;
-  mutable bodies : Trace.body array;
-  mutable bodies_len : int;
-  mutable obs_ops : Obs.Registry.op array;
-  mutable obs_len : int;
-  mutable fns : (unit -> unit) array;
-  mutable fns_len : int;
-  mutable prov_next : int;
-  mutable window_events : int;
-  (* Replay state (coordinating domain only). *)
-  mutable rp : int;  (* read position in [ops] *)
-  mutable smap : int array;  (* provisional index -> true seq *)
-  mutable smap_len : int;
-}
-
-type mailbox = {
-  mutable mb_envs : Payload.envelope array;
-  mutable mb_at : int array;
-  mutable mb_seq : int array;
-  mutable mb_len : int;
-}
-
-type state = {
-  k : int;
-  n : int;
-  lookahead : int;
-  shards : shard array;
-  gq : gkind Event_queue.t;
-      (* Global event queue; its seq counter is THE global sequence
-         counter — shard heaps and wheels only carry seqs allocated from
-         it (or provisional ones awaiting renumbering). *)
-  link : Link.t;
-  rng : Rng.t;
-  alive : bool array;
-  handlers : (string, (src:Pid.t -> Payload.t -> unit) option array) Hashtbl.t;
-  trace : Trace.t;
-  stats : Stats.t;
-  obs : Obs.Registry.t;
-  m_delivery_latency : Obs.Registry.histogram;
-  m_span_duration : Obs.Registry.histogram;
-  m_queue_depth_hw : Obs.Registry.gauge;
-  m_timer_residency_hw : Obs.Registry.gauge;
-  m_timer_set : Obs.Registry.counter;
-  m_timer_fired : Obs.Registry.counter;
-  m_timer_cancelled : Obs.Registry.counter;
-  m_timer_orphaned : Obs.Registry.counter;
-  mutable gnow : Sim_time.t;
-  mutable next_msg : int;
-  mutable next_span : int;
-  mutable g_heap_len : int;  (* pending heap events: shard heaps + gq *)
-  mutable g_live : int;  (* armed/cancelled timer slots awaiting reclaim *)
-  mutable g_armed : int;
-  (* Virtual slot allocator (sequential slot-lifecycle replay). *)
-  mutable v_free : int array;
-  mutable v_free_len : int;
-  mutable v_next_slot : int;
-  mutable v_live : bool array;
-  mailboxes : mailbox array;  (* k * k, index src_sid * k + dst_sid *)
-  mutable windows : int;
-  mutable null_windows : int;
-  mutable direct_steps : int;
-  mutable shard_windows : int;
-  (* Profiler (opt-in; [prof = None] means every profiling branch below
-     is dead and the drive loop is exactly the unprofiled one). *)
-  prof : prof_metrics option;
-  prof_busy : float array;  (* k scratch slots; slot i written only by
-                               the domain running shard i's window *)
-  mutable prof_rev : window_profile list;  (* newest first *)
-}
-
-(* Domain-local execution context: which shard (of which state) the
-   calling domain is currently advancing inside a parallel window.
-   Physical equality on the state keeps nested engines (a sequential
-   engine driven from inside a window's callback) out of this state's
-   capture path. *)
-type ctx = No_ctx | In_window of state * shard
-
-let ctx_key = Domain.DLS.new_key (fun () -> No_ctx)
-
-let in_window st =
-  match Domain.DLS.get ctx_key with
-  | In_window (st', _) -> st' == st
-  | No_ctx -> false
-
-let now st =
-  match Domain.DLS.get ctx_key with
-  | In_window (st', sh) when st' == st -> sh.snow
-  | _ -> st.gnow
-
-let k st = st.k
-let shard_of st p = p mod st.k
-
-(* ------------------------------------------------------------------ *)
-(* Growable-buffer helpers.  All growth branches are amortized-doubling
-   and bulk-waived: per-event cost is O(1) and a steady-state window
-   never takes them. *)
-
-let[@alloc.allow bulk "amortized op-buffer growth: doubled, reset at every barrier"]
-    ensure_ops sh extra =
-  let cap = Array.length sh.ops in
-  if sh.ops_len + extra > cap then begin
-    let cap' = Stdlib.max 64 (Stdlib.max (sh.ops_len + extra) (2 * cap)) in
-    let ops' = Array.make cap' 0 in
-    Array.blit sh.ops 0 ops' 0 sh.ops_len;
-    sh.ops <- ops'
-  end
-
-let push1 sh c =
-  ensure_ops sh 1;
-  sh.ops.(sh.ops_len) <- c;
-  sh.ops_len <- sh.ops_len + 1
-
-let push2 sh c a =
-  ensure_ops sh 2;
-  let i = sh.ops_len in
-  sh.ops.(i) <- c;
-  sh.ops.(i + 1) <- a;
-  sh.ops_len <- i + 2
-
-let push3 sh c a b =
-  ensure_ops sh 3;
-  let i = sh.ops_len in
-  sh.ops.(i) <- c;
-  sh.ops.(i + 1) <- a;
-  sh.ops.(i + 2) <- b;
-  sh.ops_len <- i + 3
-
-let push_env sh env =
-  let cap = Array.length sh.envs in
-  if sh.envs_len = cap then begin
-    let envs' = Array.make (Stdlib.max 16 (2 * cap)) no_env in
-    Array.blit sh.envs 0 envs' 0 cap;
-    sh.envs <- envs'
-  end;
-  let i = sh.envs_len in
-  sh.envs.(i) <- env;
-  sh.envs_len <- i + 1;
-  i
-
-let push_body sh body =
-  let cap = Array.length sh.bodies in
-  if sh.bodies_len = cap then begin
-    let bodies' = Array.make (Stdlib.max 16 (2 * cap)) no_body in
-    Array.blit sh.bodies 0 bodies' 0 cap;
-    sh.bodies <- bodies'
-  end;
-  let i = sh.bodies_len in
-  sh.bodies.(i) <- body;
-  sh.bodies_len <- i + 1;
-  i
-
-let push_obs sh op =
-  let cap = Array.length sh.obs_ops in
-  if sh.obs_len = cap then begin
-    let ops' = Array.make (Stdlib.max 16 (2 * cap)) Obs.Registry.noop_op in
-    Array.blit sh.obs_ops 0 ops' 0 cap;
-    sh.obs_ops <- ops'
-  end;
-  let i = sh.obs_len in
-  sh.obs_ops.(i) <- op;
-  sh.obs_len <- i + 1;
-  i
-
-let push_fn sh fn =
-  let cap = Array.length sh.fns in
-  if sh.fns_len = cap then begin
-    let fns' = Array.make (Stdlib.max 16 (2 * cap)) no_fn in
-    Array.blit sh.fns 0 fns' 0 cap;
-    sh.fns <- fns'
-  end;
-  let i = sh.fns_len in
-  sh.fns.(i) <- fn;
-  sh.fns_len <- i + 1;
-  i
-
-let smap_push sh seq =
-  let cap = Array.length sh.smap in
-  if sh.smap_len = cap then begin
-    let smap' = Array.make (Stdlib.max 64 (2 * cap)) 0 in
-    Array.blit sh.smap 0 smap' 0 cap;
-    sh.smap <- smap'
-  end;
-  sh.smap.(sh.smap_len) <- seq;
-  sh.smap_len <- sh.smap_len + 1
-
-(* Local timer-slot allocator: the per-shard mirror of the sequential
-   engine's [alloc_timer_slot]/[free_push] (LIFO reuse, six columns
-   doubling together — the extra one is [vmap]). *)
-
-let[@alloc.allow bulk "amortized local free-list growth"] local_free_push sh slot =
-  let cap = Array.length sh.tfree in
-  if sh.tfree_len = cap then begin
-    let free' = Array.make (Stdlib.max 16 (2 * cap)) 0 in
-    Array.blit sh.tfree 0 free' 0 cap;
-    sh.tfree <- free'
-  end;
-  sh.tfree.(sh.tfree_len) <- slot;
-  sh.tfree_len <- sh.tfree_len + 1
-
-let[@alloc.allow bulk "amortized local timer-table growth (all columns doubled \
-      together)"] alloc_local_slot sh =
-  if sh.tfree_len > 0 then begin
-    sh.tfree_len <- sh.tfree_len - 1;
-    sh.tfree.(sh.tfree_len)
-  end
-  else begin
-    let capacity = Array.length sh.tgens in
-    if sh.tnext_slot = capacity then begin
-      let capacity' = Stdlib.max 16 (2 * capacity) in
-      let gens' = Array.make capacity' sh.tgen_floor in
-      let states' = Array.make capacity' Free in
-      let pids' = Array.make capacity' 0 in
-      let cbs' = Array.make capacity' no_callback in
-      let ctl' = Array.make capacity' no_ctl in
-      let vmap' = Array.make capacity' (-1) in
-      Array.blit sh.tgens 0 gens' 0 capacity;
-      Array.blit sh.tstates 0 states' 0 capacity;
-      Array.blit sh.tpids 0 pids' 0 capacity;
-      Array.blit sh.tcbs 0 cbs' 0 capacity;
-      Array.blit sh.tctl 0 ctl' 0 capacity;
-      Array.blit sh.vmap 0 vmap' 0 capacity;
-      sh.tgens <- gens';
-      sh.tstates <- states';
-      sh.tpids <- pids';
-      sh.tcbs <- cbs';
-      sh.tctl <- ctl';
-      sh.vmap <- vmap';
-      Timer_wheel.ensure_capacity sh.wheel capacity'
-    end;
-    let slot = sh.tnext_slot in
-    sh.tnext_slot <- slot + 1;
-    slot
-  end
-
-(* Virtual slot allocator: replays the sequential engine's global slot
-   lifecycle (LIFO free list, high-water = [v_next_slot]) in merged
-   order, so [timer_table_capacity] matches the sequential run. *)
-
-let vfree_push st v =
-  let cap = Array.length st.v_free in
-  if st.v_free_len = cap then begin
-    let free' = Array.make (Stdlib.max 16 (2 * cap)) 0 in
-    Array.blit st.v_free 0 free' 0 cap;
-    st.v_free <- free'
-  end;
-  st.v_free.(st.v_free_len) <- v;
-  st.v_free_len <- st.v_free_len + 1
-
-let valloc st =
-  if st.v_free_len > 0 then begin
-    st.v_free_len <- st.v_free_len - 1;
-    st.v_free.(st.v_free_len)
-  end
-  else begin
-    let cap = Array.length st.v_live in
-    if st.v_next_slot = cap then begin
-      let cap' = Stdlib.max 16 (2 * cap) in
-      let live' = Array.make cap' false in
-      Array.blit st.v_live 0 live' 0 cap;
-      st.v_live <- live'
-    end;
-    let v = st.v_next_slot in
-    st.v_next_slot <- v + 1;
-    v
-  end
-
-(* ------------------------------------------------------------------ *)
-(* Shared accounting (coordinating domain only). *)
-
-let note_depth st =
-  let depth = st.g_heap_len + st.g_live in
-  Stats.note_queue_depth st.stats ~depth;
-  Obs.Registry.set_max st.m_queue_depth_hw depth
-
-(* ------------------------------------------------------------------ *)
-(* Direct mode: one event executed on the coordinating domain with full
-   immediate sequential accounting.  Used for global events, for
-   zero-lookahead links, and for [step]-driven runs. *)
-
-let d_arm st p ~delay callback ctl =
-  if delay < 0 then invalid_arg "Engine.set_timer: negative delay";
-  let sh = st.shards.(p mod st.k) in
-  let slot = alloc_local_slot sh in
-  let v = valloc st in
-  sh.vmap.(slot) <- v;
-  st.v_live.(v) <- true;
-  sh.tstates.(slot) <- Armed;
-  sh.tpids.(slot) <- p;
-  sh.tcbs.(slot) <- callback;
-  sh.tctl.(slot) <- ctl;
-  st.g_live <- st.g_live + 1;
-  st.g_armed <- st.g_armed + 1;
-  Stats.note_timer_residency st.stats ~residency:st.g_live;
-  Obs.Registry.set_max st.m_timer_residency_hw st.g_live;
-  Stats.on_timer_set st.stats;
-  Obs.Registry.incr st.m_timer_set;
-  let seq = Event_queue.alloc_seq st.gq in
-  Timer_wheel.add sh.wheel ~cell:slot ~deadline:(st.gnow + delay) ~seq;
-  note_depth st;
-  (sh, slot)
-
-let d_reclaim st sh slot =
-  sh.tgens.(slot) <- sh.tgens.(slot) + 1;
-  sh.tstates.(slot) <- Free;
-  sh.tcbs.(slot) <- no_callback;
-  sh.tctl.(slot) <- no_ctl;
-  local_free_push sh slot;
-  let v = sh.vmap.(slot) in
-  st.v_live.(v) <- false;
-  vfree_push st v;
-  st.g_live <- st.g_live - 1;
-  Stats.on_timer_reclaimed st.stats
-
-let d_execute_timer st sh cell =
-  let state = sh.tstates.(cell) in
-  let pid = sh.tpids.(cell) in
-  let cb = sh.tcbs.(cell) in
-  let ctl = sh.tctl.(cell) in
-  d_reclaim st sh cell;
-  match state with
-  | Armed ->
-    st.g_armed <- st.g_armed - 1;
-    if st.alive.(pid) then begin
-      Stats.on_timer_fired st.stats;
-      Obs.Registry.incr st.m_timer_fired;
-      if Sim_time.equal ctl.p_period Sim_time.zero then
-        (cb ()
-        [@race.allow escape
-            "component timer callback, executed by the domain that owns this \
-             engine: the coordinator behind the pool barrier in a top-level \
-             sharded run, or the single job domain that built a nested engine"])
-      else if not ctl.p_stopped then begin
-        (cb ()
-        [@race.allow escape
-            "component timer callback, executed by the domain that owns this \
-             engine (see the zero-period arm above)"]);
-        let sh', slot = d_arm st pid ~delay:ctl.p_period cb ctl in
-        ctl.p_slot <- slot;
-        ctl.p_gen <- sh'.tgens.(slot)
-      end
-    end
-    else begin
-      Stats.on_timer_orphaned st.stats;
-      Obs.Registry.incr st.m_timer_orphaned
-    end
-  | Cancelled -> ()
-  | Free -> assert false
-
-let d_dispatch st (env : Payload.envelope) =
-  let { Payload.src; dst; component; tag; payload; sent_at; msg } = env in
-  if not st.alive.(dst) then begin
-    if not (Pid.equal src dst) then begin
-      Trace.record st.trace
-        (Drop { at = st.gnow; src; dst; msg; component; tag; reason = "destination crashed" });
-      Stats.on_drop st.stats ~component ~tag
-    end
-  end
-  else begin
-    let handler =
-      match Hashtbl.find_opt st.handlers component with
-      | None -> None
-      | Some slots -> slots.(dst)
-    in
-    match handler with
-    | None ->
-      failwith
-        (Printf.sprintf "Engine: message for component %S at %s but no handler registered"
-           component (Pid.to_string dst))
-    | Some h ->
-      if not (Pid.equal src dst) then begin
-        Trace.record st.trace (Deliver { at = st.gnow; src; dst; msg; component; tag });
-        Stats.on_deliver st.stats ~component ~tag;
-        Obs.Registry.observe st.m_delivery_latency (st.gnow - sent_at)
-      end;
-      (h ~src payload
-      [@race.allow escape
-          "component message handler, executed by the domain that owns this \
-           engine; handlers reach shared engine state only through the \
-           in-window API, which routes effects into per-shard op buffers"])
-  end
-
-let d_send st ~component ~tag ~src ~dst payload =
-  if Pid.equal src dst then begin
-    let env =
-      { Payload.src; dst; component; tag; payload; sent_at = st.gnow; msg = -1 }
-    in
-    let seq = Event_queue.alloc_seq st.gq in
-    Event_queue.schedule_at_seq st.shards.(dst mod st.k).heap ~at:st.gnow ~seq env;
-    st.g_heap_len <- st.g_heap_len + 1;
-    note_depth st
-  end
-  else begin
-    let msg = st.next_msg in
-    st.next_msg <- msg + 1;
-    let env = { Payload.src; dst; component; tag; payload; sent_at = st.gnow; msg } in
-    Trace.record st.trace (Send { at = st.gnow; src; dst; msg; component; tag });
-    Stats.on_send st.stats ~component ~tag;
-    match
-      (st.link.Link.fate ~rng:st.rng ~now:st.gnow ~src ~dst
-      [@race.allow escape
-          "link fate model, installed at engine creation: a pure function of \
-           the seeded rng it is handed, executed by the engine-owning domain"])
-    with
-    | Link.Drop ->
-      Trace.record st.trace
-        (Drop { at = st.gnow; src; dst; msg; component; tag; reason = "lossy" });
-      Stats.on_drop st.stats ~component ~tag
-    | Link.Deliver_at at ->
-      assert (at >= st.gnow);
-      if at - st.gnow < st.lookahead then
-        invalid_arg "Engine: link delivered below its declared min_delay bound";
-      let seq = Event_queue.alloc_seq st.gq in
-      Event_queue.schedule_at_seq st.shards.(dst mod st.k).heap ~at ~seq env;
-      st.g_heap_len <- st.g_heap_len + 1;
-      note_depth st
-  end
-
-(* ------------------------------------------------------------------ *)
-(* Window mode: per-shard execution with effect capture.  The three
-   module-level [@alloc.zero] bindings below ([w_arm],
-   [w_execute_timer], [shard_step]) are the sharded hot path and carry
-   the same zero-allocation discipline (and alloccheck roots) as the
-   sequential [arm_timer]/[execute_timer]/[step]. *)
-
-let[@alloc.zero] w_arm sh p ~delay callback ctl =
-  if delay < 0 then invalid_arg "Engine.set_timer: negative delay";
-  let slot = alloc_local_slot sh in
-  sh.tstates.(slot) <- Armed;
-  sh.tpids.(slot) <- p;
-  sh.tcbs.(slot) <- callback;
-  sh.tctl.(slot) <- ctl;
-  push2 sh op_arm slot;
-  let seq = sh.prov_next in
-  sh.prov_next <- seq + 1;
-  Timer_wheel.add sh.wheel ~cell:slot ~deadline:(sh.snow + delay) ~seq;
-  slot
-
-let[@alloc.zero] w_execute_timer st sh cell =
-  let state = sh.tstates.(cell) in
-  let pid = sh.tpids.(cell) in
-  let cb = sh.tcbs.(cell) in
-  let ctl = sh.tctl.(cell) in
-  sh.tgens.(cell) <- sh.tgens.(cell) + 1;
-  sh.tstates.(cell) <- Free;
-  sh.tcbs.(cell) <- no_callback;
-  sh.tctl.(cell) <- no_ctl;
-  local_free_push sh cell;
-  push2 sh op_reclaim cell;
-  match state with
-  | Armed ->
-    if st.alive.(pid) then begin
-      push1 sh op_fired;
-      if Sim_time.equal ctl.p_period Sim_time.zero then
-        (cb ()
-        [@alloc.allow extern
-            "the callback belongs to the registering component: its allocation is \
-             its own, not the timer plumbing's (same waiver as the sequential \
-             engine's execute_timer)"]
-        [@race.allow escape
-            "component timer callback fired in-window on a worker domain: the \
-             determinism contract confines callbacks to shard-local state and \
-             the in-window API (op-stream appends replayed behind the barrier)"])
-      else if not ctl.p_stopped then begin
-        (cb ()
-        [@alloc.allow extern
-            "the callback belongs to the registering component: its allocation is \
-             its own, not the timer plumbing's (same waiver as the sequential \
-             engine's execute_timer)"]
-        [@race.allow escape
-            "component timer callback fired in-window on a worker domain (see \
-             the zero-period arm above)"]);
-        let slot = w_arm sh pid ~delay:ctl.p_period cb ctl in
-        ctl.p_slot <- slot;
-        ctl.p_gen <- sh.tgens.(slot)
-      end
-    end
-    else push1 sh op_orphaned
-  | Cancelled -> ()
-  | Free -> assert false
-
-let w_dispatch st sh (env : Payload.envelope) =
-  let { Payload.src; dst; component = comp; tag = _; payload; sent_at = _; msg = _ } = env in
-  if not st.alive.(dst) then begin
-    if not (Pid.equal src dst) then begin
-      let idx = push_env sh env in
-      push2 sh op_drop_dead idx
-    end
-  end
-  else begin
-    let handler =
-      match Hashtbl.find_opt st.handlers comp with
-      | None -> None
-      | Some slots -> slots.(dst)
-    in
-    match handler with
-    | None ->
-      failwith
-        (Printf.sprintf "Engine: message for component %S at %s but no handler registered"
-           comp (Pid.to_string dst))
-    | Some h ->
-      if not (Pid.equal src dst) then begin
-        let idx = push_env sh env in
-        push2 sh op_deliver_ok idx
-      end;
-      (h ~src payload
-      [@race.allow escape
-          "component message handler invoked in-window on a worker domain: the \
-           determinism contract confines handlers to shard-local state and the \
-           in-window API, whose effects become op-stream appends replayed \
-           behind the barrier"])
-  end
-
-let w_send st sh ~component ~tag ~src ~dst payload =
-  if Pid.equal src dst then begin
-    if src mod st.k <> sh.sid then
-      invalid_arg "Engine.send: in-window self-send for a process of another shard";
-    let env =
-      { Payload.src; dst; component; tag; payload; sent_at = sh.snow; msg = -1 }
-    in
-    let seq = sh.prov_next in
-    sh.prov_next <- seq + 1;
-    Event_queue.schedule_at_seq sh.heap ~at:sh.snow ~seq env;
-    push1 sh op_self
-  end
-  else begin
-    (* Buffered: the message id, fate draw and delivery seq are all
-       allocated at barrier replay, in exact sequential order. *)
-    let env = { Payload.src; dst; component; tag; payload; sent_at = sh.snow; msg = -1 } in
-    let idx = push_env sh env in
-    push2 sh op_send idx
-  end
-
-let[@alloc.zero] shard_step st sh =
-  let have_timer = not (Timer_wheel.is_empty sh.wheel) in
-  let have_event = not (Event_queue.is_empty sh.heap) in
-  let timer_first =
-    have_timer
-    && ((not have_event)
-       ||
-       let wt = Timer_wheel.next_at sh.wheel in
-       let ht = Event_queue.next_at sh.heap in
-       if wt < ht then true
-       else if ht < wt then false
-       else Timer_wheel.next_seq sh.wheel <= Event_queue.next_seq sh.heap)
-  in
-  if timer_first then begin
-    let at = Timer_wheel.next_at sh.wheel in
-    let seq = Timer_wheel.next_seq sh.wheel in
-    let cell = Timer_wheel.pop sh.wheel in
-    assert (at >= sh.snow);
-    sh.snow <- at;
-    sh.window_events <- sh.window_events + 1;
-    push3 sh op_step_timer at seq;
-    w_execute_timer st sh cell
-  end
-  else begin
-    let at = Event_queue.next_at sh.heap in
-    let seq = Event_queue.next_seq sh.heap in
-    let env = Event_queue.pop_exn sh.heap in
-    assert (at >= sh.snow);
-    sh.snow <- at;
-    sh.window_events <- sh.window_events + 1;
-    push3 sh op_step_heap at seq;
-    (w_dispatch st sh env
-    [@alloc.allow extern
-        "aperiodic dispatch leg: handler lookup and component handlers may \
-         allocate — the zero-alloc contract covers the timer leg, exactly as in \
-         the sequential engine's step"])
-  end
-
-let next_local sh =
-  let wt = if Timer_wheel.is_empty sh.wheel then max_int else Timer_wheel.next_at sh.wheel in
-  let ht = if Event_queue.is_empty sh.heap then max_int else Event_queue.next_at sh.heap in
-  if wt < ht then wt else ht
-
-let run_shard_window st sh w1 =
-  let prev = Domain.DLS.get ctx_key in
-  Domain.DLS.set ctx_key (In_window (st, sh));
-  Fun.protect
-    ~finally:(fun () -> Domain.DLS.set ctx_key prev)
-    (fun () ->
-      while next_local sh < w1 do
-        shard_step st sh
-      done)
-
-(* ------------------------------------------------------------------ *)
-(* Barrier replay: merge the K op logs by (time, resolved seq) — the
-   sequential execution order — and apply every buffered effect on the
-   coordinating domain. *)
-
-let resolve sh raw = if raw >= prov_base then sh.smap.(raw - prov_base) else raw
-
-let replay_alloc_seq st sh =
-  let seq = Event_queue.alloc_seq st.gq in
-  smap_push sh seq;
-  seq
-
-let mailbox_push st ~src_sid ~dst_sid env ~at ~seq =
-  let mb = st.mailboxes.((src_sid * st.k) + dst_sid) in
-  let cap = Array.length mb.mb_envs in
-  if mb.mb_len = cap then begin
-    let cap' = Stdlib.max 16 (2 * cap) in
-    let envs' = Array.make cap' no_env in
-    let at' = Array.make cap' 0 in
-    let seq' = Array.make cap' 0 in
-    Array.blit mb.mb_envs 0 envs' 0 cap;
-    Array.blit mb.mb_at 0 at' 0 cap;
-    Array.blit mb.mb_seq 0 seq' 0 cap;
-    mb.mb_envs <- envs';
-    mb.mb_at <- at';
-    mb.mb_seq <- seq'
-  end;
-  mb.mb_envs.(mb.mb_len) <- env;
-  mb.mb_at.(mb.mb_len) <- at;
-  mb.mb_seq.(mb.mb_len) <- seq;
-  mb.mb_len <- mb.mb_len + 1
-
-(* Replay one STEP group: the head STEP plus every effect op before the
-   next STEP.  Effects reproduce, in order, exactly what the sequential
-   engine would have done while executing that event. *)
-let[@race.shard_root] replay_group st sh =
-  let ops = sh.ops in
-  let at = ops.(sh.rp + 1) in
-  assert (at >= st.gnow);
-  st.gnow <- at;
-  Stats.on_event_executed st.stats;
-  if ops.(sh.rp) = op_step_heap then st.g_heap_len <- st.g_heap_len - 1;
-  sh.rp <- sh.rp + 3;
-  let in_group = ref true in
-  while !in_group && sh.rp < sh.ops_len do
-    let c = ops.(sh.rp) in
-    if c = op_step_timer || c = op_step_heap then in_group := false
-    else if c = op_reclaim then begin
-      let slot = ops.(sh.rp + 1) in
-      (* [vmap] still holds the pre-reuse virtual slot here: a same-window
-         reuse of this local slot is an ARM op later in this stream. *)
-      let v = sh.vmap.(slot) in
-      st.v_live.(v) <- false;
-      vfree_push st v;
-      st.g_live <- st.g_live - 1;
-      Stats.on_timer_reclaimed st.stats;
-      sh.rp <- sh.rp + 2
-    end
-    else if c = op_fired then begin
-      st.g_armed <- st.g_armed - 1;
-      Stats.on_timer_fired st.stats;
-      Obs.Registry.incr st.m_timer_fired;
-      sh.rp <- sh.rp + 1
-    end
-    else if c = op_orphaned then begin
-      st.g_armed <- st.g_armed - 1;
-      Stats.on_timer_orphaned st.stats;
-      Obs.Registry.incr st.m_timer_orphaned;
-      sh.rp <- sh.rp + 1
-    end
-    else if c = op_cancelled then begin
-      st.g_armed <- st.g_armed - 1;
-      Stats.on_timer_cancelled st.stats;
-      Obs.Registry.incr st.m_timer_cancelled;
-      sh.rp <- sh.rp + 1
-    end
-    else if c = op_arm then begin
-      let slot = ops.(sh.rp + 1) in
-      let v = valloc st in
-      sh.vmap.(slot) <- v;
-      st.v_live.(v) <- true;
-      st.g_live <- st.g_live + 1;
-      st.g_armed <- st.g_armed + 1;
-      Stats.note_timer_residency st.stats ~residency:st.g_live;
-      Obs.Registry.set_max st.m_timer_residency_hw st.g_live;
-      Stats.on_timer_set st.stats;
-      Obs.Registry.incr st.m_timer_set;
-      ignore (replay_alloc_seq st sh : int);
-      note_depth st;
-      sh.rp <- sh.rp + 2
-    end
-    else if c = op_self then begin
-      ignore (replay_alloc_seq st sh : int);
-      st.g_heap_len <- st.g_heap_len + 1;
-      note_depth st;
-      sh.rp <- sh.rp + 1
-    end
-    else if c = op_send then begin
-      let env = sh.envs.(ops.(sh.rp + 1)) in
-      let msg = st.next_msg in
-      st.next_msg <- msg + 1;
-      env.Payload.msg <- msg;
-      let { Payload.src; dst; component; tag; sent_at; _ } = env in
-      Trace.record st.trace (Send { at = sent_at; src; dst; msg; component; tag });
-      Stats.on_send st.stats ~component ~tag;
-      (match
-         (st.link.Link.fate ~rng:st.rng ~now:sent_at ~src ~dst
-         [@race.allow escape
-             "link fate model at mailbox flush: runs on the coordinator behind \
-              the pool barrier (same contract as the direct path)"])
-       with
-      | Link.Drop ->
-        Trace.record st.trace
-          (Drop { at = sent_at; src; dst; msg; component; tag; reason = "lossy" });
-        Stats.on_drop st.stats ~component ~tag
-      | Link.Deliver_at d ->
-        assert (d >= sent_at);
-        if d - sent_at < st.lookahead then
-          invalid_arg "Engine: link delivered below its declared min_delay bound";
-        let seq = Event_queue.alloc_seq st.gq in
-        mailbox_push st ~src_sid:(src mod st.k) ~dst_sid:(dst mod st.k) env ~at:d ~seq;
-        st.g_heap_len <- st.g_heap_len + 1;
-        note_depth st);
-      sh.rp <- sh.rp + 2
-    end
-    else if c = op_deliver_ok then begin
-      let env = sh.envs.(ops.(sh.rp + 1)) in
-      let { Payload.src; dst; component; tag; sent_at; msg; _ } = env in
-      Trace.record st.trace (Deliver { at = st.gnow; src; dst; msg; component; tag });
-      Stats.on_deliver st.stats ~component ~tag;
-      Obs.Registry.observe st.m_delivery_latency (st.gnow - sent_at);
-      sh.rp <- sh.rp + 2
-    end
-    else if c = op_drop_dead then begin
-      let env = sh.envs.(ops.(sh.rp + 1)) in
-      let { Payload.src; dst; component; tag; msg; _ } = env in
-      Trace.record st.trace
-        (Drop { at = st.gnow; src; dst; msg; component; tag; reason = "destination crashed" });
-      Stats.on_drop st.stats ~component ~tag;
-      sh.rp <- sh.rp + 2
-    end
-    else if c = op_trace then begin
-      Trace.record st.trace sh.bodies.(ops.(sh.rp + 1));
-      sh.rp <- sh.rp + 2
-    end
-    else if c = op_obs then begin
-      Obs.Registry.apply sh.obs_ops.(ops.(sh.rp + 1));
-      sh.rp <- sh.rp + 2
-    end
-    else if c = op_fn then begin
-      sh.fns.(ops.(sh.rp + 1)) ();
-      sh.rp <- sh.rp + 2
-    end
-    else assert false
-  done
-
-(* The head STEP of every stream always has a resolvable seq: a
-   provisional head seq was allocated by an ARM/SELF op earlier in the
-   same stream (scheduling precedes execution locally), and that op was
-   consumed when its own group was replayed. *)
-let[@race.shard_root] replay_windows st =
-  let remaining = ref true in
-  while !remaining do
-    let best = ref (-1) in
-    let best_at = ref max_int in
-    let best_seq = ref max_int in
-    for i = 0 to st.k - 1 do
-      let sh = st.shards.(i) in
-      if sh.rp < sh.ops_len then begin
-        let at = sh.ops.(sh.rp + 1) in
-        let seq = resolve sh sh.ops.(sh.rp + 2) in
-        if at < !best_at || (Sim_time.equal at !best_at && seq < !best_seq) then begin
-          best := i;
-          best_at := at;
-          best_seq := seq
-        end
-      end
-    done;
-    if !best < 0 then remaining := false else replay_group st st.shards.(!best)
-  done
-
-let[@race.shard_root] flush_mailboxes st =
-  for src = 0 to st.k - 1 do
-    for dst = 0 to st.k - 1 do
-      let mb = st.mailboxes.((src * st.k) + dst) in
-      if mb.mb_len > 0 then begin
-        let dsh = st.shards.(dst) in
-        for i = 0 to mb.mb_len - 1 do
-          Event_queue.schedule_at_seq dsh.heap ~at:mb.mb_at.(i) ~seq:mb.mb_seq.(i)
-            mb.mb_envs.(i);
-          mb.mb_envs.(i) <- no_env
-        done;
-        mb.mb_len <- 0
-      end
-    done
-  done
-
-let[@race.shard_root] finish_window st =
-  replay_windows st;
-  flush_mailboxes st;
-  for i = 0 to st.k - 1 do
-    let sh = st.shards.(i) in
-    if sh.prov_next > prov_base then begin
-      (* Every provisional seq allocated this window has a reconciled
-         global value by now. *)
-      assert (sh.smap_len = sh.prov_next - prov_base);
-      Timer_wheel.remap_seqs sh.wheel (fun raw -> resolve sh raw);
-      Event_queue.remap_seqs sh.heap (fun raw -> resolve sh raw)
-    end;
-    (* Reset the window buffers, dropping value references so the log
-       does not retain envelopes/closures until the next window. *)
-    for j = 0 to sh.envs_len - 1 do
-      sh.envs.(j) <- no_env
-    done;
-    for j = 0 to sh.bodies_len - 1 do
-      sh.bodies.(j) <- no_body
-    done;
-    for j = 0 to sh.obs_len - 1 do
-      sh.obs_ops.(j) <- Obs.Registry.noop_op
-    done;
-    for j = 0 to sh.fns_len - 1 do
-      sh.fns.(j) <- no_fn
-    done;
-    sh.ops_len <- 0;
-    sh.envs_len <- 0;
-    sh.bodies_len <- 0;
-    sh.obs_len <- 0;
-    sh.fns_len <- 0;
-    sh.rp <- 0;
-    sh.prov_next <- prov_base;
-    sh.smap_len <- 0;
-    sh.window_events <- 0
-  done
-
-(* ------------------------------------------------------------------ *)
-(* Drive loop. *)
-
-(* Profiled variant of a shard's window job: same work, bracketed by
-   wall-clock reads into the shard's private scratch slot. *)
-let run_shard_window_timed st sh w1 =
-  let t0 = Exec.Pool.wall () in
-  run_shard_window st sh w1;
-  (* Each worker writes only its own shard's scratch slot, and the pool
-     barrier publishes the writes before the coordinator reads them. *)
-  st.prof_busy.(sh.sid) <- Exec.Pool.wall () -. t0
-
-(* Capture the window's record at the barrier: op-log sizes and event
-   counts are read before [finish_window] resets them, the replay
-   bracket times [finish_window] itself.  Runs on the coordinating
-   domain, outside any window, so the histogram updates below go
-   straight to the registry (the capture hook declines). *)
-let profile_window st pm ~from ~until ~active =
-  let events = Array.init st.k (fun i -> st.shards.(i).window_events) in
-  let ops_words = Array.init st.k (fun i -> st.shards.(i).ops_len) in
-  let r0 = Exec.Pool.wall () in
-  finish_window st;
-  let replay_s = Exec.Pool.wall () -. r0 in
-  let busy_s = Array.sub st.prof_busy 0 st.k in
-  let total_events = Array.fold_left ( + ) 0 events in
-  let max_events = Array.fold_left Stdlib.max 0 events in
-  (* max/mean over the active shards, in percent: 100 = perfectly
-     balanced, 300 = the busiest shard had 3x the mean load. *)
-  let imbalance_x100 =
-    if total_events = 0 then 100 else 100 * max_events * active / total_events
-  in
-  Obs.Registry.observe pm.pm_window_span (until - from);
-  Obs.Registry.observe pm.pm_window_events total_events;
-  Obs.Registry.observe pm.pm_ops_words (Array.fold_left ( + ) 0 ops_words);
-  Obs.Registry.observe pm.pm_imbalance imbalance_x100;
-  Array.iteri
-    (fun i busy ->
-      if events.(i) > 0 then
-        Obs.Registry.observe pm.pm_busy_us (int_of_float (busy *. 1e6)))
-    busy_s;
-  Obs.Registry.observe pm.pm_replay_us (int_of_float (replay_s *. 1e6));
-  st.prof_rev <-
-    { wp_from = from; wp_until = until; wp_active = active; wp_events = events;
-      wp_ops_words = ops_words; wp_busy_s = busy_s; wp_replay_s = replay_s }
-    :: st.prof_rev
-
-let run_window st w1 =
-  st.windows <- st.windows + 1;
-  let active = ref 0 in
-  let last_active = ref (-1) in
-  let from = ref max_int in
-  for i = 0 to st.k - 1 do
-    let nl = next_local st.shards.(i) in
-    if nl < w1 then begin
-      incr active;
-      last_active := i;
-      if nl < !from then from := nl
-    end
-  done;
-  st.shard_windows <- st.shard_windows + !active;
-  let profiled = st.prof <> None in
-  if profiled then Array.fill st.prof_busy 0 st.k 0.0;
-  if !active <= 1 then begin
-    st.null_windows <- st.null_windows + 1;
-    if !active = 1 then begin
-      let sh = st.shards.(!last_active) in
-      if profiled then run_shard_window_timed st sh w1 else run_shard_window st sh w1
-    end
-  end
-  else begin
-    let jobs = ref [] in
-    for i = st.k - 1 downto 0 do
-      let sh = st.shards.(i) in
-      if next_local sh < w1 then
-        jobs :=
-          (if profiled then fun () -> run_shard_window_timed st sh w1
-           else fun () -> run_shard_window st sh w1)
-          :: !jobs
-    done;
-    ignore
-      (Exec.Pool.run
-         (!jobs
-         [@race.allow publish
-             "argument evaluated by the coordinator before the window opens; \
-              the closures, not the list cell, cross domains"])
-        : unit list)
-  end;
-  match st.prof with
-  | Some pm -> profile_window st pm ~from:!from ~until:w1 ~active:!active
-  | None -> finish_window st
-
-let direct_step st =
-  let best_at = ref max_int in
-  let best_seq = ref max_int in
-  let best_kind = ref (-1) in
-  let best_sid = ref (-1) in
-  if not (Event_queue.is_empty st.gq) then begin
-    best_at := Event_queue.next_at st.gq;
-    best_seq := Event_queue.next_seq st.gq;
-    best_kind := 0
-  end;
-  for i = 0 to st.k - 1 do
-    let sh = st.shards.(i) in
-    if not (Timer_wheel.is_empty sh.wheel) then begin
-      let at = Timer_wheel.next_at sh.wheel in
-      let seq = Timer_wheel.next_seq sh.wheel in
-      if at < !best_at || (Sim_time.equal at !best_at && seq < !best_seq) then begin
-        best_at := at;
-        best_seq := seq;
-        best_kind := 1;
-        best_sid := i
-      end
-    end;
-    if not (Event_queue.is_empty sh.heap) then begin
-      let at = Event_queue.next_at sh.heap in
-      let seq = Event_queue.next_seq sh.heap in
-      if at < !best_at || (Sim_time.equal at !best_at && seq < !best_seq) then begin
-        best_at := at;
-        best_seq := seq;
-        best_kind := 2;
-        best_sid := i
-      end
-    end
-  done;
-  if !best_kind < 0 then false
-  else begin
-    st.direct_steps <- st.direct_steps + 1;
-    let at = !best_at in
-    assert (at >= st.gnow);
-    st.gnow <- at;
-    Stats.on_event_executed st.stats;
-    (match !best_kind with
-    | 0 -> (
-      st.g_heap_len <- st.g_heap_len - 1;
-      match Event_queue.pop_exn st.gq with
-      | Crash_now p ->
-        if st.alive.(p) then begin
-          st.alive.(p) <- false;
-          Trace.record st.trace (Crash { at; pid = p })
-        end
-      | Harness f ->
-        (f ()
-        [@race.allow escape
-            "harness closure scheduled by the test driver, executed by the \
-             engine-owning domain between windows (never inside one)"]))
-    | 1 ->
-      let sh = st.shards.(!best_sid) in
-      sh.snow <- at;
-      let cell = Timer_wheel.pop sh.wheel in
-      d_execute_timer st sh cell
-    | _ ->
-      let sh = st.shards.(!best_sid) in
-      sh.snow <- at;
-      st.g_heap_len <- st.g_heap_len - 1;
-      let env = Event_queue.pop_exn sh.heap in
-      d_dispatch st env);
-    true
-  end
-
-let next_instant st =
-  let t = ref (if Event_queue.is_empty st.gq then max_int else Event_queue.next_at st.gq) in
-  for i = 0 to st.k - 1 do
-    let l = next_local st.shards.(i) in
-    if l < !t then t := l
-  done;
-  !t
-
-(* Saturating add for window bounds: [t + lookahead] with the
-   [unbounded_lookahead] sentinel must not wrap. *)
-let sat_add a b =
-  let s = a + b in
-  if s < a then max_int else s
-
-let step st =
-  if in_window st then invalid_arg "Engine.step: forbidden inside a parallel window";
-  direct_step st
-
-let run_until st horizon =
-  if in_window st then invalid_arg "Engine.run_until: forbidden inside a parallel window";
-  if horizon < st.gnow then invalid_arg "Engine.run_until: horizon in the past";
-  let running = ref true in
-  while !running do
-    let t = next_instant st in
-    if t > horizon then running := false
-    else begin
-      let g_at = if Event_queue.is_empty st.gq then max_int else Event_queue.next_at st.gq in
-      if st.lookahead <= 0 || Sim_time.equal g_at t then ignore (direct_step st : bool)
-      else begin
-        let w1 = Stdlib.min (sat_add t st.lookahead) (Stdlib.min g_at (sat_add horizon 1)) in
-        if w1 <= t then ignore (direct_step st : bool) else run_window st w1
-      end
-    end
-  done;
-  st.gnow <- horizon;
-  for i = 0 to st.k - 1 do
-    let sh = st.shards.(i) in
-    if sh.snow < horizon then sh.snow <- horizon
-  done
-
-(* ------------------------------------------------------------------ *)
-(* Engine-facing operations. *)
-
-let send st ~component ~tag ~src ~dst payload =
-  if st.alive.(src) then begin
-    match Domain.DLS.get ctx_key with
-    | In_window (st', sh) when st' == st -> w_send st sh ~component ~tag ~src ~dst payload
-    | _ -> d_send st ~component ~tag ~src ~dst payload
-  end
-
-let set_timer st p ~delay callback =
-  match Domain.DLS.get ctx_key with
-  | In_window (st', sh) when st' == st ->
-    if p mod st.k <> sh.sid then
-      invalid_arg "Engine.set_timer: in-window timer for a process of another shard";
-    let slot = w_arm sh p ~delay callback no_ctl in
-    (slot, sh.tgens.(slot), sh.sid)
-  | _ ->
-    let sh, slot = d_arm st p ~delay callback no_ctl in
-    (slot, sh.tgens.(slot), sh.sid)
-
-let cancel st ~sid ~slot ~gen =
-  let sh = st.shards.(sid) in
-  if slot >= 0
-     && slot < Array.length sh.tgens
-     && sh.tgens.(slot) = gen
-     && sh.tstates.(slot) = Armed
-  then begin
-    match Domain.DLS.get ctx_key with
-    | In_window (st', wsh) when st' == st ->
-      if wsh.sid <> sid then
-        invalid_arg "Engine.cancel_timer: in-window cancel for a timer of another shard";
-      sh.tstates.(slot) <- Cancelled;
-      push1 wsh op_cancelled
-    | _ ->
-      sh.tstates.(slot) <- Cancelled;
-      st.g_armed <- st.g_armed - 1;
-      Stats.on_timer_cancelled st.stats;
-      Obs.Registry.incr st.m_timer_cancelled
-  end
-
-let every st p ?phase ~period callback =
-  if period <= 0 then invalid_arg "Engine.every: period must be positive";
-  let phase = match phase with Some d -> d | None -> period in
-  let ctl = { p_slot = 0; p_gen = 0; p_period = period; p_stopped = false } in
-  let sid = p mod st.k in
-  (match Domain.DLS.get ctx_key with
-  | In_window (st', sh) when st' == st ->
-    if sid <> sh.sid then
-      invalid_arg "Engine.every: in-window periodic for a process of another shard";
-    let slot = w_arm sh p ~delay:phase callback ctl in
-    ctl.p_slot <- slot;
-    ctl.p_gen <- sh.tgens.(slot)
-  | _ ->
-    let sh, slot = d_arm st p ~delay:phase callback ctl in
-    ctl.p_slot <- slot;
-    ctl.p_gen <- sh.tgens.(slot));
-  fun () ->
-    if not ctl.p_stopped then begin
-      ctl.p_stopped <- true;
-      cancel st ~sid ~slot:ctl.p_slot ~gen:ctl.p_gen
-    end
-
-let at st instant callback =
-  if in_window st then invalid_arg "Engine.at: forbidden inside a parallel window";
-  if instant < st.gnow then invalid_arg "Engine.at: instant in the past";
-  Event_queue.schedule st.gq ~at:instant (Harness callback);
-  st.g_heap_len <- st.g_heap_len + 1;
-  note_depth st
-
-let schedule_crash st p ~at =
-  if in_window st then invalid_arg "Engine.schedule_crash: forbidden inside a parallel window";
-  if at < st.gnow then invalid_arg "Engine.schedule_crash: instant in the past";
-  Event_queue.schedule st.gq ~at (Crash_now p);
-  st.g_heap_len <- st.g_heap_len + 1;
-  note_depth st
-
-let alloc_span st =
-  let id = st.next_span in
-  st.next_span <- id + 1;
-  id
-
-let log_fn st fn =
-  match Domain.DLS.get ctx_key with
-  | In_window (st', sh) when st' == st ->
-    let idx = push_fn sh fn in
-    push2 sh op_fn idx
-  | _ -> invalid_arg "Shard.log_fn: not inside a parallel window"
-
-let pending_events st = st.g_heap_len + st.g_live
-let timer_residency st = st.g_live
-let timer_table_capacity st = st.v_next_slot
-let timer_armed st = st.g_armed
-let windows st = st.windows
-let null_windows st = st.null_windows
-let direct_steps st = st.direct_steps
-let shard_windows st = st.shard_windows
-let profiling st = st.prof <> None
-let profile st = List.rev st.prof_rev
-
-let compact st =
-  if in_window st then invalid_arg "Engine.compact: forbidden inside a parallel window";
-  Event_queue.shrink st.gq;
-  for i = 0 to st.k - 1 do
-    let sh = st.shards.(i) in
-    Event_queue.shrink sh.heap;
-    let live_cap = ref 0 in
-    for s = 0 to sh.tnext_slot - 1 do
-      if sh.tstates.(s) <> Free then live_cap := s + 1
-    done;
-    let cap = !live_cap in
-    if cap < sh.tnext_slot then begin
-      let floor = ref sh.tgen_floor in
-      for s = cap to sh.tnext_slot - 1 do
-        if sh.tgens.(s) > !floor then floor := sh.tgens.(s)
-      done;
-      sh.tgen_floor <- !floor;
-      sh.tgens <- Array.sub sh.tgens 0 cap;
-      sh.tstates <- Array.sub sh.tstates 0 cap;
-      sh.tpids <- Array.sub sh.tpids 0 cap;
-      sh.tcbs <- Array.sub sh.tcbs 0 cap;
-      sh.tctl <- Array.sub sh.tctl 0 cap;
-      sh.vmap <- Array.sub sh.vmap 0 cap;
-      sh.tnext_slot <- cap;
-      let kept = ref 0 in
-      for j = 0 to sh.tfree_len - 1 do
-        let s = sh.tfree.(j) in
-        if s < cap then begin
-          sh.tfree.(!kept) <- s;
-          incr kept
-        end
-      done;
-      sh.tfree_len <- !kept;
-      let free_target = Stdlib.max 16 sh.tfree_len in
-      if Array.length sh.tfree > free_target then sh.tfree <- Array.sub sh.tfree 0 free_target;
-      Timer_wheel.shrink_capacity sh.wheel cap
-    end
-  done;
-  (* Virtual table: mirror the sequential compact's capacity drop.  A
-     virtual slot is live iff its local slot is non-Free, so the live
-     high-water matches the sequential table's. *)
-  let v_cap = ref 0 in
-  for v = 0 to st.v_next_slot - 1 do
-    if st.v_live.(v) then v_cap := v + 1
-  done;
-  let cap = !v_cap in
-  if cap < st.v_next_slot then begin
-    st.v_next_slot <- cap;
-    if cap < Array.length st.v_live then st.v_live <- Array.sub st.v_live 0 cap;
-    let kept = ref 0 in
-    for j = 0 to st.v_free_len - 1 do
-      let v = st.v_free.(j) in
-      if v < cap then begin
-        st.v_free.(!kept) <- v;
-        incr kept
-      end
-    done;
-    st.v_free_len <- !kept;
-    let free_target = Stdlib.max 16 st.v_free_len in
-    if Array.length st.v_free > free_target then st.v_free <- Array.sub st.v_free 0 free_target
-  end
-
-(* ------------------------------------------------------------------ *)
-(* Construction and shard-count configuration. *)
-
-let make_shard sid =
-  {
-    sid;
-    wheel = Timer_wheel.create ();
-    heap = Event_queue.create ();
-    snow = Sim_time.zero;
-    tgens = [||];
-    tstates = [||];
-    tpids = [||];
-    tcbs = [||];
-    tctl = [||];
-    vmap = [||];
-    tfree = [||];
-    tfree_len = 0;
-    tnext_slot = 0;
-    tgen_floor = 0;
-    ops = [||];
-    ops_len = 0;
-    envs = [||];
-    envs_len = 0;
-    bodies = [||];
-    bodies_len = 0;
-    obs_ops = [||];
-    obs_len = 0;
-    fns = [||];
-    fns_len = 0;
-    prov_next = prov_base;
-    window_events = 0;
-    rp = 0;
-    smap = [||];
-    smap_len = 0;
-  }
-
-let create ~k ~n ~link ~rng ~alive ~handlers ~trace ~stats ~obs ~m_delivery_latency
-    ~m_span_duration ~m_queue_depth_hw ~m_timer_residency_hw ~m_timer_set ~m_timer_fired
-    ~m_timer_cancelled ~m_timer_orphaned () =
-  if k < 1 then invalid_arg "Shard.create: k must be >= 1";
-  let prof =
-    if not (default_profile ()) then None
-    else
-      Some
-        {
-          pm_window_span =
-            Obs.Registry.histogram obs ~name:"profiler.window_span_ticks"
-              ~buckets:[ 1; 2; 4; 8; 16; 32; 64; 128; 256; 512; 1024; 4096 ];
-          pm_window_events =
-            Obs.Registry.histogram obs ~name:"profiler.window_events"
-              ~buckets:[ 1; 2; 4; 8; 16; 32; 64; 128; 256; 512; 1024; 4096; 16384 ];
-          pm_ops_words =
-            Obs.Registry.histogram obs ~name:"profiler.window_op_log_words"
-              ~buckets:[ 4; 16; 64; 256; 1024; 4096; 16384; 65536; 262144 ];
-          pm_imbalance =
-            Obs.Registry.histogram obs ~name:"profiler.shard_imbalance_x100"
-              ~buckets:[ 100; 110; 125; 150; 200; 300; 400; 800 ];
-          pm_busy_us =
-            Obs.Registry.histogram obs ~name:"profiler.shard_busy_us"
-              ~buckets:[ 1; 2; 5; 10; 20; 50; 100; 200; 500; 1000; 2000; 5000; 10000 ];
-          pm_replay_us =
-            Obs.Registry.histogram obs ~name:"profiler.barrier_replay_us"
-              ~buckets:[ 1; 2; 5; 10; 20; 50; 100; 200; 500; 1000; 2000; 5000; 10000 ];
-        }
-  in
-  let st =
-    {
-      k;
-      n;
-      lookahead = Link.min_delay_bound link;
-      shards = Array.init k make_shard;
-      gq = Event_queue.create ();
-      link;
-      rng;
-      alive;
-      handlers;
-      trace;
-      stats;
-      obs;
-      m_delivery_latency;
-      m_span_duration;
-      m_queue_depth_hw;
-      m_timer_residency_hw;
-      m_timer_set;
-      m_timer_fired;
-      m_timer_cancelled;
-      m_timer_orphaned;
-      gnow = Sim_time.zero;
-      next_msg = 0;
-      next_span = 0;
-      g_heap_len = 0;
-      g_live = 0;
-      g_armed = 0;
-      v_free = [||];
-      v_free_len = 0;
-      v_next_slot = 0;
-      v_live = [||];
-      mailboxes =
-        Array.init (k * k) (fun _ ->
-            { mb_envs = [||]; mb_at = [||]; mb_seq = [||]; mb_len = 0 });
-      windows = 0;
-      null_windows = 0;
-      direct_steps = 0;
-      shard_windows = 0;
-      prof;
-      prof_busy = Array.make k 0.0;
-      prof_rev = [];
-    }
-  in
-  (* Both hooks run on whichever domain performs the Trace/Obs call —
-     inside a window that is a pool worker, so they are [@race.domain]
-     roots for ecfd-racecheck: everything they touch must come out of
-     the Domain.DLS context (shard-local buffers), never from shared
-     engine state. *)
-  Trace.set_sink trace
-    (Some
-       ((fun body ->
-          match Domain.DLS.get ctx_key with
-          | In_window (st', sh) when st' == st ->
-            let idx = push_body sh body in
-            push2 sh op_trace idx;
-            true
-          | _ -> false)
-       [@race.domain]));
-  Obs.Registry.set_hook obs
-    (Some
-       ((fun op ->
-          match Domain.DLS.get ctx_key with
-          | In_window (st', sh) when st' == st ->
-            let idx = push_obs sh op in
-            push2 sh op_obs idx;
-            true
-          | _ -> false)
-       [@race.domain]));
-  st
-
-let shards_override = ref None
-
-let env_shards =
-  lazy
-    (match Sys.getenv_opt "ECFD_SHARDS" with
-    | None -> None
-    | Some s -> (
-      match int_of_string_opt (String.trim s) with
-      | Some v when v >= 1 -> Some v
-      | _ -> None))
-
-let default_shards () =
-  match
-    (!shards_override
-    [@race.allow publish
-        "written only by the coordinator between runs (set_default_shards / \
-         with_shards); Domain.spawn publishes the value, and a nested engine \
-         built inside a job only reads it"])
-  with
-  | Some k -> k
-  | None -> ( match Lazy.force env_shards with Some k -> k | None -> 1)
-
 let set_default_shards k =
-  if k < 1 then invalid_arg "Shard.set_default_shards: shard count must be >= 1";
-  shards_override := Some k
+  if k <> 1 then invalid_arg "Shard.set_default_shards: the engine is sequential only"
 
-let with_shards k f =
-  if k < 1 then invalid_arg "Shard.with_shards: shard count must be >= 1";
-  let prev = !shards_override in
-  shards_override := Some k;
-  Fun.protect ~finally:(fun () -> shards_override := prev) f
+let set_default_profile p =
+  if p then invalid_arg "Shard.set_default_profile: the engine has no profiler"

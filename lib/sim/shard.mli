@@ -1,201 +1,9 @@
-(** Conservative parallel discrete-event engine core: the sharded back-end
-    behind {!Engine} when it is created with more than one shard.
-
-    Processes are partitioned across [k] shards ([pid mod k] — a dense
-    pid-to-shard map, no hashing); each shard owns its own timer wheel,
-    event heap and timer registry, and shards advance in parallel inside
-    {e safe time windows} computed from the link's
-    {!Link.min_delay_bound} lookahead [L]: during [[T, W1)] with
-    [W1 <= T + L], no shard can affect another before [W1] (a
-    Chandy–Misra–Bryant-style conservative bound), because every
-    cross-process message sent at [t < W1] is delivered at
-    [>= t + L >= W1].
-
-    {b Determinism contract.}  At any shard count — including [k = 1],
-    which {!Engine} short-circuits to the exact sequential code path —
-    the observable outputs (trace bytes, Lamport clocks, message and span
-    ids, {!Stats} lifecycle including high-water trajectories, obs
-    snapshots, timer-table capacity) are byte-identical to the sequential
-    engine.  The mechanism: inside a window each shard executes only
-    local events in its own (time, seq) order, {e buffering} every
-    externally visible effect (trace records, stats/obs updates, sends,
-    timer lifecycle accounting) as a flat op log with window-local
-    provisional sequence numbers; at the window barrier the op logs are
-    merged by (time, seq) — which reproduces the exact sequential
-    execution order — and replayed on the coordinating domain: global
-    sequence numbers, message/span ids and RNG fate draws are allocated
-    in replay order, so they coincide with the sequential run's, and the
-    provisional seqs still pending in shard wheels are renumbered to
-    their reconciled global values.  Cross-shard sends land in
-    per-(source shard, destination shard) mailboxes flushed into the
-    destination heaps at the same barrier.
-
-    Windows degrade gracefully: when the lookahead is 0 (custom fates
-    with no bound), or a global event (crash, harness callback) is due at
-    the window start, the engine takes a one-event {e direct step} on the
-    coordinating domain with full sequential accounting — correct for
-    any workload, just not parallel.
-
-    {b In-window restrictions} (raise [Invalid_argument]): from a
-    callback running inside a parallel window, [Engine.at],
-    [Engine.schedule_crash] and [Engine.register] are forbidden, and
-    timers may only be set/cancelled for processes of the executing
-    shard, self-sends only for the executing shard's processes.
-    Harness-level code always runs between windows (it is reached only
-    via [Engine.at]/crash events, which force direct steps), so these
-    restrictions bind only protocol components acting on remote pids —
-    which none of the repository's components do. *)
-
-type state
-
-(** One record per parallel window (direct steps are excluded), captured
-    at the window barrier when profiling is enabled.  The sim-time and
-    op-log fields ([wp_from], [wp_until], [wp_active], [wp_events],
-    [wp_ops_words]) are deterministic at a given shard count; the [_s]
-    fields are host wall-clock seconds and vary run to run.  Arrays are
-    indexed by shard id (length [k]). *)
-type window_profile = {
-  wp_from : Sim_time.t;  (** first event instant in the window *)
-  wp_until : Sim_time.t;  (** exclusive window bound [W1] *)
-  wp_active : int;  (** shards that had events this window *)
-  wp_events : int array;  (** per shard: events executed *)
-  wp_ops_words : int array;  (** per shard: op-log words replayed *)
-  wp_busy_s : float array;  (** per shard: in-window wall-clock *)
-  wp_replay_s : float;  (** barrier replay + mailbox flush wall-clock *)
-}
-
-val create :
-  k:int ->
-  n:int ->
-  link:Link.t ->
-  rng:Rng.t ->
-  alive:bool array ->
-  handlers:(string, (src:Pid.t -> Payload.t -> unit) option array) Hashtbl.t ->
-  trace:Trace.t ->
-  stats:Stats.t ->
-  obs:Obs.Registry.t ->
-  m_delivery_latency:Obs.Registry.histogram ->
-  m_span_duration:Obs.Registry.histogram ->
-  m_queue_depth_hw:Obs.Registry.gauge ->
-  m_timer_residency_hw:Obs.Registry.gauge ->
-  m_timer_set:Obs.Registry.counter ->
-  m_timer_fired:Obs.Registry.counter ->
-  m_timer_cancelled:Obs.Registry.counter ->
-  m_timer_orphaned:Obs.Registry.counter ->
-  unit ->
-  state
-(** Shares the engine's trace/stats/obs/rng/alive/handlers so the
-    engine's accessors need no branching.  Installs the trace sink and
-    obs hook that capture in-window records into the executing shard's
-    op log.  Requires [k >= 1] (the engine only builds a state for
-    [k >= 2]). *)
-
-val k : state -> int
-val shard_of : state -> Pid.t -> int
-
-val in_window : state -> bool
-(** True iff the calling domain is currently executing a parallel window
-    of {e this} state (nested engines inside a window see [false] for
-    their own state). *)
-
-val now : state -> Sim_time.t
-(** Inside a window: the executing shard's local clock (the instant of
-    the event being executed).  Outside: the global clock. *)
-
-(** {2 Engine operations} — the sharded halves of the {!Engine} API. *)
-
-val send :
-  state -> component:string -> tag:string -> src:Pid.t -> dst:Pid.t -> Payload.t -> unit
-
-val set_timer : state -> Pid.t -> delay:Sim_time.t -> (unit -> unit) -> int * int * int
-(** Returns [(slot, gen, shard)] — the handle triple. *)
-
-val cancel : state -> sid:int -> slot:int -> gen:int -> unit
-
-val every :
-  state -> Pid.t -> ?phase:Sim_time.t -> period:Sim_time.t -> (unit -> unit) -> unit -> unit
-
-val at : state -> Sim_time.t -> (unit -> unit) -> unit
-val schedule_crash : state -> Pid.t -> at:Sim_time.t -> unit
-
-val alloc_span : state -> int
-(** Next span id (coordinating domain only — in-window span logging goes
-    through {!log_fn} closures that call this at replay time). *)
-
-val log_fn : state -> (unit -> unit) -> unit
-(** In-window only: append a deferred effect (span begin/end record) to
-    the executing shard's op log; it runs on the coordinating domain at
-    barrier replay, in exact sequential order. *)
-
-val run_until : state -> Sim_time.t -> unit
-val step : state -> bool
-(** One direct (sequential-order) step; never opens a window, so
-    [step]-driven runs are exactly sequential.  [run_until] is the
-    parallel entry point. *)
-
-val pending_events : state -> int
-val timer_residency : state -> int
-val timer_table_capacity : state -> int
-val timer_armed : state -> int
-val compact : state -> unit
-
-(** {2 Window statistics} — inputs to experiment e21. *)
-
-val windows : state -> int
-(** Parallel windows opened (direct steps excluded). *)
-
-val null_windows : state -> int
-(** Windows in which at most one shard had events — no parallelism
-    gained; the window ran inline on the coordinating domain. *)
-
-val direct_steps : state -> int
-(** One-event sequential steps taken outside windows (zero lookahead, a
-    global event due, or [Engine.step] drive). *)
-
-val shard_windows : state -> int
-(** Total (window, active shard) pairs — [shard_windows /. windows] is
-    the mean fan-out per window. *)
-
-(** {2 Runtime profiler} — per-window records (opt-in).
-
-    When enabled at engine creation (see {!default_profile}), every
-    parallel window appends a {!window_profile} record and feeds six
-    registry histograms ([profiler.window_span_ticks],
-    [profiler.window_events], [profiler.window_op_log_words],
-    [profiler.shard_imbalance_x100], [profiler.shard_busy_us],
-    [profiler.barrier_replay_us]).  The profiler never feeds back into
-    simulated state: trace bytes, stats and stdout are byte-identical
-    with it on or off.  Obs snapshots gain the profiler histograms (and
-    their wall-clock figures), so fingerprint comparisons should run
-    with it off — which is why it is off by default. *)
-
-val profiling : state -> bool
-(** Whether this state was created with profiling enabled. *)
-
-val profile : state -> window_profile list
-(** The per-window records so far, in chronological order.  Empty when
-    profiling is disabled. *)
-
-(** {2 Shard-count configuration} — mirrors [Exec.Pool]'s domain-count
-    plumbing so benches and the CLI wire [--shards]/[ECFD_SHARDS]
-    through one switch. *)
-
-val default_shards : unit -> int
-(** Process-wide default for [Engine.create ?shards]: the value set by
-    {!set_default_shards} if any, else [ECFD_SHARDS] if set to a
-    positive integer, else 1 (sequential). *)
+(** Remnant of the removed sharded back-end; the sequential engine is the
+    only engine.  Kept only because the e23 benchmark's [pin ()] still
+    calls these two functions: delete the module once it stops. *)
 
 val set_default_shards : int -> unit
-val with_shards : int -> (unit -> 'a) -> 'a
-(** Run a thunk with the default shard count overridden, restoring the
-    previous default afterwards (exception-safe). *)
-
-val default_profile : unit -> bool
-(** Process-wide default for the runtime profiler, sampled at engine
-    creation: the value set by {!set_default_profile} if any, else true
-    iff [ECFD_PROFILE] is [1]/[true]/[yes], else false. *)
+(** Accepts only [1]; raises [Invalid_argument] otherwise. *)
 
 val set_default_profile : bool -> unit
-val with_profile : bool -> (unit -> 'a) -> 'a
-(** Run a thunk with the profiler default overridden, restoring the
-    previous default afterwards (exception-safe). *)
+(** Accepts only [false]; raises [Invalid_argument] otherwise. *)

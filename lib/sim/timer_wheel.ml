@@ -365,27 +365,6 @@ let[@alloc.zero] add t ~cell ~deadline ~seq =
     t.min_seq <- seq
   end
 
-let rec remap_list t f cell =
-  if cell >= 0 then begin
-    t.cell_seq.(cell) <- f t.cell_seq.(cell);
-    remap_list t f t.cell_next.(cell)
-  end
-
-(* Rewrite every pending cell's sequence number in place (slot lists plus
-   overflow, plus the cached minima).  [f] must be order-preserving on the
-   pending seqs, so list positions and cached minima stay valid — the
-   sharded engine's provisional-to-global renumbering at a window barrier
-   (identity below the provisional base, a monotone window map above it)
-   is exactly that.  Barriers only run between firing batches. *)
-let remap_seqs t f =
-  if t.batch_active then invalid_arg "Timer_wheel.remap_seqs: firing batch active";
-  for idx = 0 to (levels * slots_per_level) - 1 do
-    remap_list t f t.heads.(idx)
-  done;
-  remap_list t f t.ovf_head;
-  if t.min_seq <> max_int then t.min_seq <- f t.min_seq;
-  if t.ovf_min_seq <> max_int then t.ovf_min_seq <- f t.ovf_min_seq
-
 let next_at t =
   if t.cardinal = 0 then invalid_arg "Timer_wheel.next_at: empty wheel";
   t.min_at

@@ -55,20 +55,12 @@ type t = {
   mutable count : int;
   mutable clocks : int array;
   send_lc : (int, int) Hashtbl.t;
-  (* Interception point for the sharded engine: when set, [record] offers
-     the body to the sink first, and only appends it itself if the sink
-     declines (returns [false]).  During a parallel window the sink captures
-     bodies into the recording shard's log; outside windows it declines and
-     recording proceeds exactly as in the sequential engine. *)
-  mutable sink : (body -> bool) option;
 }
 
 let dummy_event = { seq = -1; lc = 0; body = Crash { at = Sim_time.zero; pid = 0 } }
 
 let create () =
-  { arr = [||]; count = 0; clocks = [||]; send_lc = Hashtbl.create 64; sink = None }
-
-let set_sink t sink = t.sink <- sink
+  { arr = [||]; count = 0; clocks = [||]; send_lc = Hashtbl.create 64 }
 
 let clock t pid = if pid < Array.length t.clocks then t.clocks.(pid) else 0
 
@@ -121,7 +113,7 @@ let stamp t = function
   | Span_begin { pid; _ }
   | Span_end { pid; _ } -> tick t pid
 
-let record_direct t body =
+let record t body =
   let capacity = Array.length t.arr in
   if t.count = capacity then begin
     let capacity' = Stdlib.max 64 (2 * capacity) in
@@ -132,11 +124,6 @@ let record_direct t body =
   let lc = stamp t body in
   t.arr.(t.count) <- { seq = t.count; lc; body };
   t.count <- t.count + 1
-
-let record t body =
-  match t.sink with
-  | Some sink when sink body -> ()
-  | _ -> record_direct t body
 
 let length t = t.count
 

@@ -73,17 +73,7 @@ val create : unit -> t
 
 val record : t -> body -> unit
 (** Stamp ([seq], [lc]) and append.  The Lamport bookkeeping lives here,
-    so hand-built traces (tests) get consistent stamps too.  If a sink is
-    installed ({!set_sink}) the body is offered to it first and only
-    appended when the sink declines. *)
-
-val set_sink : t -> (body -> bool) option -> unit
-(** Install (or clear) a recording sink.  The sharded engine uses this to
-    divert bodies recorded inside a parallel window into the recording
-    shard's window log; the sink returns [false] outside windows, in which
-    case {!record} appends directly — so sequential recording (including
-    the sharded engine's own barrier replay) is byte-identical to a
-    sink-free trace. *)
+    so hand-built traces (tests) get consistent stamps too. *)
 
 val length : t -> int
 

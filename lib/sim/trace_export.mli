@@ -17,16 +17,8 @@
 
     Schemas for both live in [docs/schemas/] and are validated in CI. *)
 
-val chrome : ?profiler:Shard.window_profile list -> Buffer.t -> Trace.t -> unit
-val chrome_string : ?profiler:Shard.window_profile list -> Trace.t -> string
-(** [?profiler] (default none) adds a runtime-profiler track — one extra
-    Chrome process above the sim pids with one thread per shard plus a
-    barrier thread, each window rendered as a complete slice over its
-    sim-time span carrying events / op-log words / busy and replay
-    microseconds as args.  Pass {!Engine.profiler_windows} from a run
-    with profiling enabled ([ECFD_PROFILE=1] or
-    {!Shard.set_default_profile}).  With the default, output is the
-    byte-deterministic pure function of the trace described above. *)
+val chrome : Buffer.t -> Trace.t -> unit
+val chrome_string : Trace.t -> string
 
 val jsonl : Buffer.t -> Trace.t -> unit
 val jsonl_string : Trace.t -> string

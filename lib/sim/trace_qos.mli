@@ -2,8 +2,7 @@
 
     Streams one detector component's [Fd_view] events plus every [Crash]
     event, in trace order, into a QoS fold — via {!Trace.iter}, without
-    materialising the event list.  Because the trace is byte-identical
-    at every shard count, so is the resulting report. *)
+    materialising the event list. *)
 
 val feed : Trace.t -> Obs.Qos.t -> component:string -> unit
 (** Stream the trace's crash events and [component]'s view changes into

@@ -1,3 +1,3 @@
-(* A decoy: named shard.ml but NOT at lib/sim/shard.ml, so the exact-path
-   boundary gives it no exemption and the Domain access is a D4 finding. *)
+(* A decoy: a file outside lib/exec/, whatever its name, gets no boundary
+   exemption, so the Domain access is a D4 finding. *)
 let whoami () = Domain.self ()

@@ -1,6 +1,6 @@
 (* Blocking/ordering primitives outside the sanctioned boundary
-   (lib/exec/, lib/sim/shard.ml): a Mutex anywhere else can deadlock a
-   window or introduce scheduling-dependent ordering. *)
+   (lib/exec/): a Mutex anywhere else can deadlock against the pool's
+   joins or introduce scheduling-dependent ordering. *)
 let lock = Mutex.create ()
 
 let locked f =

@@ -240,7 +240,6 @@ let stable_omega_tests =
                     (fun ~rng ~now ~src ~dst ->
                       if now >= blackout_from && now <= blackout_to then Sim.Link.Drop
                       else base.Sim.Link.fate ~rng ~now ~src ~dst);
-                  min_delay = Sim.Link.min_delay_bound base;
                 }
               else base)
         in

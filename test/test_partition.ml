@@ -18,9 +18,6 @@ let partition_link ~cut ~from_t ~heal =
         if crossing src dst && now >= from_t && now < heal then
           Sim.Link.Deliver_at (heal + Sim.Rng.int_in_range rng ~lo:1 ~hi:8)
         else base.Sim.Link.fate ~rng ~now ~src ~dst);
-    (* Held-back crossings deliver past [heal] > now; the base link's bound
-       covers the rest. *)
-    min_delay = Sim.Link.min_delay_bound base;
   }
 
 let build ~n ~link ~protocol =

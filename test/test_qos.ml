@@ -1,7 +1,6 @@
 (* Detector QoS analytics: the Obs.Qos fold math on hand-built event
-   streams, the Obs.Rollup aggregates, byte-identity of the qos rollup
-   across shard counts (16 seeds), the tracequery rollup against a
-   checked-in golden trace, and the sharded-engine runtime profiler. *)
+   streams, the Obs.Rollup aggregates, and the tracequery rollup against
+   a checked-in golden trace. *)
 
 let tc name f = Alcotest.test_case name `Quick f
 
@@ -209,98 +208,9 @@ let golden_rollup_tests =
         | _ -> Alcotest.fail "expected exactly one scenario");
   ]
 
-(* ------------------------------------------------------------------ *)
-(* Shard-count independence of the rollup bytes                        *)
-(* ------------------------------------------------------------------ *)
-
-let qos_json ~seed ~shards =
-  Sim.Shard.with_shards shards (fun () ->
-      let n = 4 and horizon = 900 in
-      let handle, fdrun, _stats =
-        Scenario.fd_run
-          ~net:{ (Scenario.chaotic_net ~seed ~gst:150 ()) with delta = 8 }
-          ~crashes:(Sim.Fault.crashes [ (1, 300) ])
-          ~horizon ~n ~detector:Scenario.Heartbeat_p ()
-      in
-      let component = Fd.Fd_handle.component handle in
-      let report =
-        Sim.Trace_qos.report ~component ~n ~horizon fdrun.Spec.Fd_props.trace
-      in
-      Obs.Rollup.to_json [ { Obs.Rollup.name = "prop"; component; report } ])
-
-let determinism_tests =
-  [
-    tc "qos rollup bytes are shard-count independent (16 seeds)" (fun () ->
-        for seed = 0 to 15 do
-          Alcotest.(check string)
-            (Printf.sprintf "seed %d: shards 1 = shards 4" seed)
-            (qos_json ~seed ~shards:1) (qos_json ~seed ~shards:4)
-        done);
-  ]
-
-(* ------------------------------------------------------------------ *)
-(* The sharded-engine runtime profiler                                 *)
-(* ------------------------------------------------------------------ *)
-
-let contains ~needle hay =
-  let nl = String.length needle and hl = String.length hay in
-  let rec go i = i + nl <= hl && (String.sub hay i nl = needle || go (i + 1)) in
-  go 0
-
-let profiled_run () =
-  Scenario.run_consensus
-    ~net:{ (Scenario.chaotic_net ~seed:7 ~gst:50 ()) with delta = 8 }
-    ~crashes:(Sim.Fault.crashes []) ~horizon:400 ~n:4
-    ~detector:Scenario.Heartbeat_p
-    ~protocol:(Scenario.Ec Ecfd.Ec_consensus.default_params) ()
-
-let profiler_tests =
-  [
-    tc "profiling is off by default: no windows recorded" (fun () ->
-        Sim.Shard.with_shards 4 (fun () ->
-            let r = profiled_run () in
-            Alcotest.(check bool)
-              "empty" true
-              (Sim.Engine.profiler_windows r.Scenario.engine = [])));
-    tc "profile + shards: windows recorded, chrome export gains the track" (fun () ->
-        Sim.Shard.with_profile true (fun () ->
-            Sim.Shard.with_shards 4 (fun () ->
-                let r = profiled_run () in
-                let ws = Sim.Engine.profiler_windows r.Scenario.engine in
-                Alcotest.(check bool) "windows recorded" true (ws <> []);
-                List.iter
-                  (fun (w : Sim.Shard.window_profile) ->
-                    Alcotest.(check bool)
-                      "window spans forward" true
-                      (w.wp_until > w.wp_from);
-                    Alcotest.(check bool)
-                      "per-shard arrays sized alike" true
-                      (Array.length w.wp_events = Array.length w.wp_ops_words
-                      && Array.length w.wp_events = Array.length w.wp_busy_s))
-                  ws;
-                let chrome =
-                  Sim.Trace_export.chrome_string ~profiler:ws r.Scenario.trace
-                in
-                Alcotest.(check bool)
-                  "profiler process present" true
-                  (contains ~needle:"engine profiler" chrome);
-                Alcotest.(check bool)
-                  "profiler slices present" true
-                  (contains ~needle:"\"cat\":\"profiler\"" chrome))));
-    tc "profiling does not perturb the trace bytes" (fun () ->
-        let bytes profile =
-          Sim.Shard.with_profile profile (fun () ->
-              Sim.Shard.with_shards 4 (fun () ->
-                  Sim.Trace_export.jsonl_string (profiled_run ()).Scenario.trace))
-        in
-        Alcotest.(check string) "on = off" (bytes false) (bytes true));
-  ]
-
 let suites =
   [
     ("qos.fold", fold_tests);
     ("qos.rollup", rollup_tests);
     ("qos.golden_rollup", golden_rollup_tests);
-    ("qos.determinism", determinism_tests);
-    ("qos.profiler", profiler_tests);
   ]

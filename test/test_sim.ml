@@ -815,6 +815,15 @@ let engine_tests =
           mid := !mid && holds ()
         done;
         !mid && holds ());
+    tc "Shard remnant accepts only the sequential settings" (fun () ->
+        Sim.Shard.set_default_shards 1;
+        Sim.Shard.set_default_profile false;
+        Alcotest.check_raises "shards 2"
+          (Invalid_argument "Shard.set_default_shards: the engine is sequential only")
+          (fun () -> Sim.Shard.set_default_shards 2);
+        Alcotest.check_raises "profile true"
+          (Invalid_argument "Shard.set_default_profile: the engine has no profiler")
+          (fun () -> Sim.Shard.set_default_profile true));
   ]
 
 (* ------------------------------------------------------------------ *)

@@ -63,9 +63,6 @@ let soak_tests =
                 if crossing && now >= 8_000 && now < 16_000 then
                   Sim.Link.Deliver_at (16_000 + Sim.Rng.int_in_range rng ~lo:1 ~hi:8)
                 else base.Sim.Link.fate ~rng ~now ~src ~dst);
-            (* Held-back crossings deliver past the heal instant, which is
-               always >= now + 1; the base link's bound covers the rest. *)
-            min_delay = Sim.Link.min_delay_bound base;
           }
         in
         let engine = Sim.Engine.create ~seed:55 ~n ~link () in

@@ -1,14 +1,14 @@
 (* ecfd-racecheck: the repo's interprocedural domain-safety checker.
 
-   The sharded engine (lib/sim/shard.ml) and the job pool (lib/exec)
-   execute code on worker domains; TSan can only tell us about the
-   interleavings a particular run happened to explore.  This pass makes
-   the domain-safety argument static: it loads the .cmt files dune
-   already produced and proves, for every closure that crosses onto a
-   worker domain, that it writes no foreign mutable state (D1), reads no
-   unpublished mutable state (D2), that every sequential-path effect has
-   a barrier-replay arm (D3), and that blocking primitives stay inside
-   the sanctioned boundary (D4).
+   The job pool (lib/exec) executes code on worker domains; TSan can
+   only tell us about the interleavings a particular run happened to
+   explore.  This pass makes the domain-safety argument static: it loads
+   the .cmt files dune already produced and proves, for every closure
+   that crosses onto a worker domain, that it writes no foreign mutable
+   state (D1) and reads no unpublished mutable state (D2), and that
+   blocking primitives stay inside the sanctioned boundary, lib/exec
+   (D4).  D3 (barrier-replay completeness) was retired with the sharded
+   engine; the remaining ids are not renumbered.
 
      ecfd_racecheck [--list-rules] [--json FILE] [DIR ...]
 
