@@ -1263,8 +1263,9 @@ let e19 () =
   (* Two independent broadcasters over a draw-free synchronous link: flipping
      the order they are installed in permutes every same-instant event (and
      with it every hash table's insertion history) without changing what
-     either component does.  Post R2, the observable outputs — the sorted
-     Stats.snapshot and the Round_metrics tables — must be bit-identical. *)
+     either component does.  With bucket order kept out of them (check rule
+     A4), the observable outputs — the sorted Stats.snapshot and the
+     Round_metrics tables — must be bit-identical. *)
   let install engine ~name ~period =
     let n = Sim.Engine.n engine in
     List.iter
@@ -1303,7 +1304,7 @@ let e19 () =
   Tables.note "snapshots identical: %b; sends-by-round identical: %b"
     (snap_ab = snap_ba) (rounds_ab = rounds_ba);
   Tables.note "Pre-R2, Stats.snapshot surfaced Hashtbl bucket order and the two runs";
-  Tables.note "diffed; ecfd-lint (dune build @lint) now rejects such escapes statically."
+  Tables.note "diffed; ecfd check rule A4 (dune build @lint) now rejects such escapes statically."
 
 let all =
   [ e1; e2; e3; e4; e5; e6; e7; e8; e9; e10; e11; e12; e13; e14; e15; e16; e17; e18; e19 ]

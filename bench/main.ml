@@ -49,7 +49,7 @@ let json_file = "BENCH_experiments.json"
 
 let wall () =
   (Unix.gettimeofday
-   [@lint.allow ambient "harness timing is a wall-clock fact about the host, not simulated state"])
+   [@check.allow ambient "harness timing is a wall-clock fact about the host, not simulated state"])
     ()
 
 let usage () =

@@ -193,13 +193,13 @@ let sim_core () =
              Sim.Engine.cancel_timer engine doomed)
           : unit -> unit))
     (Sim.Pid.all ~n);
-  let t0 = (Sys.time [@lint.allow ambient "host-CPU throughput measurement; reads no simulated state"]) () in
+  let t0 = (Sys.time [@check.allow ambient "host-CPU throughput measurement; reads no simulated state"]) () in
   let steps = ref 0 in
   while !steps < target && Sim.Engine.step engine do
     incr steps
   done;
   let elapsed =
-    (Sys.time [@lint.allow ambient "host-CPU throughput measurement; reads no simulated state"]) () -. t0
+    (Sys.time [@check.allow ambient "host-CPU throughput measurement; reads no simulated state"]) () -. t0
   in
   let lc = Sim.Stats.lifecycle (Sim.Engine.stats engine) in
   let events_per_sec =
@@ -341,14 +341,14 @@ let e20_run_one ~n ~events =
     incr steps
   done;
   let measured = ref 0 in
-  let t0 = (Sys.time [@lint.allow ambient "host-CPU throughput measurement; reads no simulated state"]) () in
+  let t0 = (Sys.time [@check.allow ambient "host-CPU throughput measurement; reads no simulated state"]) () in
   let w0 = Gc.minor_words () in
   while !measured < events && Sim.Engine.step engine do
     incr measured
   done;
   let w1 = Gc.minor_words () in
   let elapsed =
-    (Sys.time [@lint.allow ambient "host-CPU throughput measurement; reads no simulated state"]) () -. t0
+    (Sys.time [@check.allow ambient "host-CPU throughput measurement; reads no simulated state"]) () -. t0
   in
   let words_per_event = (w1 -. w0) /. float_of_int (Stdlib.max 1 !measured) in
   (* The measured window is pure heartbeat pop/fire/re-arm: the acceptance
@@ -431,11 +431,11 @@ let e20 () =
   let budget = e20_budget_s () in
   let t_sweep =
     (Sys.time
-     [@lint.allow ambient "host-CPU throughput measurement; reads no simulated state"]) ()
+     [@check.allow ambient "host-CPU throughput measurement; reads no simulated state"]) ()
   in
   let spent () =
     (Sys.time
-     [@lint.allow ambient "host-CPU throughput measurement; reads no simulated state"]) ()
+     [@check.allow ambient "host-CPU throughput measurement; reads no simulated state"]) ()
     -. t_sweep
   in
   let rows, skipped =

@@ -628,81 +628,60 @@ let sweep_cmd =
 (* --- check subcommand --- *)
 
 let check_cmd =
-  let run no_json =
-    (* The syntactic pass reads sources; the typed passes read the .cmt
+  let run no_json list_rules =
+    if list_rules then begin
+      List.iter
+        (fun (r : Check.Rule.info) -> Printf.printf "%-5s %-12s %s\n" r.id r.key r.doc)
+        Check.Registry.rules;
+      List.iter (fun (id, doc) -> Printf.printf "%-5s %-12s %s\n" id "" doc) Check.Registry.meta;
+      exit 0
+    end;
+    (* The parsetree rules read sources; the typed rules read the .cmt
        trees dune produced.  From the workspace root those live under
-       _build/default; from inside _build (or a checkout where someone
-       copied the build tree flat) the bare paths work. *)
+       _build/default; from inside _build (as `dune build @lint` runs it)
+       the bare paths work. *)
+    let roots = Check.Cmt_source.default_roots in
     let build = Filename.concat "_build" "default" in
-    let cmt_roots =
-      let prefixed = List.map (Filename.concat build) [ "lib"; "bench" ] in
-      if List.exists Sys.file_exists prefixed then
-        List.filter Sys.file_exists prefixed
-      else List.filter Sys.file_exists [ "lib"; "bench" ]
+    let cmts =
+      let prefixed = List.map (Filename.concat build) roots in
+      if List.exists Sys.file_exists prefixed then List.filter Sys.file_exists prefixed
+      else List.filter Sys.file_exists roots
     in
-    if cmt_roots = [] then begin
-      prerr_endline "ecfd check: no built library trees found — run `dune build` first";
+    let sources = List.filter Sys.file_exists roots in
+    let r = Check.Driver.run ~sources ~cmts in
+    if r.n_units = 0 then begin
+      prerr_endline "ecfd check: no .cmt files found — run `dune build @check` first";
       exit 2
     end;
-    let codes = ref [] in
-    let record tool code = codes := (tool, code) :: !codes in
-    let json name = if no_json then None else Some name in
-    let lint_roots = List.filter Sys.file_exists [ "lib"; "bin"; "bench" ] in
-    let lint = Lint_core.Driver.run_full lint_roots in
-    record "ecfd-lint"
-      (Check_common.Report.emit ~tool:"ecfd-lint"
-         ?json:(json "LINT_findings.json")
-         ~suppressed:lint.Check_common.Pipeline.suppressed
-         ~clean_note:
-           (Printf.sprintf "%d rule(s) over %s"
-              (List.length Lint_core.Registry.all)
-              (String.concat " " lint_roots))
-         lint.Check_common.Pipeline.survivors);
-    let typed tool ~json_file ~n_rules (r : Check_common.Cmt_driver.result) =
-      if r.n_units = 0 then begin
-        Printf.eprintf "%s: no .cmt files below %s — build first (dune build)\n" tool
-          (String.concat " " cmt_roots);
-        record tool 2
-      end
-      else
-        record tool
-          (Check_common.Report.emit ~tool ?json:(json json_file)
-             ~suppressed:r.suppressed
-             ~clean_note:
-               (Printf.sprintf "%d rule(s) over %d unit(s) below %s" n_rules r.n_units
-                  (String.concat " " cmt_roots))
-             r.findings)
-    in
-    typed "ecfd-analyze" ~json_file:"ANALYZE_findings.json"
-      ~n_rules:(List.length Analyze_core.Registry.all)
-      (Analyze_core.Driver.run cmt_roots);
-    typed "ecfd-alloccheck" ~json_file:"ALLOC_findings.json"
-      ~n_rules:(List.length Alloccheck_core.Registry.all)
-      (Alloccheck_core.Driver.run cmt_roots);
-    let budget_file = "bench/alloc_budget.json" in
-    if Sys.file_exists budget_file then begin
-      let drift = Alloccheck_core.Roots_check.check ~budget_file cmt_roots in
-      List.iter (fun line -> Printf.eprintf "ecfd-alloccheck: %s\n" line) drift;
-      if drift <> [] then record "ecfd-alloccheck(roots)" 1
+    if not no_json then begin
+      let oc = open_out "CHECK_findings.json" in
+      output_string oc (Check.Finding.list_to_json ~suppressed:r.suppressed r.findings);
+      close_out oc
     end;
-    typed "ecfd-racecheck" ~json_file:"RACE_findings.json"
-      ~n_rules:(List.length Racecheck_core.Registry.all)
-      (Racecheck_core.Driver.run cmt_roots);
-    let codes = List.rev !codes in
-    let worst = List.fold_left (fun acc (_, c) -> max acc c) 0 codes in
-    Printf.eprintf "ecfd check: %s\n"
-      (String.concat ", "
-         (List.map
-            (fun (tool, c) ->
-              Printf.sprintf "%s %s" tool
-                (match c with 0 -> "ok" | 1 -> "FINDINGS" | _ -> "ERROR"))
-            codes));
-    exit worst
+    List.iter (fun f -> print_endline (Check.Finding.to_string f)) r.findings;
+    (* The [@alloc.zero] roots must match the "static_roots" list next to
+       the e20 dynamic allocation budget. *)
+    let budget_file = "bench/alloc_budget.json" in
+    let drift =
+      if Sys.file_exists budget_file then
+        Check.Roots_check.check ~budget_file ~roots:cmts r.index
+      else []
+    in
+    List.iter (fun line -> Printf.eprintf "ecfd check: %s\n" line) drift;
+    match (r.findings, drift) with
+    | [], [] ->
+      Printf.eprintf "ecfd check: clean (%d rule(s) over %d file(s) and %d unit(s))\n"
+        (List.length Check.Registry.rules) r.n_files r.n_units;
+      exit 0
+    | fs, _ ->
+      Printf.eprintf "ecfd check: %d finding(s), %d root drift line(s)\n" (List.length fs)
+        (List.length drift);
+      exit 1
   in
   let doc =
-    "Run all four static passes (lint R-rules, analyze A-rules, alloccheck Z-rules, \
-     racecheck D-rules) in one process, writing the unified findings artifacts \
-     (docs/schemas/findings.schema.json) and exiting with the worst per-pass code."
+    "Run the static checks (docs: HACKING.md, \"Static checks\"): one load of the \
+     sources and .cmt files, one rule registry.  Writes CHECK_findings.json \
+     (docs/schemas/findings.schema.json) and exits non-zero on any finding."
   in
   Cmd.v
     (Cmd.info "check" ~doc)
@@ -711,8 +690,10 @@ let check_cmd =
       $ Arg.(
           value & flag
           & info [ "no-json" ]
-              ~doc:"Skip writing the four *_findings.json artifacts to the current \
-                    directory."))
+              ~doc:"Skip writing CHECK_findings.json to the current directory.")
+      $ Arg.(
+          value & flag
+          & info [ "list-rules" ] ~doc:"List every rule id, key and description, then exit."))
 
 let main =
   let doc = "Eventually consistent failure detectors (Larrea, Fernández, Arévalo) — simulator" in

@@ -144,7 +144,7 @@ let install ?(component = component) ?(max_rounds = 100_000) engine ~fd ~rb () =
           (Propose { round = st.round; est = v });
         (* The coordinator is also a participant: it adopts its own proposal
            and ACKs it (locally). *)
-        st.ts <- st.round;
+        st.ts <- st.round + 1;
         let c = replies_of st st.round in
         c.acks <- c.acks + 1;
         st.phase <- Coord_wait_replies;
@@ -155,7 +155,7 @@ let install ?(component = component) ?(max_rounds = 100_000) engine ~fd ~rb () =
       match Hashtbl.find_opt st.proposals st.round with
       | Some v ->
         st.est <- v;
-        st.ts <- st.round;
+        st.ts <- st.round + 1;
         Sim.Engine.send engine ~component
           ~tag:(Printf.sprintf "ack.r%d" (st.round + 1))
           ~src:p ~dst:c (Ack { round = st.round });

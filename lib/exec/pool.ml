@@ -8,7 +8,7 @@
 
 let wall () =
   (Unix.gettimeofday
-   [@lint.allow ambient
+   [@check.allow ambient
        "pool throughput metrics are wall-clock facts about the host, not simulated state"])
     ()
 
@@ -78,10 +78,10 @@ let in_worker = Domain.DLS.new_key (fun () -> false)
 let execute job =
   match
     (job ()
-    [@race.allow escape
+    [@check.allow escape
         "executing foreign job code is the pool's purpose; the determinism \
          contract (pool.mli) requires jobs to be pure functions of their \
-         closure, and ecfd-analyze A1 checks every closure that flows in"])
+         closure, and check rule A1 checks every closure that flows in"])
   with
   | v -> Ok v
   | exception e -> Error (e, Printexc.get_raw_backtrace ())
@@ -134,12 +134,12 @@ let run ?domains jobs =
           let outcome =
             execute
               (jobs.(i)
-              [@race.allow publish
+              [@check.allow publish
                   "the jobs array is built before Domain.spawn and never \
                    written afterwards; the spawn is the publication barrier"])
           in
           (results.(i) <- Some (outcome, wall () -. t0))
-          [@race.allow escape
+          [@check.allow escape
               "index-partitioned: the atomic counter hands each slot to \
                exactly one worker, and the coordinator reads results only \
                after Domain.join"];

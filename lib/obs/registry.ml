@@ -180,7 +180,7 @@ let pp_snapshot ppf snap =
 
 let json_int_list l = "[" ^ String.concat "," (List.map string_of_int l) ^ "]"
 
-(* Metric names are code literals (lint R6), so they never need escaping —
+(* Metric names are code literals (rule R6), so they never need escaping —
    but escape anyway: a JSON emitter that can produce invalid JSON is a
    latent bug. *)
 let json_escape s =

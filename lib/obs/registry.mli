@@ -2,7 +2,7 @@
 
     A registry holds named counters, gauges and fixed-bucket histograms.
     The engine and the protocol components register metrics once (names
-    {b must} be string literals — lint rule R6 — so the metric space is a
+    {b must} be string literals — check rule R6 — so the metric space is a
     static property of the code, never data-dependent) and update them on
     the hot path with plain field mutations.
 

@@ -220,7 +220,7 @@ let timer_residency t = t.timer_live
 let timer_table_capacity t = t.timer_next_slot
 let timer_armed t = t.timer_armed
 
-let[@alloc.allow bulk
+let[@check.allow bulk
      "amortized free-list growth: doubles capacity, so per-event cost is O(1) \
       and a steady-state run never takes this branch"] free_push t slot =
   let cap = Array.length t.timer_free in
@@ -232,7 +232,7 @@ let[@alloc.allow bulk
   t.timer_free.(t.timer_free_len) <- slot;
   t.timer_free_len <- t.timer_free_len + 1
 
-let[@alloc.allow bulk
+let[@check.allow bulk
      "amortized registry growth: the five parallel columns double together, so \
       per-event cost is O(1) and a steady-state run never takes this branch"]
     alloc_timer_slot t =
@@ -433,13 +433,13 @@ let[@alloc.zero] execute_timer t cell =
       Obs.Registry.incr t.m_timer_fired;
       if Sim_time.equal ctl.p_period Sim_time.zero then
         (cb ()
-        [@alloc.allow extern
+        [@check.allow extern
             "the callback belongs to the registering component: its allocation is \
              its own (the e20 dynamic gate charges it to the run), not the timer \
              plumbing's"])
       else if not ctl.p_stopped then begin
         (cb ()
-        [@alloc.allow extern
+        [@check.allow extern
             "the callback belongs to the registering component: its allocation is \
              its own (the e20 dynamic gate charges it to the run), not the timer \
              plumbing's"]);
@@ -504,7 +504,7 @@ let[@alloc.zero] step t =
       t.now <- at;
       Stats.on_event_executed t.stats;
       (execute t kind
-      [@alloc.allow extern
+      [@check.allow extern
           "aperiodic dispatch leg: trace records, handler lookup and harness \
            callbacks may allocate — the zero-alloc contract covers the timer \
            leg, and e20 measures both"])

@@ -46,7 +46,7 @@ val obs : t -> Obs.Registry.t
     gauges, and the timer lifecycle counters [engine.timer_set_total],
     [engine.timer_fired_total], [engine.timer_cancelled_total] and
     [engine.timer_orphaned_total]; components register their own metrics
-    here — with literal names (lint rule R6). *)
+    here — with literal names (check rule R6). *)
 
 val link_description : t -> string
 
@@ -146,7 +146,7 @@ val note : t -> Pid.t -> tag:string -> string -> unit
 type span
 
 val begin_span : t -> Pid.t -> component:string -> name:string -> span
-(** Open a span at [p] now.  [name] must be a string literal (lint rule
+(** Open a span at [p] now.  [name] must be a string literal (check rule
     R6): span names are a static vocabulary, never data. *)
 
 val end_span : t -> span -> unit

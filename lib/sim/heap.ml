@@ -58,7 +58,7 @@ let rec sift_up_hole t v i =
   else begin
     let parent = (i - 1) / 2 in
     if (t.cmp v (get t parent)
-       [@alloc.allow extern
+       [@check.allow extern
            "caller-supplied comparison: the engine's comparators are int \
             comparisons (Event_queue.compare_entry); watched by e20"])
        < 0
@@ -81,7 +81,7 @@ let rec sift_down_hole t v i =
     let child =
       if right < t.size
          && (t.cmp (get t right) (get t left)
-            [@alloc.allow extern
+            [@check.allow extern
                 "caller-supplied comparison: the engine's comparators are int \
                  comparisons (Event_queue.compare_entry); watched by e20"])
             < 0
@@ -89,7 +89,7 @@ let rec sift_down_hole t v i =
       else left
     in
     if (t.cmp (get t child) v
-       [@alloc.allow extern
+       [@check.allow extern
            "caller-supplied comparison: the engine's comparators are int \
             comparisons (Event_queue.compare_entry); watched by e20"])
        < 0

@@ -2,7 +2,7 @@ type t = ..
 
 type t +=
   | Blank
-    [@lint.allow payload "contentless placeholder; constructed by the test harness, matched nowhere"]
+    [@check.allow payload "contentless placeholder; constructed by the test harness, matched nowhere"]
 
 type envelope = {
   src : Pid.t;

@@ -94,7 +94,7 @@ let cardinal t = t.cardinal
 let is_empty t = t.cardinal = 0
 let capacity t = Array.length t.cell_at
 
-let[@alloc.allow bulk
+let[@check.allow bulk
      "amortized cell-column growth: the three parallel columns double \
       together, so per-add cost is O(1) and a steady-state run never takes \
       this branch"] ensure_capacity t n =
@@ -224,7 +224,7 @@ let[@alloc.zero] advance_to t target =
     end
   done
 
-let[@alloc.allow bulk
+let[@check.allow bulk
      "amortized firing-batch growth: doubles, so per-pop cost is O(1); the \
       batch array is retained between batches and reused"] grow_batch t =
   let cap = Array.length t.batch in

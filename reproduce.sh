@@ -4,8 +4,5 @@
 set -e
 dune build @all
 dune build @lint
-dune build @analyze
-dune build @alloccheck
-dune build @racecheck
 dune runtest --force --no-buffer 2>&1 | tee test_output.txt
 dune exec bench/main.exe 2>&1 | tee bench_output.txt

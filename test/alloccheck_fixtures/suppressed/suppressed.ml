@@ -1,3 +1,3 @@
-(* The z2_boxed violation again, waived with a reasoned [@alloc.allow]. *)
+(* The z2_boxed violation again, waived with a reasoned [@check.allow]. *)
 let[@alloc.zero] root x =
-  if x > 0 then (Some x [@alloc.allow boxed "fixture: documented waiver"]) else None
+  if x > 0 then (Some x [@check.allow boxed "fixture: documented waiver"]) else None

@@ -1,5 +1,5 @@
 (* Structural equality reaching Pid.t through a let-alias and an
-   eta-expansion — invisible to the syntactic R3, caught by typed A3. *)
+   eta-expansion — the alias-aware A3 sees through both. *)
 let eq = ( = )
 let same_pid (a : Sim.Pid.t) (b : Sim.Pid.t) = eq a b
 

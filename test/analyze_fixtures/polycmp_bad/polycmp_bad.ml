@@ -1,0 +1,14 @@
+(* A3 fixture: the four [bad_*] bindings must each produce one [A3]
+   finding; the [good_*] bindings must produce none. *)
+
+open Sim
+open Consensus
+open Atomic_commit
+
+let bad_sort xs = List.sort compare xs
+let bad_value v = v = Value.null
+let bad_time t = t <> Sim_time.zero
+let bad_vote v = v = Yes
+let good_sort xs = List.sort Int.compare xs
+let good_vote = function Yes -> true | No -> false
+let good_int a b = a = b + 1

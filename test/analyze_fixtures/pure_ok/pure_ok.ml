@@ -1,6 +1,6 @@
 (* A pure pool job: arithmetic plus state local to the job closure.
-   ecfd-analyze must report nothing here — mutation of job-local refs is
-   exactly what A1 permits. *)
+   The check must report nothing here — mutation of job-local refs is
+   exactly what D1 and D2 permit. *)
 let squares xs =
   Exec.Pool.run
     (List.map

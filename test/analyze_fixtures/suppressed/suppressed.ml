@@ -1,5 +1,5 @@
-(* The print-in-job violation again, but justified: [@analyze.allow pure
+(* The print-in-job violation again, but justified: [@check.allow pure
    "reason"] on the submission expression suppresses A1 for its span. *)
 let noisy xs =
   (Exec.Pool.run (List.map (fun x () -> print_endline "progress"; x) xs)
-  [@analyze.allow pure "fixture: demonstrates justified suppression"])
+  [@check.allow pure "fixture: demonstrates justified suppression"])

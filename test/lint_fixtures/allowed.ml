@@ -1,14 +1,9 @@
 (* Suppression fixture: the same violation shapes as the [*_bad] files,
-   each silenced by [@lint.allow <rule> "reason"].  Must produce zero
+   each silenced by [@check.allow <rule> "reason"].  Must produce zero
    findings. *)
 
-[@@@lint.allow polycmp "fixture: whole-file allowance for the sort below"]
+[@@@check.allow obsname "fixture: whole-file allowance for the computed name below"]
 
-let wall () = (Sys.time [@lint.allow ambient "fixture: measuring the host"]) ()
+let wall () = (Sys.time [@check.allow ambient "fixture: measuring the host"]) ()
 
-let unordered table =
-  (Hashtbl.fold
-     (fun k _ acc -> k :: acc)
-     table [] [@lint.allow unordered "fixture: consumer is order-insensitive"])
-
-let cmp xs = List.sort compare xs
+let named reg which = Obs.Registry.counter reg ~name:("fixture." ^ which)

@@ -1,5 +1,5 @@
-(* A [@lint.allow] without a reason string does not suppress anything and
-   is itself reported: this file must produce one [LINT] finding and one
+(* A [@check.allow] without a reason string does not suppress anything and
+   is itself reported: this file must produce one [CHECK] finding and one
    [R1] finding. *)
 
-let cpu () = (Sys.time [@lint.allow ambient]) ()
+let cpu () = (Sys.time [@check.allow ambient]) ()

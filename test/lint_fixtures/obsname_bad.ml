@@ -10,4 +10,4 @@ let good_counter reg = Obs.Registry.counter reg ~name:"consensus.ec.rounds"
 let good_span engine p = Sim.Engine.begin_span engine p ~component:"fd.ring" ~name:"epoch"
 
 let allowed reg name =
-  (Obs.Registry.counter reg ~name [@lint.allow obsname "fixture: the escape hatch"])
+  (Obs.Registry.counter reg ~name [@check.allow obsname "fixture: the escape hatch"])

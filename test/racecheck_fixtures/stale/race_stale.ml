@@ -4,5 +4,5 @@
 let pure xs =
   Exec.Pool.run
     (List.map
-       (fun x () -> (x + 1) [@race.allow escape "fixture: nothing left to waive"])
+       (fun x () -> (x + 1) [@check.allow escape "fixture: nothing left to waive"])
        xs)

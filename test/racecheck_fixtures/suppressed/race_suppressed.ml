@@ -1,5 +1,5 @@
 (* The d1/d2 violations again, each waived with a reasoned
-   [@race.allow]: no surviving findings, two suppressed ones. *)
+   [@check.allow]: no surviving findings, two suppressed ones. *)
 let total = ref 0
 
 let tally xs =
@@ -7,8 +7,8 @@ let tally xs =
     (List.map
        (fun x () ->
          (total := !total + x)
-         [@race.allow escape "fixture: the harness runs this pool at one domain"]
-         [@race.allow
+         [@check.allow escape "fixture: the harness runs this pool at one domain"]
+         [@check.allow
            publish "fixture: same single-domain contract covers the read"];
          x)
        xs)

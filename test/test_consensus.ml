@@ -49,6 +49,25 @@ let ct_tests =
             ~horizon:10_000 ~detector:Scenario.Ring_s ~protocol:Scenario.Ct ()
         in
         Test_util.check_no_violations "ct" r.trace ~n:7);
+    tc "a value locked in round 0 outranks unlocked estimates" (fun () ->
+        (* Rounds are 0-based, so a lock must stamp ts = round + 1: with
+           ts = round, a value locked in round 0 ties with every unlocked
+           initial estimate and a later coordinator can pick the unlocked
+           one, breaking uniform agreement.  These are the runs of the
+           "ct over heartbeat-p" property that found it. *)
+        List.iter
+          (fun (n, seed) ->
+            let rng = Sim.Rng.create ~seed in
+            let crashes = Sim.Fault.random_minority rng ~n ~latest:300 in
+            let net = { Scenario.default_net with seed; gst = 150 } in
+            let r =
+              Scenario.run_consensus ~net ~crashes ~horizon:15_000 ~n
+                ~detector:Scenario.Heartbeat_p ~protocol:Scenario.Ct ()
+            in
+            Test_util.check_no_violations
+              (Printf.sprintf "ct n=%d seed=%d" n seed)
+              r.trace ~n)
+          [ (3, 237); (4, 314); (3, 64879) ]);
     tc "rotating coordinator pays for a late leader (Theorem 3 shape)" (fun () ->
         (* Stable-from-start detector trusting only p4 (index 3): rounds
            coordinated by p1..p3 are all NACKed, so the decision falls in
