@@ -23,7 +23,31 @@
 
     [Span_begin]/[Span_end] bracket protocol phases (consensus rounds,
     leadership epochs, suspicion episodes) under an engine-allocated span
-    id; see {!Engine.begin_span}. *)
+    id; see {!Engine.begin_span}.
+
+    {2 Storage}
+
+    A trace does not keep [event] values.  Each event is packed into four
+    unboxed [int] words (kind and pids, [at], [lc], and msg / span / value)
+    in fixed-size chunks of an [int] Bigarray, which the GC neither scans
+    nor moves; [seq] is the event's index.  Strings are interned per trace:
+    an event's (component, tag, reason) or (component, name) is one label
+    id in the packed word.  The rare payloads — a view's suspected set, a
+    note's detail, a decision's value and round — sit in small side arrays.
+    That is 32 bytes per event, against about 90 for a boxed event.
+
+    {b Representable ranges.}  Every pid ([src], [dst], [pid], a trusted
+    pid) must lie in [0 .. max_pid]; a trace holds at most [max_labels]
+    distinct labels.  [at], [lc], [msg], [span], [value] and [round] are
+    stored whole, negative values included.  {!record} raises
+    [Invalid_argument] on anything outside these ranges — it never wraps.
+
+    {b Which readers build events.}  {!iter}, {!to_seq}, {!events} and
+    {!dump} build a fresh [event] per event read: equal to the one
+    recorded, not physically the same.  {!iter_kinds}, {!crashes},
+    {!decisions}, {!proposals} and {!fd_views} read each event's kind word
+    and build only the events of the kinds they asked for.  {!iter_sends}
+    builds nothing. *)
 
 type body =
   | Send of {
@@ -67,21 +91,35 @@ type body =
 
 type event = { seq : int; lc : int; body : body }
 
+module Kind : sig
+  type t = Send | Deliver | Drop | Crash | Fd_view | Propose | Decide | Note | Span_begin | Span_end
+end
+
 type t
+
+val max_pid : int
+(** The largest pid a trace can hold: [2{^21} - 2]. *)
+
+val max_labels : int
+(** The most distinct labels one trace can hold, the empty label every
+    trace starts with included: [2{^17}]. *)
 
 val create : unit -> t
 
 val record : t -> body -> unit
 (** Stamp ([seq], [lc]) and append.  The Lamport bookkeeping lives here,
-    so hand-built traces (tests) get consistent stamps too. *)
+    so hand-built traces (tests) get consistent stamps too.
+    @raise Invalid_argument if a pid or the label count is out of range
+    (see "Representable ranges" above); the trace is then unchanged. *)
 
 val length : t -> int
 
 (** {1 Reading}
 
-    [iter]/[to_seq] walk the events in order of occurrence without
-    copying; [events] materialises a fresh list and is kept for
-    call sites that genuinely need one. *)
+    [iter]/[to_seq] walk the events in order of occurrence, building
+    each one as it is read; [events] materialises a fresh list and is
+    kept for call sites that genuinely need one.  A reader that wants
+    only a few kinds should use {!iter_kinds} or {!iter_sends}. *)
 
 val iter : t -> (event -> unit) -> unit
 val to_seq : t -> event Seq.t
@@ -89,6 +127,18 @@ val to_seq : t -> event Seq.t
 val events : t -> event list
 (** In order of occurrence.  Allocates a fresh list on every call —
     prefer {!iter} / {!to_seq} on hot paths. *)
+
+val iter_kinds : t -> Kind.t list -> (event -> unit) -> unit
+(** [iter_kinds t kinds f] is [iter t f] restricted to the events whose
+    kind is in [kinds]; the other events are skipped on their kind word
+    and never built. *)
+
+val iter_sends :
+  t ->
+  (at:Sim_time.t -> src:Pid.t -> dst:Pid.t -> msg:int -> component:string -> tag:string -> unit) ->
+  unit
+(** The fields of every [Send], in order, with no allocation: the strings
+    are the trace's interned copies. *)
 
 val time_of : body -> Sim_time.t
 val pid_of : body -> Pid.t option

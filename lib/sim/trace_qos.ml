@@ -1,10 +1,11 @@
 (* The thin trace hook between the simulator and the QoS layer: Obs.Qos
    cannot depend on Sim (the dependency points the other way), so this
    adapter streams a finished trace's crash and view-change events into a
-   Qos fold via Trace.iter — no materialised event list. *)
+   Qos fold via Trace.iter_kinds — no materialised event list, and no
+   other kind of event built. *)
 
 let feed trace fold ~component =
-  Trace.iter trace (fun e ->
+  Trace.iter_kinds trace [ Trace.Kind.Crash; Trace.Kind.Fd_view ] (fun e ->
       match e.Trace.body with
       | Trace.Crash { at; pid } -> Obs.Qos.feed fold (Obs.Qos.Crash { at; pid })
       | Trace.Fd_view { at; pid; component = c; suspected; trusted }
@@ -21,7 +22,7 @@ let report ~component ~n ~horizon trace =
 
 let components trace =
   let seen = Hashtbl.create 8 in
-  Trace.iter trace (fun e ->
+  Trace.iter_kinds trace [ Trace.Kind.Fd_view ] (fun e ->
       match e.Trace.body with
       | Trace.Fd_view { component; _ } ->
         if not (Hashtbl.mem seen component) then Hashtbl.add seen component ()

@@ -1,8 +1,8 @@
 (** Adapter from {!Trace} to the {!Obs.Qos} fold.
 
     Streams one detector component's [Fd_view] events plus every [Crash]
-    event, in trace order, into a QoS fold — via {!Trace.iter}, without
-    materialising the event list. *)
+    event, in trace order, into a QoS fold — via {!Trace.iter_kinds},
+    without materialising the event list or building other events. *)
 
 val feed : Trace.t -> Obs.Qos.t -> component:string -> unit
 (** Stream the trace's crash events and [component]'s view changes into

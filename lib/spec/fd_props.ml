@@ -28,7 +28,8 @@ let make_run ~component ~n trace =
 let build run =
   let views = Hashtbl.create 64 in
   let first_crash = ref Sim.Pid.Map.empty in
-  Sim.Trace.iter run.trace (fun (e : Sim.Trace.event) ->
+  Sim.Trace.iter_kinds run.trace [ Sim.Trace.Kind.Fd_view; Sim.Trace.Kind.Crash ]
+    (fun (e : Sim.Trace.event) ->
       match e.body with
       | Sim.Trace.Fd_view { at; pid; component; suspected; trusted }
         when String.equal component run.component ->

@@ -14,11 +14,9 @@ let base_of_tag tag =
 
 let fold_sends trace ~component f init =
   let acc = ref init in
-  Sim.Trace.iter trace (fun e ->
-      match e.Sim.Trace.body with
-      | Sim.Trace.Send { component = c; tag; _ } when String.equal c component -> (
-        match round_of_tag tag with None -> () | Some r -> acc := f !acc r tag)
-      | _ -> ());
+  Sim.Trace.iter_sends trace (fun ~at:_ ~src:_ ~dst:_ ~msg:_ ~component:c ~tag ->
+      if String.equal c component then
+        match round_of_tag tag with None -> () | Some r -> acc := f !acc r tag);
   !acc
 
 let sends_by_round trace ~component =

@@ -81,18 +81,18 @@ let render_suspicions ?(width = default_width) run ~horizon =
 let render_decisions ?(width = default_width) trace ~n ~horizon =
   let crashes = Sim.Trace.crashes trace in
   let decisions = Sim.Trace.decisions trace in
+  let first_proposal = ref Sim.Pid.Map.empty in
+  Sim.Trace.iter_kinds trace [ Sim.Trace.Kind.Propose ] (fun (e : Sim.Trace.event) ->
+      match e.body with
+      | Sim.Trace.Propose { at; pid; _ } when not (Sim.Pid.Map.mem pid !first_proposal) ->
+        first_proposal := Sim.Pid.Map.add pid at !first_proposal
+      | _ -> ());
+  let first_proposal = !first_proposal in
   let slice = Stdlib.max 1 (horizon / width) in
   let buffer = Buffer.create 1024 in
   List.iter
     (fun p ->
-      let proposed_at =
-        Seq.find_map
-          (fun (e : Sim.Trace.event) ->
-            match e.body with
-            | Sim.Trace.Propose { at; pid; _ } when Sim.Pid.equal pid p -> Some at
-            | _ -> None)
-          (Sim.Trace.to_seq trace)
-      in
+      let proposed_at = Sim.Pid.Map.find_opt p first_proposal in
       let decided_at =
         List.find_map
           (fun (pid, _, _, at) -> if Sim.Pid.equal pid p then Some at else None)

@@ -178,7 +178,9 @@ let rollup_tests =
      ecfd trace -d heartbeat-p -p ec -n 4 --seed 4 --gst 100 --delta 8 \
        --crash 1@150 --crash 3@320 --horizon 500 -f jsonl -o TRACE_e4.jsonl
      ecfd-trace rollup TRACE_e4.jsonl > TRACE_e4.rollup.json
-   after any intentional trace or rollup change, and review the diff. *)
+   after any intentional trace or rollup change, and review the diff.
+   A runtest rule in test/dune re-runs the first command and diffs its
+   output against the committed trace. *)
 
 let read_file path =
   let ic = open_in_bin path in

@@ -927,6 +927,251 @@ let trace_tests =
           (List.length (Sim.Trace.fd_views ~component:"y" t)));
   ]
 
+(* Packed-storage round trips: traces built from every [body]
+   constructor, with pids at the packing limit, extreme ints and strings
+   made fresh per event, must read back equal through every reader. *)
+
+let pick st a = a.(Random.State.int st (Array.length a))
+
+let gen_pid st =
+  pick st [| 0; 1; Random.State.int st 64; Sim.Trace.max_pid; Sim.Trace.max_pid - 1 |]
+
+let gen_int st =
+  pick st
+    [| 0; 1; -1; Random.State.int st 8; min_int; max_int; Random.State.full_int st max_int;
+       -Random.State.full_int st max_int |]
+
+let gen_string st =
+  pick st
+    [| "ec_to_p"; ""; "leader_s"; Printf.sprintf "estimate.r%d" (Random.State.int st 3000);
+       String.make (Random.State.int st 4) 'x' ^ "/"; "q\"uote\n" |]
+
+let gen_body st : Sim.Trace.body =
+  let at = gen_int st in
+  match Random.State.int st 10 with
+  | 0 ->
+    Send
+      { at; src = gen_pid st; dst = gen_pid st; msg = gen_int st; component = gen_string st;
+        tag = gen_string st }
+  | 1 ->
+    Deliver
+      { at; src = gen_pid st; dst = gen_pid st; msg = gen_int st; component = gen_string st;
+        tag = gen_string st }
+  | 2 ->
+    Drop
+      { at; src = gen_pid st; dst = gen_pid st; msg = gen_int st; component = gen_string st;
+        tag = gen_string st; reason = gen_string st }
+  | 3 -> Crash { at; pid = gen_pid st }
+  | 4 ->
+    Fd_view
+      { at; pid = gen_pid st; component = gen_string st;
+        suspected = Sim.Pid.set_of_list (List.init (Random.State.int st 4) (fun _ -> gen_pid st));
+        trusted = (if Random.State.bool st then None else Some (gen_pid st)) }
+  | 5 -> Propose { at; pid = gen_pid st; value = gen_int st }
+  | 6 -> Decide { at; pid = gen_pid st; value = gen_int st; round = gen_int st }
+  | 7 -> Note { at; pid = gen_pid st; tag = gen_string st; detail = gen_string st }
+  | 8 ->
+    Span_begin
+      { at; pid = gen_pid st; component = gen_string st; span = gen_int st; name = gen_string st }
+  | _ ->
+    Span_end
+      { at; pid = gen_pid st; component = gen_string st; span = gen_int st; name = gen_string st }
+
+(* Structural equality, with the suspected set compared by its elements. *)
+let canon (b : Sim.Trace.body) =
+  match b with
+  | Fd_view { at; pid; component; suspected; trusted } ->
+    `View (at, pid, component, Sim.Pid.Set.elements suspected, trusted)
+  | b -> `Other b
+
+let event_t =
+  Alcotest.testable Sim.Trace.pp_event (fun (a : Sim.Trace.event) (b : Sim.Trace.event) ->
+      a.seq = b.seq && a.lc = b.lc && canon a.body = canon b.body)
+
+(* The clock rules of trace.mli, restated over a body list. *)
+let reference_lcs bodies =
+  let clocks = Hashtbl.create 16 and sent = Hashtbl.create 16 in
+  let clock p = Option.value ~default:0 (Hashtbl.find_opt clocks p) in
+  let set p c =
+    Hashtbl.replace clocks p c;
+    c
+  in
+  let take msg =
+    let c = Option.value ~default:0 (Hashtbl.find_opt sent msg) in
+    Hashtbl.remove sent msg;
+    c
+  in
+  List.map
+    (fun (b : Sim.Trace.body) ->
+      match b with
+      | Send { src; msg; _ } ->
+        let c = set src (clock src + 1) in
+        if msg >= 0 then Hashtbl.replace sent msg c;
+        c
+      | Deliver { dst; msg; _ } ->
+        let s = take msg in
+        set dst (Stdlib.max (clock dst) s + 1)
+      | Drop { msg; _ } -> take msg
+      | b ->
+        let p = Option.get (Sim.Trace.pid_of b) in
+        set p (clock p + 1))
+    bodies
+
+let kind_of (b : Sim.Trace.body) : Sim.Trace.Kind.t =
+  match b with
+  | Send _ -> Send
+  | Deliver _ -> Deliver
+  | Drop _ -> Drop
+  | Crash _ -> Crash
+  | Fd_view _ -> Fd_view
+  | Propose _ -> Propose
+  | Decide _ -> Decide
+  | Note _ -> Note
+  | Span_begin _ -> Span_begin
+  | Span_end _ -> Span_end
+
+let all_kinds =
+  Sim.Trace.Kind.
+    [ Send; Deliver; Drop; Crash; Fd_view; Propose; Decide; Note; Span_begin; Span_end ]
+
+let check_round_trip bodies =
+  let t = Sim.Trace.create () in
+  List.iter (Sim.Trace.record t) bodies;
+  let expected =
+    List.mapi (fun seq (lc, body) -> { Sim.Trace.seq; lc; body })
+      (List.combine (reference_lcs bodies) bodies)
+  in
+  let evs = Alcotest.list event_t in
+  Alcotest.(check int) "length" (List.length bodies) (Sim.Trace.length t);
+  Alcotest.check evs "events" expected (Sim.Trace.events t);
+  let iterated = ref [] in
+  Sim.Trace.iter t (fun e -> iterated := e :: !iterated);
+  Alcotest.check evs "iter" expected (List.rev !iterated);
+  Alcotest.check evs "to_seq" expected (List.of_seq (Sim.Trace.to_seq t));
+  let filtered kinds =
+    List.filter (fun (e : Sim.Trace.event) -> List.mem (kind_of e.body) kinds) expected
+  in
+  List.iter
+    (fun kinds ->
+      let got = ref [] in
+      Sim.Trace.iter_kinds t kinds (fun e -> got := e :: !got);
+      Alcotest.check evs "iter_kinds" (filtered kinds) (List.rev !got))
+    ([] :: all_kinds :: Sim.Trace.Kind.[ Crash; Fd_view ] :: List.map (fun k -> [ k ]) all_kinds);
+  let sends = ref [] in
+  Sim.Trace.iter_sends t (fun ~at ~src ~dst ~msg ~component ~tag ->
+      sends := (at, src, dst, msg, component, tag) :: !sends);
+  Alcotest.(check bool) "iter_sends" true
+    (List.rev !sends
+    = List.filter_map
+        (fun (e : Sim.Trace.event) ->
+          match e.body with
+          | Send { at; src; dst; msg; component; tag } -> Some (at, src, dst, msg, component, tag)
+          | _ -> None)
+        expected);
+  let bodies_of kinds = List.map (fun (e : Sim.Trace.event) -> e.body) (filtered kinds) in
+  Alcotest.(check (list (pair int int))) "crashes"
+    (List.filter_map
+       (function Sim.Trace.Crash { at; pid } -> Some (pid, at) | _ -> None)
+       (bodies_of [ Crash ]))
+    (Sim.Trace.crashes t);
+  Alcotest.(check (list (pair int int))) "proposals"
+    (List.filter_map
+       (function Sim.Trace.Propose { pid; value; _ } -> Some (pid, value) | _ -> None)
+       (bodies_of [ Propose ]))
+    (Sim.Trace.proposals t);
+  Alcotest.(check bool) "decisions" true
+    (List.filter_map
+       (function
+         | Sim.Trace.Decide { at; pid; value; round } -> Some (pid, value, round, at) | _ -> None)
+       (bodies_of [ Decide ])
+    = Sim.Trace.decisions t);
+  List.iter
+    (fun component ->
+      let views =
+        List.map
+          (fun (at, pid, s, trusted) -> (at, pid, Sim.Pid.Set.elements s, trusted))
+          (Sim.Trace.fd_views ~component t)
+      in
+      Alcotest.(check bool) ("fd_views " ^ component) true
+        (List.filter_map
+           (function
+             | Sim.Trace.Fd_view { at; pid; component = c; suspected; trusted }
+               when String.equal c component ->
+               Some (at, pid, Sim.Pid.Set.elements suspected, trusted)
+             | _ -> None)
+           (bodies_of [ Fd_view ])
+        = views))
+    [ "ec_to_p"; ""; "leader_s"; "absent" ]
+
+let packed_trace_tests =
+  [
+    Test_util.qcheck ~count:60 ~name:"every reader returns what was recorded"
+      QCheck2.Gen.(pair (int_range 0 100_000) (int_range 0 600))
+      (fun (seed, len) ->
+        let st = Random.State.make [| seed |] in
+        check_round_trip (List.init len (fun _ -> gen_body st));
+        true);
+    tc "round trip across chunk boundaries" (fun () ->
+        let st = Random.State.make [| 16 |] in
+        check_round_trip (List.init 40_000 (fun _ -> gen_body st)));
+    tc "out-of-range fields raise and leave the trace unchanged" (fun () ->
+        let t = Sim.Trace.create () in
+        let over = Sim.Trace.max_pid + 1 in
+        let message src dst : Sim.Trace.body =
+          Send { at = 0; src; dst; msg = 0; component = "c"; tag = "t" }
+        in
+        List.iter
+          (fun body ->
+            match Sim.Trace.record t body with
+            | () -> Alcotest.failf "accepted %a" Sim.Trace.pp_body body
+            | exception Invalid_argument _ -> ())
+          [
+            message (-1) 0; message 0 over; message max_int 0;
+            Deliver { at = 0; src = over; dst = 0; msg = 0; component = "c"; tag = "t" };
+            Drop { at = 0; src = 0; dst = -1; msg = 0; component = "c"; tag = "t"; reason = "r" };
+            Crash { at = 0; pid = over };
+            Fd_view
+              { at = 0; pid = 0; component = "c"; suspected = Sim.Pid.Set.empty;
+                trusted = Some over };
+            Propose { at = 0; pid = -1; value = 0 };
+            Decide { at = 0; pid = over; value = 0; round = 0 };
+            Note { at = 0; pid = over; tag = "t"; detail = "d" };
+            Span_begin { at = 0; pid = -1; component = "c"; span = 0; name = "n" };
+            Span_end { at = 0; pid = over; component = "c"; span = 0; name = "n" };
+          ];
+        Alcotest.(check int) "nothing recorded" 0 (Sim.Trace.length t);
+        Sim.Trace.record t (Crash { at = 0; pid = 0 });
+        Alcotest.(check (list int)) "no clock ticked" [ 1 ]
+          (List.map (fun (e : Sim.Trace.event) -> e.lc) (Sim.Trace.events t)));
+    tc "the label table is bounded and says so" (fun () ->
+        let t = Sim.Trace.create () in
+        let note tag : Sim.Trace.body = Note { at = 0; pid = 0; tag; detail = "" } in
+        (* Label 0, the empty triple, is taken by every trace. *)
+        for i = 1 to Sim.Trace.max_labels - 1 do
+          Sim.Trace.record t (note (string_of_int i))
+        done;
+        (match Sim.Trace.record t (note "one too many") with
+        | () -> Alcotest.fail "label table overflowed silently"
+        | exception Invalid_argument _ -> ());
+        Sim.Trace.record t (note "1");
+        Alcotest.(check int) "known labels still record" Sim.Trace.max_labels (Sim.Trace.length t));
+    tc "recording 10^5 Send/Deliver pairs promotes < 2 words per event" (fun () ->
+        let t = Sim.Trace.create () in
+        let pairs = 100_000 in
+        let before = (Gc.quick_stat ()).Gc.promoted_words in
+        for i = 0 to pairs - 1 do
+          let src = i land 7 in
+          Sim.Trace.record t (Send { at = i; src; dst = 8; msg = i; component = "c"; tag = "alive" });
+          Sim.Trace.record t
+            (Deliver { at = i + 1; src; dst = 8; msg = i; component = "c"; tag = "alive" })
+        done;
+        let promoted = (Gc.quick_stat ()).Gc.promoted_words -. before in
+        let per_event = promoted /. float_of_int (2 * pairs) in
+        Alcotest.(check int) "length" (2 * pairs) (Sim.Trace.length t);
+        if per_event >= 2.0 then
+          Alcotest.failf "%.2f promoted words per event: the trace holds boxed events" per_event);
+  ]
+
 let suites =
   [
     ("sim.pid", pid_tests);
@@ -940,4 +1185,5 @@ let suites =
     ("sim.fault", fault_tests);
     ("sim.signal", signal_tests);
     ("sim.trace", trace_tests);
+    ("sim.trace.packed", packed_trace_tests);
   ]
