@@ -92,7 +92,6 @@ type churn_result = {
   ch_capacity : int;
   ch_max_residency : int;
   ch_residency_end : int;
-  ch_heap_pop_words : float;
   ch_obs_json : string;
 }
 
@@ -111,7 +110,7 @@ let e20_result : e20_row list option ref = ref None
 
 let emit_sim_core_json () =
   let oc = open_out sim_core_json_file in
-  Printf.fprintf oc "{\n  \"bench\": \"sim_core\",\n  \"schema_version\": 4,\n";
+  Printf.fprintf oc "{\n  \"bench\": \"sim_core\",\n  \"schema_version\": 5,\n";
   (match !churn_result with
   | None -> Printf.fprintf oc "  \"churn\": null,\n"
   | Some c ->
@@ -122,7 +121,7 @@ let emit_sim_core_json () =
     "events_executed": %d,
     "elapsed_s": %.6f,
     "events_per_sec": %.1f,
-    "max_live_heap_slots": %d,
+    "queue_high_water": %d,
     "timers": {
       "set": %d,
       "fired": %d,
@@ -135,13 +134,12 @@ let emit_sim_core_json () =
       "max_residency": %d,
       "residency_at_end": %d
     },
-    "heap_pop_minor_words": %.1f,
     "obs": %s
   },
 |}
       c.ch_n c.ch_target c.ch_events c.ch_elapsed c.ch_eps c.ch_queue_hw c.ch_set c.ch_fired
       c.ch_cancelled c.ch_orphaned c.ch_reclaimed c.ch_capacity c.ch_max_residency
-      c.ch_residency_end c.ch_heap_pop_words c.ch_obs_json);
+      c.ch_residency_end c.ch_obs_json);
   (match !e20_result with
   | None -> Printf.fprintf oc "  \"e20\": null\n"
   | Some rows ->
@@ -157,23 +155,6 @@ let emit_sim_core_json () =
     Printf.fprintf oc "\n    ]\n  }\n");
   Printf.fprintf oc "}\n";
   close_out oc
-
-(* Satellite check for the hole-based heap rewrite: the pop path must not
-   allocate.  [Heap.sift_down] used to allocate a [ref] per level (and
-   [Heap.swap] wrote each slot twice); popping a few thousand ints now has
-   to cost zero minor words beyond the two boxed [Gc.minor_words] results
-   themselves, for which the threshold leaves a few words of slack. *)
-let heap_pop_minor_words () =
-  let h = Sim.Heap.create ~cmp:Int.compare in
-  for i = 1 to 4096 do
-    Sim.Heap.push h ((i * 2654435761) land 0xFFFF)
-  done;
-  let w0 = Gc.minor_words () in
-  for _ = 1 to 4096 do
-    ignore (Sim.Heap.pop_exn h : int)
-  done;
-  let w1 = Gc.minor_words () in
-  w1 -. w0
 
 let sim_core () =
   Tables.heading "SIM-CORE" "Engine hot path: timer-churn throughput and lifecycle accounting";
@@ -213,7 +194,6 @@ let sim_core () =
      of the run, which reported residency_at_end > max_residency). *)
   let max_residency = lc.Sim.Stats.timer_residency_high_water in
   assert (residency_end <= max_residency);
-  let heap_pop_words = heap_pop_minor_words () in
   Tables.table
     ~headers:[ "metric"; "value" ]
     ~rows:
@@ -221,7 +201,7 @@ let sim_core () =
         [ "events executed"; string_of_int lc.Sim.Stats.events_executed ];
         [ "elapsed (s)"; Printf.sprintf "%.3f" elapsed ];
         [ "events/sec"; Printf.sprintf "%.0f" events_per_sec ];
-        [ "queue high-water (heap events + pending timers)"; string_of_int lc.Sim.Stats.queue_high_water ];
+        [ "queue high-water (pending events + pending timers)"; string_of_int lc.Sim.Stats.queue_high_water ];
         [ "timers set"; string_of_int lc.Sim.Stats.timers_set ];
         [ "timers fired"; string_of_int lc.Sim.Stats.timers_fired ];
         [ "timers cancelled"; string_of_int lc.Sim.Stats.timers_cancelled ];
@@ -230,7 +210,6 @@ let sim_core () =
         [ "timer-table capacity (slots ever allocated)"; string_of_int table_capacity ];
         [ "timer-table max residency"; string_of_int max_residency ];
         [ "timer-table residency at end"; string_of_int residency_end ];
-        [ "heap pop minor words (4096 pops)"; Printf.sprintf "%.1f" heap_pop_words ];
       ];
   (* Sanity: every set timer is either reclaimed or still resident. *)
   assert (lc.Sim.Stats.timers_set = lc.Sim.Stats.timers_reclaimed + residency_end);
@@ -239,9 +218,6 @@ let sim_core () =
     lc.Sim.Stats.timers_set
     = lc.Sim.Stats.timers_fired + lc.Sim.Stats.timers_cancelled + lc.Sim.Stats.timers_orphaned
       + Sim.Engine.timer_armed engine);
-  (* The hole-based heap pop is allocation-free; the slack covers the two
-     boxed floats [Gc.minor_words] itself returns. *)
-  assert (heap_pop_words <= 64.0);
   churn_result :=
     Some
       {
@@ -259,7 +235,6 @@ let sim_core () =
         ch_capacity = table_capacity;
         ch_max_residency = max_residency;
         ch_residency_end = residency_end;
-        ch_heap_pop_words = heap_pop_words;
         ch_obs_json =
           (* The churn mix is timer-only: it sends no messages and opens no
              spans, so the message-path histograms (engine.delivery_latency,

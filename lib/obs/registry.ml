@@ -84,12 +84,14 @@ let add c k = c.count <- c.count + k
 let set g v = g.level <- v
 let set_max g v = if v > g.level then g.level <- v
 
+(* Few buckets per histogram; a linear scan beats binary search at these
+   sizes and stays branch-predictable.  Top-level, so a delivery's
+   [observe] builds no closure. *)
+let rec bucket bounds v i =
+  if i = Array.length bounds || v <= bounds.(i) then i else bucket bounds v (i + 1)
+
 let observe h v =
-  let n = Array.length h.bounds in
-  (* Few buckets per histogram; a linear scan beats binary search at these
-     sizes and stays branch-predictable. *)
-  let rec slot i = if i = n then n else if v <= h.bounds.(i) then i else slot (i + 1) in
-  let s = slot 0 in
+  let s = bucket h.bounds v 0 in
   h.bucket_counts.(s) <- h.bucket_counts.(s) + 1;
   h.h_count <- h.h_count + 1;
   h.h_sum <- h.h_sum + v;

@@ -18,14 +18,17 @@ type event_kind =
 
    The registry is a structure of arrays (gen / state / owner pid /
    callback / periodic control per slot) and pending slots are ordered by
-   {!Timer_wheel}, not by the event heap: a timer occurrence is just a
-   dense int riding intrusive int arrays, so the steady-state heartbeat
-   path — pop, fire, re-arm — performs no minor-heap allocation at all.
-   Aperiodic events (messages, crashes, harness callbacks) stay in the
-   {!Event_queue} heap; [step] merges the two sources by
-   (time, scheduling sequence), both drawing from the queue's single
-   sequence counter, which reproduces exactly the order of the old single
-   combined queue (HACKING.md, "Engine guarantees"). *)
+   a {!Timer_wheel}: a timer occurrence is just a dense int riding
+   intrusive int arrays, so the steady-state heartbeat path — pop, fire,
+   re-arm — performs no minor-heap allocation at all.
+
+   Aperiodic events (messages, crashes, harness callbacks) ride a second
+   wheel the same way: each one occupies a slot of the event slab (an
+   [event_kind] column plus a LIFO free stack) from schedule to pop.
+   [step] merges the two wheels by (time, scheduling sequence), both
+   drawing from the engine's single sequence counter, which reproduces
+   exactly the order of one combined queue (HACKING.md, "Engine
+   guarantees"). *)
 type timer_state = Free | Armed | Cancelled
 
 (* Re-arm control block for [every], shared by every occurrence of one
@@ -43,15 +46,22 @@ type periodic = {
 let no_ctl = { p_slot = -1; p_gen = -1; p_period = 0; p_stopped = false }
 let no_callback () = ()
 
+(* The content of a free event-slab slot: a popped event is dropped from
+   the slab at once, so its envelope or closure is GC-reclaimable. *)
+let no_event = Harness no_callback
+
+type handler = src:Pid.t -> Payload.t -> unit
+
 type t = {
   n : int;
   mutable now : Sim_time.t;
-  queue : event_kind Event_queue.t;
   timer_wheel : Timer_wheel.t;
+  event_wheel : Timer_wheel.t;
   link : Link.t;
   rng : Rng.t;
   alive : bool array;
-  handlers : (string, (src:Pid.t -> Payload.t -> unit) option array) Hashtbl.t;
+  handlers : (string, handler option array) Hashtbl.t;
+  handler_slots : handler option array Phys_cache.t;  (* [handlers], by component *)
   trace : Trace.t;
   stats : Stats.t;
   obs : Obs.Registry.t;
@@ -63,6 +73,7 @@ type t = {
   m_timer_fired : Obs.Registry.counter;
   m_timer_cancelled : Obs.Registry.counter;
   m_timer_orphaned : Obs.Registry.counter;
+  mutable next_seq : int;  (* scheduling sequence, shared by both wheels *)
   mutable next_msg : int;  (* message ids handed to Send/Deliver/Drop trace events *)
   mutable next_span : int;  (* span ids handed to Span_begin/Span_end *)
   mutable timer_gens : int array;
@@ -82,6 +93,10 @@ type t = {
                                      one past every generation the dropped
                                      slots ever handed out, so pre-compact
                                      handles can never match again *)
+  mutable ev_kinds : event_kind array;  (* the event slab; [no_event] when free *)
+  mutable ev_free : int array;  (* LIFO stack of free slab slots, as long as [ev_kinds] *)
+  mutable ev_free_len : int;
+  mutable ev_next_slot : int;  (* slab slots ever handed out; slab high-water *)
 }
 
 (* Sim-tick buckets shared by the engine's latency-shaped histograms: fine
@@ -89,18 +104,30 @@ type t = {
    chaos and long protocol phases. *)
 let tick_buckets = [ 1; 2; 4; 8; 16; 32; 64; 128; 256; 512; 1024; 4096 ]
 
+(* Every component's handler column, created empty on first use so
+   [register] and [dispatch] share one path through [handler_slots]. *)
+let handler_column handlers n component _ _ =
+  match Hashtbl.find_opt handlers component with
+  | Some slots -> slots
+  | None ->
+    let slots = Array.make n None in
+    Hashtbl.add handlers component slots;
+    slots
+
 let create ?(seed = 0) ~n ~link () =
   if n < 1 then invalid_arg "Engine.create: n must be >= 1";
   let obs = Obs.Registry.create () in
+  let handlers = Hashtbl.create 8 in
   {
     n;
     now = Sim_time.zero;
-    queue = Event_queue.create ();
     timer_wheel = Timer_wheel.create ();
+    event_wheel = Timer_wheel.create ();
     link;
     rng = Rng.create ~seed;
     alive = Array.make n true;
-    handlers = Hashtbl.create 8;
+    handlers;
+    handler_slots = Phys_cache.create ~dummy:[||] (handler_column handlers n);
     trace = Trace.create ();
     stats = Stats.create ();
     obs;
@@ -113,6 +140,7 @@ let create ?(seed = 0) ~n ~link () =
     m_timer_fired = Obs.Registry.counter obs ~name:"engine.timer_fired_total";
     m_timer_cancelled = Obs.Registry.counter obs ~name:"engine.timer_cancelled_total";
     m_timer_orphaned = Obs.Registry.counter obs ~name:"engine.timer_orphaned_total";
+    next_seq = 0;
     next_msg = 0;
     next_span = 0;
     timer_gens = [||];
@@ -126,6 +154,10 @@ let create ?(seed = 0) ~n ~link () =
     timer_live = 0;
     timer_armed = 0;
     timer_gen_floor = 0;
+    ev_kinds = [||];
+    ev_free = [||];
+    ev_free_len = 0;
+    ev_next_slot = 0;
   }
 
 let n t = t.n
@@ -145,19 +177,62 @@ let is_alive t p =
 
 let alive_processes t = List.filter (fun p -> t.alive.(p)) (Pid.all ~n:t.n)
 
-(* Depth of the logical event queue: heap events plus pending timer cells.
-   Timer events used to live in the same heap, so this sum equals the old
-   single-queue length at every instant — the queue high-water mark is
-   unchanged by the wheel split. *)
+let alloc_seq t =
+  let seq = t.next_seq in
+  t.next_seq <- seq + 1;
+  seq
+
+(* Depth of the logical event queue: pending events plus pending timer
+   cells, the length one combined queue would have at every instant. *)
 let note_event_depth t =
-  let depth = Event_queue.length t.queue + t.timer_live in
+  let depth = Timer_wheel.cardinal t.event_wheel + t.timer_live in
   Stats.note_queue_depth t.stats ~depth;
   Obs.Registry.set_max t.m_queue_depth_hw depth
+
+(* The free stack is as long as the slab, so pushing a released slot never
+   grows it. *)
+let[@check.allow bulk
+     "amortized slab growth: the kind column and free stack double together, \
+      so per-event cost is O(1) and a steady-state run never takes this branch"]
+    grow_event_slab t =
+  let capacity = Array.length t.ev_kinds in
+  let capacity' = Stdlib.max 16 (2 * capacity) in
+  let kinds' = Array.make capacity' no_event in
+  let free' = Array.make capacity' 0 in
+  Array.blit t.ev_kinds 0 kinds' 0 capacity;
+  Array.blit t.ev_free 0 free' 0 t.ev_free_len;
+  t.ev_kinds <- kinds';
+  t.ev_free <- free';
+  Timer_wheel.ensure_capacity t.event_wheel capacity'
+
+let[@alloc.zero] take_event_slot t kind =
+  let slot =
+    if t.ev_free_len > 0 then begin
+      t.ev_free_len <- t.ev_free_len - 1;
+      t.ev_free.(t.ev_free_len)
+    end
+    else begin
+      if t.ev_next_slot = Array.length t.ev_kinds then grow_event_slab t;
+      let slot = t.ev_next_slot in
+      t.ev_next_slot <- slot + 1;
+      slot
+    end
+  in
+  t.ev_kinds.(slot) <- kind;
+  slot
+
+let[@alloc.zero] release_event_slot t slot =
+  let kind = t.ev_kinds.(slot) in
+  t.ev_kinds.(slot) <- no_event;
+  t.ev_free.(t.ev_free_len) <- slot;
+  t.ev_free_len <- t.ev_free_len + 1;
+  kind
 
 (* Every enqueue goes through here so the queue high-water mark in [Stats]
    is exact, not sampled. *)
 let schedule_event t ~at kind =
-  Event_queue.schedule t.queue ~at kind;
+  let slot = take_event_slot t kind in
+  Timer_wheel.add t.event_wheel ~cell:slot ~deadline:at ~seq:(alloc_seq t);
   note_event_depth t
 
 let schedule_crash t p ~at =
@@ -167,14 +242,7 @@ let schedule_crash t p ~at =
 
 let register t ~component p handler =
   check_pid t p;
-  let slots =
-    match Hashtbl.find_opt t.handlers component with
-    | Some slots -> slots
-    | None ->
-      let slots = Array.make t.n None in
-      Hashtbl.add t.handlers component slots;
-      slots
-  in
+  let slots = Phys_cache.find t.handler_slots component "" "" in
   match slots.(p) with
   | Some _ ->
     invalid_arg
@@ -209,10 +277,14 @@ let send t ~component ~tag ~src ~dst payload =
   end
 
 let send_to_all_others t ~component ~tag ~src payload =
-  List.iter (fun dst -> send t ~component ~tag ~src ~dst payload) (Pid.others ~n:t.n src)
+  for dst = 0 to t.n - 1 do
+    if not (Pid.equal dst src) then send t ~component ~tag ~src ~dst payload
+  done
 
 let send_to_all t ~component ~tag ~src payload =
-  List.iter (fun dst -> send t ~component ~tag ~src ~dst payload) (Pid.all ~n:t.n)
+  for dst = 0 to t.n - 1 do
+    send t ~component ~tag ~src ~dst payload
+  done
 
 type timer = { slot : int; gen : int }
 
@@ -298,8 +370,7 @@ let[@alloc.zero] arm_timer t p ~delay callback ctl =
   Obs.Registry.set_max t.m_timer_residency_hw t.timer_live;
   Stats.on_timer_set t.stats;
   Obs.Registry.incr t.m_timer_set;
-  let seq = Event_queue.alloc_seq t.queue in
-  Timer_wheel.add t.timer_wheel ~cell:slot ~deadline:(t.now + delay) ~seq;
+  Timer_wheel.add t.timer_wheel ~cell:slot ~deadline:(t.now + delay) ~seq:(alloc_seq t);
   note_event_depth t;
   slot
 
@@ -316,9 +387,8 @@ let cancel_slot t slot gen =
      && t.timer_gens.(slot) = gen
      && t.timer_states.(slot) = Armed
   then begin
-    (* The cell stays parked in the wheel until its deadline pops — which
-       is when the slot is reclaimed, exactly as when timer events rode
-       the heap. *)
+    (* The cell stays parked in the wheel until its deadline pops, which
+       is when the slot is reclaimed. *)
     t.timer_states.(slot) <- Cancelled;
     t.timer_armed <- t.timer_armed - 1;
     Stats.on_timer_cancelled t.stats;
@@ -389,12 +459,7 @@ let dispatch t (envelope : Payload.envelope) =
     end
   end
   else begin
-    let handler =
-      match Hashtbl.find_opt t.handlers component with
-      | None -> None
-      | Some slots -> slots.(dst)
-    in
-    match handler with
+    match (Phys_cache.find t.handler_slots component "" "").(dst) with
     | None ->
       failwith
         (Printf.sprintf "Engine: message for component %S at %s but no handler registered"
@@ -469,14 +534,15 @@ let execute t kind =
     end
   | Harness f -> f ()
 
-(* Merge the timer wheel and the event heap by (time, scheduling
+(* Merge the timer wheel and the event wheel by (time, scheduling
    sequence).  Sequence numbers are globally unique (one counter feeds
-   both sources), so the [<=] is really a [<] — the "wheel wins ties"
-   clause is unreachable, but encodes the documented tie-break.  The
-   timer branch allocates nothing. *)
+   both wheels), so the [<=] is really a [<] — the "timer wheel wins
+   ties" clause is unreachable, but encodes the documented tie-break.
+   Neither branch allocates in the engine; the event branch's dispatch
+   belongs to the receiving component. *)
 let[@alloc.zero] step t =
   let have_timer = not (Timer_wheel.is_empty t.timer_wheel) in
-  let have_event = not (Event_queue.is_empty t.queue) in
+  let have_event = not (Timer_wheel.is_empty t.event_wheel) in
   if not (have_timer || have_event) then false
   else begin
     let timer_first =
@@ -484,10 +550,10 @@ let[@alloc.zero] step t =
       && ((not have_event)
          ||
          let wt = Timer_wheel.next_at t.timer_wheel in
-         let ht = Event_queue.next_at t.queue in
-         if wt < ht then true
-         else if ht < wt then false
-         else Timer_wheel.next_seq t.timer_wheel <= Event_queue.next_seq t.queue)
+         let et = Timer_wheel.next_at t.event_wheel in
+         if wt < et then true
+         else if et < wt then false
+         else Timer_wheel.next_seq t.timer_wheel <= Timer_wheel.next_seq t.event_wheel)
     in
     if timer_first then begin
       let at = Timer_wheel.next_at t.timer_wheel in
@@ -498,26 +564,26 @@ let[@alloc.zero] step t =
       execute_timer t cell
     end
     else begin
-      let at = Event_queue.next_at t.queue in
-      let kind = Event_queue.pop_exn t.queue in
+      let at = Timer_wheel.next_at t.event_wheel in
+      let kind = release_event_slot t (Timer_wheel.pop t.event_wheel) in
       assert (at >= t.now);
       t.now <- at;
       Stats.on_event_executed t.stats;
       (execute t kind
       [@check.allow extern
           "aperiodic dispatch leg: trace records, handler lookup and harness \
-           callbacks may allocate — the zero-alloc contract covers the timer \
-           leg, and e20 measures both"])
+           callbacks may allocate — the zero-alloc contract covers the wheel \
+           and slab plumbing, and e20 measures both"])
     end;
     true
   end
 
-(* Earliest pending instant across both sources; [max_int] when idle.
+(* Earliest pending instant across both wheels; [max_int] when idle.
    Option-free so the run loop does not allocate per event. *)
 let next_instant t =
   let wt = if Timer_wheel.is_empty t.timer_wheel then max_int else Timer_wheel.next_at t.timer_wheel in
-  let ht = if Event_queue.is_empty t.queue then max_int else Event_queue.next_at t.queue in
-  if wt < ht then wt else ht
+  let et = if Timer_wheel.is_empty t.event_wheel then max_int else Timer_wheel.next_at t.event_wheel in
+  if wt < et then wt else et
 
 let rec run_loop t horizon =
   if next_instant t <= horizon then begin
@@ -530,10 +596,38 @@ let run_until t horizon =
   run_loop t horizon;
   t.now <- horizon
 
-let pending_events t = Event_queue.length t.queue + t.timer_live
+let pending_events t = Timer_wheel.cardinal t.event_wheel + t.timer_live
+
+let event_slab_capacity t = Array.length t.ev_kinds
+
+(* Drop the event slab to one past its highest occupied slot.  Pending
+   events never sit in a free slot, so nothing above the cut is in the
+   event wheel either. *)
+let compact_events t =
+  let cap = ref 0 in
+  for s = 0 to t.ev_next_slot - 1 do
+    if t.ev_kinds.(s) != no_event then cap := s + 1
+  done;
+  let cap = !cap in
+  if cap < Array.length t.ev_kinds then begin
+    (* Keep the surviving free slots in LIFO order. *)
+    let kept = ref 0 in
+    for i = 0 to t.ev_free_len - 1 do
+      let s = t.ev_free.(i) in
+      if s < cap then begin
+        t.ev_free.(!kept) <- s;
+        incr kept
+      end
+    done;
+    t.ev_free_len <- !kept;
+    t.ev_kinds <- Array.sub t.ev_kinds 0 cap;
+    t.ev_free <- Array.sub t.ev_free 0 cap;
+    t.ev_next_slot <- cap;
+    Timer_wheel.shrink_capacity t.event_wheel cap
+  end
 
 let compact t =
-  Event_queue.shrink t.queue;
+  compact_events t;
   (* Timer-table live high-water: one past the highest non-[Free] slot.
      Pending cells are never [Free], so everything above is absent from
      the wheel too and all five registry columns can drop together. *)

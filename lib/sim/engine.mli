@@ -11,12 +11,13 @@
     Determinism: the engine owns a seeded {!Rng} used exclusively for link
     fates, and same-instant events fire in scheduling order, so a run is a
     pure function of (seed, configuration, component code).  Internally the
-    engine keeps two event sources — a hierarchical {!Timer_wheel} for
-    timers and an {!Event_queue} heap for aperiodic events — merged by
-    (time, scheduling sequence) from one shared counter, with the wheel
-    winning the (unreachable, sequence numbers being unique) exact tie;
-    the merged order is identical to a single combined queue's
-    (HACKING.md, "Engine guarantees").
+    engine keeps two hierarchical {!Timer_wheel}s — one over the timer
+    registry, one over a slab of aperiodic events (messages, crashes,
+    harness callbacks) — merged by (time, scheduling sequence) from one
+    shared counter, with the timer wheel winning the (unreachable,
+    sequence numbers being unique) exact tie; the merged order is
+    identical to a single combined queue's (HACKING.md, "Engine
+    guarantees").
 
     Conventions:
     - a {b self-send} ([src = dst]) is local: it is delivered at the current
@@ -163,7 +164,7 @@ val record_fd_view :
 
 val step : t -> bool
 (** Process the next event; [false] if the queue is empty.  Merges the
-    timer wheel and the event heap by (time, scheduling sequence); a
+    timer wheel and the event wheel by (time, scheduling sequence); a
     timer step allocates nothing on the minor heap. *)
 
 val run_until : t -> Sim_time.t -> unit
@@ -171,13 +172,20 @@ val run_until : t -> Sim_time.t -> unit
     clock to it.  Raises [Invalid_argument] on a horizon in the past. *)
 
 val pending_events : t -> int
-(** Heap events plus pending timer cells — the logical queue depth (the
-    same figure the pre-wheel single queue reported). *)
+(** Pending events plus pending timer cells — the logical queue depth
+    (the length one combined queue would have). *)
+
+val event_slab_capacity : t -> int
+(** Slots in the event slab.  Its free stack and the event wheel's
+    per-cell columns always have the same length.  Grows by doubling
+    with the peak number of in-flight events; {!compact} lowers it to
+    the live high-water. *)
 
 val compact : t -> unit
 (** Return backing-store slack to the GC after a scheduling burst; never
-    drops events or timers.  Shrinks the event queue {i and} the timer
-    table: registry columns, free stack and wheel drop to the live
-    high-water slot (pre-shrink handles into the dropped region stay
-    permanently stale via a generation floor).  Long-lived engines
-    (soaks, servers) can call this between load phases. *)
+    drops events or timers.  Shrinks the event slab (its free stack and
+    wheel with it) {i and} the timer table: registry columns, free stack
+    and wheel drop to the live high-water slot (pre-shrink handles into
+    the dropped region stay permanently stale via a generation floor).
+    Long-lived engines (soaks, servers) can call this between load
+    phases. *)

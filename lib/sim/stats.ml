@@ -25,9 +25,12 @@ type lifecycle = {
 }
 
 (* Keyed by (component, tag); component-level views aggregate on the fly.
-   Simulations have few distinct keys, so a Hashtbl is ample. *)
+   Simulations have few distinct keys, so a Hashtbl is ample.  The
+   per-message counters reach it through [cells], which answers the
+   repeated constant keys without hashing. *)
 type t = {
   table : (string * string, cell) Hashtbl.t;
+  cells : cell Phys_cache.t;
   mutable events_executed : int;
   mutable timers_set : int;
   mutable timers_fired : int;
@@ -38,9 +41,21 @@ type t = {
   mutable timer_residency_high_water : int;
 }
 
+let find_or_add table component tag _ =
+  let key = (component, tag) in
+  match Hashtbl.find_opt table key with
+  | Some c -> c
+  | None ->
+    let c = { c_sent = 0; c_delivered = 0; c_dropped = 0 } in
+    Hashtbl.add table key c;
+    c
+
 let create () =
+  let table = Hashtbl.create 32 in
   {
-    table = Hashtbl.create 32;
+    table;
+    cells =
+      Phys_cache.create ~dummy:{ c_sent = 0; c_delivered = 0; c_dropped = 0 } (find_or_add table);
     events_executed = 0;
     timers_set = 0;
     timers_fired = 0;
@@ -51,14 +66,7 @@ let create () =
     timer_residency_high_water = 0;
   }
 
-let cell t ~component ~tag =
-  let key = (component, tag) in
-  match Hashtbl.find_opt t.table key with
-  | Some c -> c
-  | None ->
-    let c = { c_sent = 0; c_delivered = 0; c_dropped = 0 } in
-    Hashtbl.add t.table key c;
-    c
+let cell t ~component ~tag = Phys_cache.find t.cells component tag ""
 
 let on_send t ~component ~tag =
   let c = cell t ~component ~tag in

@@ -1,8 +1,8 @@
 (* Hierarchical (hashed) timer wheel over dense integer timer cells.
 
-   The engine's timer registry hands out dense slot indices ("cells"); this
-   module orders the pending cells by (deadline, sequence) without a heap
-   node or closure per occurrence.  Layout:
+   The engine's timer registry and its event slab hand out dense slot
+   indices ("cells"); this module orders the pending cells by
+   (deadline, sequence) without a heap node or closure per occurrence.  Layout:
 
    - [levels] levels of [1 lsl slot_bits] slots each.  Level [k] covers
      deltas (deadline - cur) in [32^k, 32^(k+1)) — level 0 covers [0, 32) —

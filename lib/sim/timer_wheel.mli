@@ -1,12 +1,12 @@
-(** Hierarchical timer wheel: the engine's periodic-timer hot path.
+(** Hierarchical timer wheel: the engine's event order.
 
-    Orders the timer registry's dense integer cells by
-    (deadline, scheduling sequence) with O(1) amortised insert and pop and
-    {b no minor-heap allocation} on the steady-state path — no heap node,
-    no closure, no boxed event per timer occurrence.  The engine keeps
-    {!Event_queue} for aperiodic events (messages, crashes, harness
-    callbacks) and merges the two sources by (time, sequence); both draw
-    sequence numbers from the queue's single counter, so the merged order
+    Orders dense integer cells by (deadline, scheduling sequence) with
+    O(1) amortised insert and pop and {b no minor-heap allocation} on the
+    steady-state path — no heap node, no closure, no boxed entry per
+    occurrence.  The engine runs two instances: one over its timer
+    registry, one over its slab of aperiodic events (messages, crashes,
+    harness callbacks).  It merges them by (time, sequence); both draw
+    sequence numbers from the engine's single counter, so the merged order
     is exactly the order a single combined queue would have produced
     (HACKING.md, "Engine guarantees").
 
@@ -51,12 +51,13 @@ val ensure_capacity : t -> int -> unit
 val shrink_capacity : t -> int -> unit
 (** Drop the per-cell columns down to the argument.  The caller guarantees
     no cell at or above it is pending ({!Engine.compact} shrinks to the
-    registry's live high-water, and pending cells are never [Free]). *)
+    registry's and the event slab's live high-water, and a pending cell
+    is never in a free slot). *)
 
 val add : t -> cell:int -> deadline:Sim_time.t -> seq:int -> unit
 (** Insert [cell] to pop at [deadline], ordered among equal deadlines by
-    [seq] (which must come from the engine-global
-    {!Event_queue.alloc_seq} counter and therefore be fresh and monotone).
+    [seq] (which must be fresh and monotone, as the engine's single
+    scheduling counter is).
     A cell must not be re-added before it pops.  Raises
     [Invalid_argument] if [deadline] is behind an already-popped one. *)
 

@@ -120,79 +120,64 @@ module Label_tbl = Hashtbl.Make (struct
   let hash = Hashtbl.hash
 end)
 
-(* A direct-mapped cache in front of [label_ids]: callers pass the same
-   physical strings over and over (component and tag constants), so a
-   physical-equality hit skips hashing.  Dynamic strings (round-tagged
-   [estimate.r%d] tags) miss it and cost one table lookup. *)
-let cache_size = 16
+module Int_tbl = Hashtbl.Make (Int)
 
 (* [clocks] is the per-process Lamport clock, grown on demand — the trace
    does not know [n], and hand-built test traces should not have to
    declare it.  [send_lc] maps an in-flight message id to its send stamp;
    the entry is consumed by the matching [Deliver] or [Drop], so the
-   table's residency is bounded by in-flight messages, not run length. *)
+   table's residency is bounded by in-flight messages, not run length.
+   [label_cache] sits in front of [label_ids]: callers pass the same
+   physical component and tag constants over and over, so most interning
+   skips hashing. *)
 type t = {
   mutable chunks : chunk array;  (* the first [n_chunks] are in use *)
   mutable n_chunks : int;
   mutable count : int;
   labels : label vec;
   label_ids : int Label_tbl.t;
-  cache_keys : label array;
-  cache_ids : int array;
+  label_cache : int Phys_cache.t;
   sets : Pid.Set.t vec;
   texts : string vec;
   ints : int vec;
   mutable clocks : int array;
-  send_lc : (int, int) Hashtbl.t;
+  send_lc : int Int_tbl.t;
 }
 
 let no_label = { l1 = ""; l2 = ""; l3 = "" }
 
-(* Label 0 is the empty triple, the label of the kinds that carry no
-   string ([body_at] reads it unconditionally) and of every cache slot
-   until it is first filled. *)
-let create () =
-  let t =
-    {
-      chunks = [||];
-      n_chunks = 0;
-      count = 0;
-      labels = vec ();
-      label_ids = Label_tbl.create 16;
-      cache_keys = Array.make cache_size no_label;
-      cache_ids = Array.make cache_size 0;
-      sets = vec ();
-      texts = vec ();
-      ints = vec ();
-      clocks = [||];
-      send_lc = Hashtbl.create 64;
-    }
-  in
-  Label_tbl.add t.label_ids no_label (push t.labels no_label);
-  t
-
-let intern t l1 l2 l3 =
-  let slot =
-    (String.length l1 + (3 * String.length l2) + (7 * String.length l3)) land (cache_size - 1)
-  in
-  let k = t.cache_keys.(slot) in
-  if k.l1 == l1 && k.l2 == l2 && k.l3 == l3 then t.cache_ids.(slot)
-  else begin
-    let key = { l1; l2; l3 } in
-    let id =
-      match Label_tbl.find_opt t.label_ids key with
-      | Some id -> id
-      | None ->
-        if t.labels.len >= max_labels then
-          invalid_arg (Printf.sprintf "Trace.record: more than %d distinct labels" max_labels);
-        let id = push t.labels key in
-        Label_tbl.add t.label_ids key id;
-        id
-    in
-    t.cache_keys.(slot) <- key;
-    t.cache_ids.(slot) <- id;
+let intern_label labels label_ids l1 l2 l3 =
+  let key = { l1; l2; l3 } in
+  match Label_tbl.find_opt label_ids key with
+  | Some id -> id
+  | None ->
+    if labels.len >= max_labels then
+      invalid_arg (Printf.sprintf "Trace.record: more than %d distinct labels" max_labels);
+    let id = push labels key in
+    Label_tbl.add label_ids key id;
     id
-  end
+
+(* Label 0 is the empty triple, the label of the kinds that carry no
+   string ([body_at] reads it unconditionally). *)
+let create () =
+  let labels = vec () in
+  let label_ids = Label_tbl.create 16 in
+  Label_tbl.add label_ids no_label (push labels no_label);
+  {
+    chunks = [||];
+    n_chunks = 0;
+    count = 0;
+    labels;
+    label_ids;
+    label_cache = Phys_cache.create ~dummy:0 (intern_label labels label_ids);
+    sets = vec ();
+    texts = vec ();
+    ints = vec ();
+    clocks = [||];
+    send_lc = Int_tbl.create 64;
+  }
+
+let intern t l1 l2 l3 = Phys_cache.find t.label_cache l1 l2 l3
 
 let check_pid what p =
   if p < 0 || p > max_pid then
@@ -225,13 +210,13 @@ let tick t pid =
 let stamp t = function
   | Send { src; msg; _ } ->
     let c = tick t src in
-    if msg >= 0 then Hashtbl.replace t.send_lc msg c;
+    if msg >= 0 then Int_tbl.replace t.send_lc msg c;
     c
   | Deliver { dst; msg; _ } ->
     let sent =
-      match Hashtbl.find_opt t.send_lc msg with
+      match Int_tbl.find_opt t.send_lc msg with
       | Some c ->
-        Hashtbl.remove t.send_lc msg;
+        Int_tbl.remove t.send_lc msg;
         c
       | None -> 0
     in
@@ -239,9 +224,9 @@ let stamp t = function
     set_clock t dst c;
     c
   | Drop { msg; _ } -> (
-    match Hashtbl.find_opt t.send_lc msg with
+    match Int_tbl.find_opt t.send_lc msg with
     | Some c ->
-      Hashtbl.remove t.send_lc msg;
+      Int_tbl.remove t.send_lc msg;
       c
     | None -> 0)
   | Crash { pid; _ }

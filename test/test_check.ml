@@ -166,13 +166,13 @@ let alloccheck_tests =
     tc "static_roots budget parser round-trips" (fun () ->
         let json =
           {|{ "minor_words_per_event_budget": 0.01,
-              "static_roots": [ "Sim.Engine.step", "Sim.Heap.pop_exn" ],
+              "static_roots": [ "Sim.Engine.step", "Sim.Timer_wheel.pop" ],
               "note": "x" }|}
         in
         (match Check.Roots_check.static_roots_of_string json with
         | Ok roots ->
           Alcotest.(check (list string))
-            "parsed roots" [ "Sim.Engine.step"; "Sim.Heap.pop_exn" ] roots
+            "parsed roots" [ "Sim.Engine.step"; "Sim.Timer_wheel.pop" ] roots
         | Error msg -> Alcotest.failf "parse failed: %s" msg);
         match Check.Roots_check.static_roots_of_string "{}" with
         | Ok _ -> Alcotest.fail "missing key must be an error"

@@ -2,13 +2,13 @@
 
    Roots are the value bindings annotated [@alloc.zero] (the engine hot
    path: Engine.step's merge loop, the periodic re-arm, the timer-wheel
-   cascade, the heap sifts).  From each root the walker descends into
+   cascade, the event-slab take/release).  From each root the walker descends into
    every project-defined callee it can resolve through the index — by
    stamp within a unit, by normalised dotted path across units, exactly
    like A1/A2 — and classifies each expression it passes:
 
      Z1 closure   a [fun]/[function] built inside a body (a let-bound
-                  local function included: hoist it, as heap.ml did), or
+                  local function included: hoist it, as timer_wheel.ml does), or
                   a partial application, both of which box a closure;
      Z2 boxed     a constructor with arguments, tuple, record, variant
                   payload, lazy thunk, [ref] cell or boxed float;
