@@ -137,6 +137,7 @@ let broadcast t ~src ~body =
   if body < 0 then invalid_arg "Total_order.broadcast: body must be non-negative";
   match t.rb with
   | None -> assert false
+  | Some _ when not (Sim.Engine.is_alive t.engine src) -> ()
   | Some rb ->
     let st = t.states.(src) in
     let m = { origin = src; seq = st.next_seq; body } in

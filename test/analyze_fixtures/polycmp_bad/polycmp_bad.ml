@@ -3,12 +3,11 @@
 
 open Sim
 open Consensus
-open Atomic_commit
 
 let bad_sort xs = List.sort compare xs
 let bad_value v = v = Value.null
 let bad_time t = t <> Sim_time.zero
-let bad_vote v = v = Yes
+let bad_map m = m = Pid.Map.empty
 let good_sort xs = List.sort Int.compare xs
-let good_vote = function Yes -> true | No -> false
+let good_map m = Pid.Map.is_empty m
 let good_int a b = a = b + 1

@@ -85,100 +85,6 @@ let rb_tests =
   ]
 
 (* ------------------------------------------------------------------ *)
-(* Uniform reliable broadcast                                         *)
-(* ------------------------------------------------------------------ *)
-
-let setup_urb ?(seed = 0) ?(n = 5) () =
-  let e =
-    Sim.Engine.create ~seed ~n ~link:(Sim.Link.reliable ~min_delay:1 ~max_delay:6 ()) ()
-  in
-  let urb = Broadcast.Uniform_broadcast.create e in
-  let logs = Array.make n [] in
-  List.iter
-    (fun p ->
-      Broadcast.Uniform_broadcast.subscribe urb p (fun ~origin payload ->
-          match payload with
-          | Word w -> logs.(p) <- (origin, w) :: logs.(p)
-          | _ -> ()))
-    (Sim.Pid.all ~n);
-  (e, urb, logs)
-
-let urb_tests =
-  [
-    tc "everyone U-delivers" (fun () ->
-        let e, urb, logs = setup_urb () in
-        Broadcast.Uniform_broadcast.ubroadcast urb ~src:2 ~tag:"w" (Word "m");
-        Sim.Engine.run_until e 100;
-        Array.iter
-          (fun log -> Alcotest.(check (list (pair int string))) "delivered" [ (2, "m") ] log)
-          logs);
-    tc "delivery needs a majority of copies" (fun () ->
-        (* With every link from p2..p5 severed towards p1, p1 still delivers
-           thanks to its own echo + p1->p1 path?  No: it only ever sees its
-           own copy (1 < majority), so it must NOT deliver — uniformity
-           demands the majority. *)
-        let n = 5 in
-        let base = Sim.Link.synchronous ~delay:2 in
-        let link =
-          Sim.Link.route ~describe:"isolate-p1-inbound" (fun ~src ~dst ->
-              if dst = 0 && src <> 0 then Sim.Link.never else base)
-        in
-        let e = Sim.Engine.create ~n ~link () in
-        let urb = Broadcast.Uniform_broadcast.create e in
-        let delivered = ref false in
-        Broadcast.Uniform_broadcast.subscribe urb 0 (fun ~origin:_ _ -> delivered := true);
-        Broadcast.Uniform_broadcast.ubroadcast urb ~src:0 ~tag:"w" (Word "m");
-        Sim.Engine.run_until e 200;
-        Alcotest.(check bool) "p1 held back" false !delivered;
-        (* ... while the others, who exchange echoes freely, deliver. *)
-        Alcotest.(check int) "p2 delivered" 1 (Broadcast.Uniform_broadcast.delivered_count urb 1));
-    tc "uniform agreement: a delivery followed by a crash still spreads" (fun () ->
-        (* The origin U-delivers as soon as a majority of echoes reach it,
-           then crashes immediately; the echoes that enabled its delivery
-           guarantee everyone else's. *)
-        let e, urb, logs = setup_urb ~seed:4 () in
-        Broadcast.Uniform_broadcast.ubroadcast urb ~src:0 ~tag:"w" (Word "last");
-        (* Crash the origin the instant it delivers. *)
-        let crashed = ref false in
-        Broadcast.Uniform_broadcast.subscribe urb 0 (fun ~origin:_ _ ->
-            if not !crashed then begin
-              crashed := true;
-              Sim.Engine.schedule_crash e 0 ~at:(Sim.Engine.now e)
-            end);
-        Sim.Engine.run_until e 300;
-        if !crashed then
-          List.iter
-            (fun p ->
-              Alcotest.(check int)
-                (Printf.sprintf "p%d delivered" (p + 1))
-                1 (List.length logs.(p)))
-            [ 1; 2; 3; 4 ]);
-    Test_util.qcheck ~count:25 ~name:"URB agreement/integrity on random runs"
-      QCheck2.Gen.(tup2 (int_range 3 7) (int_range 0 10_000))
-      (fun (n, seed) ->
-        let e, urb, logs = setup_urb ~seed ~n () in
-        let rng = Sim.Rng.create ~seed in
-        let crashes = Sim.Fault.random_minority rng ~n ~latest:50 in
-        Sim.Fault.apply e crashes;
-        for i = 0 to 3 do
-          Broadcast.Uniform_broadcast.ubroadcast urb ~src:(i mod n) ~tag:"w"
-            (Word (string_of_int i))
-        done;
-        Sim.Engine.run_until e 2000;
-        (* Uniform agreement: anything delivered anywhere (even by a now-
-           crashed process) is delivered by every correct process. *)
-        let all_delivered =
-          Array.to_list logs |> List.concat |> List.sort_uniq compare
-        in
-        let correct = Sim.Pid.Set.elements (Sim.Fault.correct ~n crashes) in
-        List.for_all
-          (fun p ->
-            List.for_all (fun m -> List.mem m logs.(p)) all_delivered
-            && List.length logs.(p) = List.length (List.sort_uniq compare logs.(p)))
-          correct);
-  ]
-
-(* ------------------------------------------------------------------ *)
 (* Stubborn channels and broadcast over lossy links                   *)
 (* ------------------------------------------------------------------ *)
 
@@ -275,6 +181,5 @@ let stubborn_tests =
 let suites =
   [
     ("broadcast.rb", rb_tests);
-    ("broadcast.urb", urb_tests);
     ("broadcast.stubborn", stubborn_tests);
   ]

@@ -95,15 +95,15 @@ let analyze_tests =
     tc "A3: aliased (=) on Pid.t flagged"
       (typed "aliased_eq" ~expected:[ ("A3", "aliased_eq.ml", 4); ("A3", "aliased_eq.ml", 7) ]);
     (* Bare compare at any type, and = / <> on Value.t, Sim_time.t and
-       the atomic-commit vote. *)
+       Pid.Map.t. *)
     tc "A3: bare compare and protected-type (=) flagged"
       (typed "polycmp_bad"
          ~expected:
            [
+             ("A3", "polycmp_bad.ml", 7);
              ("A3", "polycmp_bad.ml", 8);
              ("A3", "polycmp_bad.ml", 9);
              ("A3", "polycmp_bad.ml", 10);
-             ("A3", "polycmp_bad.ml", 11);
            ]);
     (* The print_job violation again, under [@check.allow pure "..."]. *)
     tc "[@check.allow] suppresses with a reason" (typed "suppressed" ~expected:[]);

@@ -88,6 +88,21 @@ let to_tests =
         (* 13 (from a correct process) must be there; 11/12 may or may not,
            but identically everywhere (already checked). *)
         Alcotest.(check bool) "correct broadcast delivered" true (List.mem 13 reference));
+    tc "a broadcast from a crashed process is a no-op" (fun () ->
+        let engine, to_ = make_stack ~crashes:(Sim.Fault.crash 0 ~at:10) () in
+        Sim.Engine.run_until engine 20;
+        let trace_length () = Sim.Trace.length (Sim.Engine.trace engine) in
+        let registry () =
+          Obs.Registry.json_of_snapshot (Obs.Registry.snapshot (Sim.Engine.obs engine))
+        in
+        let delivered () =
+          List.map (fun p -> List.length (Consensus.Total_order.delivered to_ p)) (Sim.Pid.all ~n:5)
+        in
+        let length0, registry0, delivered0 = (trace_length (), registry (), delivered ()) in
+        Consensus.Total_order.broadcast to_ ~src:0 ~body:1;
+        Alcotest.(check int) "trace length unchanged" length0 (trace_length ());
+        Alcotest.(check string) "registry snapshot unchanged" registry0 (registry ());
+        Alcotest.(check (list int)) "deliveries unchanged" delivered0 (delivered ()));
     tc "leader crash mid-stream" (fun () ->
         let engine, to_ = make_stack ~seed:3 ~crashes:(Sim.Fault.crash 0 ~at:150) () in
         List.iteri

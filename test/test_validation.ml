@@ -85,16 +85,6 @@ let validation_tests =
         Broadcast.Stubborn.register st 0 (fun ~src:_ _ -> ());
         Alcotest.(check bool) "raises" true
           (raises_invalid (fun () -> Broadcast.Stubborn.register st 0 (fun ~src:_ _ -> ()))));
-    tc "atomic commit: double vote rejected" (fun () ->
-        let e = engine () in
-        let fd = Scenario.install_detector e Scenario.Ec_from_leader in
-        let rb = Broadcast.Reliable_broadcast.create e in
-        let c = Ecfd.Ec_consensus.install e ~fd ~rb Ecfd.Ec_consensus.default_params in
-        let nbac = Consensus.Atomic_commit.create e ~fd ~consensus:c () in
-        Consensus.Atomic_commit.vote nbac 0 Consensus.Atomic_commit.Yes;
-        Alcotest.(check bool) "raises" true
-          (raises_invalid (fun () ->
-               Consensus.Atomic_commit.vote nbac 0 Consensus.Atomic_commit.No)));
     tc "link models: bad probabilities rejected (assertions)" (fun () ->
         Alcotest.(check bool) "p=1 fair-lossy" true
           (try

@@ -9,8 +9,8 @@
        compare ([Pid.compare], [Int.compare], [String.compare], ...);
      - every occurrence of a structural-comparison function whose type at
        the use site mentions [Pid.t], [Sim_time.t], [Value.t] (or the
-       derived [Pid.Set.t]/[Pid.Map.t]) or the atomic-commit vote type
-       is flagged, wherever the function came from —
+       derived [Pid.Set.t]/[Pid.Map.t]) is flagged, wherever the function
+       came from —
      written directly, reached through a chain of let-aliases, through an
      eta-expansion ([let eq a b = a = b]), or instantiated inside a
      functor argument ([Hashtbl.Make (struct let equal = (=) ... end)]
@@ -38,7 +38,6 @@ let protected =
     ([ "Value"; "t" ], "Value.equal/Value.compare");
     ([ "Pid"; "Set"; "t" ], "Pid.Set.equal/Pid.Set.compare");
     ([ "Pid"; "Map"; "t" ], "Pid.Map.equal/Pid.Map.compare");
-    ([ "Atomic_commit"; "vote" ], "an explicit pattern match on Yes/No");
   ]
 
 let protected_hit ty =
@@ -168,6 +167,6 @@ let rule =
     ~doc:
       "polymorphic compare (typed, alias-aware): Stdlib.compare at any type, and \
        structural =/<>/compare/Hashtbl.hash instantiated at Pid.t, Sim_time.t, \
-       Value.t or the atomic-commit vote — including through let-aliases and \
+       Value.t, Pid.Set.t or Pid.Map.t — including through let-aliases and \
        eta-expansions"
     (Rule.typed run)
