@@ -5,11 +5,18 @@ type t = {
   changes : (Sim.Pid.t * Fd_view.t) Sim.Signal.t;
   (* [spans.(p).(q)]: the "suspicion" span opened when p started
      suspecting q, closed when the suspicion is rescinded — open forever
-     when q really crashed.  Maintained here, by diffing consecutive
-     views in [set], so every detector gets complete suspicion spans
-     (they used to exist only where the implementation opened them by
-     hand, i.e. for the heartbeat <>P). *)
+     when q really crashed.  Invariant: [spans.(p).(q)] is [Some _]
+     exactly when q is in [views.(p).suspected], so [set] reads the row
+     as its membership test for the old view.  Every detector built on
+     a handle gets complete suspicion spans this way, whatever its
+     mechanism. *)
   spans : Sim.Engine.span option array array;
+  sizes : int array;  (* [sizes.(p)]: cardinal of [views.(p).suspected]. *)
+  (* [stamp.(q) = gen] while [set] runs: q is in the view being set.
+     One array per handle serves every p: [set] finishes its diff
+     before it calls out to subscribers. *)
+  stamp : int array;
+  mutable gen : int;
 }
 
 let record t p =
@@ -26,6 +33,9 @@ let make engine ~component =
       views = Array.make n Fd_view.empty;
       changes = Sim.Signal.create ();
       spans = Array.init n (fun _ -> Array.make n None);
+      sizes = Array.make n 0;
+      stamp = Array.make n 0;
+      gen = 0;
     }
   in
   List.iter (fun p -> record t p) (Sim.Pid.all ~n);
@@ -39,29 +49,57 @@ let trusted t p = (query t p).Fd_view.trusted
 
 let subscribe t f = Sim.Signal.subscribe t.changes (fun (p, v) -> f p v)
 
-let set t p v =
-  if not (Fd_view.equal t.views.(p) v) then begin
-    let old = t.views.(p) in
-    (* Span bookkeeping before the view record, so a suspicion episode
-       reads Span_begin -> Fd_view in the trace (and Span_end ->
-       Fd_view on rescind), matching the order the heartbeat detector
-       used to emit by hand. *)
+(* The suspected-set half of [set], for two sets that are not
+   physically equal.  One walk over the new set stamps each member and
+   opens a span for each one whose row entry is empty: these are the
+   fresh suspicions, in ascending order.  Span bookkeeping comes before
+   the view record, so a suspicion episode reads Span_begin -> Fd_view in
+   the trace (and Span_end -> Fd_view on rescind).  Only when fewer old
+   members were kept than the old view held does a second walk, over the
+   old set, close the spans of the unstamped ones.  Returns whether the
+   set changed. *)
+let diff_suspected t p ~old_set ~new_set =
+  let row = t.spans.(p) in
+  t.gen <- t.gen + 1;
+  let gen = t.gen in
+  let size = ref 0 and fresh = ref 0 in
+  Sim.Pid.Set.iter
+    (fun q ->
+      t.stamp.(q) <- gen;
+      incr size;
+      match row.(q) with
+      | Some _ -> ()
+      | None ->
+        incr fresh;
+        row.(q) <- Some (Sim.Engine.begin_span t.engine p ~component:t.component ~name:"suspicion"))
+    new_set;
+  let rescinded = !size - !fresh < t.sizes.(p) in
+  if rescinded then
     Sim.Pid.Set.iter
       (fun q ->
-        if not (Sim.Pid.Set.mem q old.Fd_view.suspected) then
-          t.spans.(p).(q) <-
-            Some (Sim.Engine.begin_span t.engine p ~component:t.component ~name:"suspicion"))
-      v.Fd_view.suspected;
-    Sim.Pid.Set.iter
-      (fun q ->
-        if not (Sim.Pid.Set.mem q v.Fd_view.suspected) then begin
-          match t.spans.(p).(q) with
+        if t.stamp.(q) <> gen then
+          match row.(q) with
           | Some s ->
             Sim.Engine.end_span t.engine s;
-            t.spans.(p).(q) <- None
-          | None -> ()
-        end)
-      old.Fd_view.suspected;
+            row.(q) <- None
+          | None -> ())
+      old_set;
+  t.sizes.(p) <- !size;
+  !fresh > 0 || rescinded
+
+let set t p v =
+  let old = t.views.(p) in
+  (* Physically equal sets (two empties among them) need no walk, so
+     republishing an unchanged view costs O(1) and allocates nothing. *)
+  let suspected_changed =
+    ((old.Fd_view.suspected != v.Fd_view.suspected)
+    [@check.allow polycmp_t
+      "physical identity, not set equality: a hit proves the sets equal, \
+       a miss falls through to the span-row diff"])
+    && diff_suspected t p ~old_set:old.Fd_view.suspected ~new_set:v.Fd_view.suspected
+  in
+  if suspected_changed || not (Option.equal Sim.Pid.equal old.Fd_view.trusted v.Fd_view.trusted)
+  then begin
     t.views.(p) <- v;
     record t p;
     Sim.Signal.emit t.changes (p, v)

@@ -38,7 +38,21 @@ val set : t -> Sim.Pid.t -> Fd_view.t -> unit
     the [Fd_view] record) and every rescinded suspicion closes it (a
     span left open means the suspicion stood at the end of the run) — so
     suspicion episodes are complete for every detector built on this
-    handle, whatever its internal mechanism. *)
+    handle, whatever its internal mechanism.  In the trace, one change
+    reads: the [Span_begin]s in ascending suspect order, then the
+    [Span_end]s in ascending order, then the [Fd_view]; subscribers run
+    after that.
+
+    Invariant: p's suspicion span on q is open exactly when q is in p's
+    current suspected set.  [set] uses the open spans as its membership
+    test for the old view, so it never searches the old set.
+
+    Cost: when the new suspected set is physically the old one (two
+    empty sets always are), [set] compares [trusted] and nothing else:
+    O(1), no allocation.  Otherwise it walks the new set once, O(|new
+    view|), and only when a suspicion was rescinded walks the old set
+    too, O(|old view|).  An unchanged view costs its walk and records
+    nothing. *)
 
 val update : t -> Sim.Pid.t -> (Fd_view.t -> Fd_view.t) -> unit
 (** [set] composed with a function of the current view. *)

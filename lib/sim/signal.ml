@@ -1,9 +1,17 @@
-type 'a t = { mutable rev_subscribers : ('a -> unit) list }
+(* Kept in subscription order: [subscribe] is rare and pays the append,
+   so [emit] walks the list as it is. *)
+type 'a t = { mutable subscribers : ('a -> unit) list }
 
-let create () = { rev_subscribers = [] }
+let create () = { subscribers = [] }
 
-let subscribe t f = t.rev_subscribers <- f :: t.rev_subscribers
+let subscribe t f = t.subscribers <- t.subscribers @ [ f ]
 
-let emit t x = List.iter (fun f -> f x) (List.rev t.rev_subscribers)
+let rec call x = function
+  | [] -> ()
+  | f :: rest ->
+    f x;
+    call x rest
 
-let subscriber_count t = List.length t.rev_subscribers
+let emit t x = call x t.subscribers
+
+let subscriber_count t = List.length t.subscribers

@@ -12,45 +12,65 @@ let pp_violation ppf = function
   | Invalid_value { p; v } ->
     Format.fprintf ppf "%a decided %d, which was never proposed" Sim.Pid.pp p v
 
-let termination trace ~n =
-  let crashed = Sim.Pid.set_of_list (List.map fst (Sim.Trace.crashes trace)) in
-  let deciders =
-    Sim.Pid.set_of_list (List.map (fun (p, _, _, _) -> p) (Sim.Trace.decisions trace))
-  in
+(* The events the four properties read, gathered in one pass over the
+   trace; each list is in trace order. *)
+type events = {
+  crashes : Sim.Pid.t list;
+  decisions : (Sim.Pid.t * int) list;
+  proposed : int list;
+}
+
+let gather trace =
+  let crashes = ref [] and decisions = ref [] and proposed = ref [] in
+  Sim.Trace.iter_kinds trace [ Crash; Decide; Propose ] (fun e ->
+      match e.Sim.Trace.body with
+      | Crash { pid; _ } -> crashes := pid :: !crashes
+      | Decide { pid; value; _ } -> decisions := (pid, value) :: !decisions
+      | Propose { value; _ } -> proposed := value :: !proposed
+      | _ -> ());
+  { crashes = List.rev !crashes; decisions = List.rev !decisions; proposed = List.rev !proposed }
+
+let termination_of ev ~n =
+  let crashed = Sim.Pid.set_of_list ev.crashes in
+  let deciders = Sim.Pid.set_of_list (List.map fst ev.decisions) in
   List.filter_map
     (fun p ->
       if Sim.Pid.Set.mem p crashed || Sim.Pid.Set.mem p deciders then None
       else Some (No_decision p))
     (Sim.Pid.all ~n)
 
-let uniform_integrity trace =
+let uniform_integrity_of ev =
   let counts = Hashtbl.create 8 in
   List.iter
-    (fun (p, _, _, _) ->
+    (fun (p, _) ->
       Hashtbl.replace counts p (1 + Option.value ~default:0 (Hashtbl.find_opt counts p)))
-    (Sim.Trace.decisions trace);
+    ev.decisions;
   Hashtbl.fold (fun p c acc -> if c > 1 then p :: acc else acc) counts []
   |> List.sort Sim.Pid.compare
   |> List.map (fun p -> Multiple_decisions p)
 
-let uniform_agreement trace =
-  match Sim.Trace.decisions trace with
+let uniform_agreement_of ev =
+  match ev.decisions with
   | [] -> []
-  | (p, v, _, _) :: rest ->
-    List.filter_map
-      (fun (q, w, _, _) -> if w <> v then Some (Disagreement { p; v; q; w }) else None)
-      rest
+  | (p, v) :: rest ->
+    List.filter_map (fun (q, w) -> if w <> v then Some (Disagreement { p; v; q; w }) else None) rest
 
-let validity trace =
-  let proposed = List.map snd (Sim.Trace.proposals trace) in
+let validity_of ev =
   List.filter_map
-    (fun (p, v, _, _) -> if List.mem v proposed then None else Some (Invalid_value { p; v }))
-    (Sim.Trace.decisions trace)
+    (fun (p, v) -> if List.mem v ev.proposed then None else Some (Invalid_value { p; v }))
+    ev.decisions
 
-let check_safety trace =
-  uniform_integrity trace @ uniform_agreement trace @ validity trace
+let safety_of ev = uniform_integrity_of ev @ uniform_agreement_of ev @ validity_of ev
 
-let check_all trace ~n = termination trace ~n @ check_safety trace
+let termination trace ~n = termination_of (gather trace) ~n
+let uniform_integrity trace = uniform_integrity_of (gather trace)
+let uniform_agreement trace = uniform_agreement_of (gather trace)
+let validity trace = validity_of (gather trace)
+let check_safety trace = safety_of (gather trace)
+
+let check_all trace ~n =
+  let ev = gather trace in
+  termination_of ev ~n @ safety_of ev
 
 let decision_round trace =
   List.fold_left

@@ -23,7 +23,9 @@ val uniform_agreement : Sim.Trace.t -> violation list
 val validity : Sim.Trace.t -> violation list
 
 val check_all : Sim.Trace.t -> n:int -> violation list
-(** Empty = the run satisfies Uniform Consensus. *)
+(** Empty = the run satisfies Uniform Consensus.  Reads the trace in one
+    pass, like every checker here.  The violations come in the order
+    termination, integrity, agreement, validity. *)
 
 val check_safety : Sim.Trace.t -> violation list
 (** Integrity + agreement + validity only — what must hold on {i every}

@@ -45,6 +45,300 @@ let handle_tests =
           (Sim.Pid.Set.mem 1 (Fd.Fd_handle.suspected h 0)));
   ]
 
+(* The plain view diff: [Set.equal] to detect a change, then [Set.mem]
+   both ways.  The reference [Fd_handle.set] must match event for event,
+   though the handle tests membership through its open spans. *)
+module Set_diff_handle = struct
+  type t = {
+    engine : Sim.Engine.t;
+    views : Fd.Fd_view.t array;
+    spans : Sim.Engine.span option array array;
+    mutable calls : (Sim.Pid.t * Fd.Fd_view.t) list;  (* newest first *)
+  }
+
+  let component = "x"
+
+  let record t p =
+    let v = t.views.(p) in
+    Sim.Engine.record_fd_view t.engine ~component p ~suspected:v.Fd.Fd_view.suspected
+      ~trusted:v.Fd.Fd_view.trusted
+
+  let make engine =
+    let n = Sim.Engine.n engine in
+    let t =
+      {
+        engine;
+        views = Array.make n Fd.Fd_view.empty;
+        spans = Array.init n (fun _ -> Array.make n None);
+        calls = [];
+      }
+    in
+    List.iter (fun p -> record t p) (Sim.Pid.all ~n);
+    t
+
+  let set t p v =
+    if not (Fd.Fd_view.equal t.views.(p) v) then begin
+      let old = t.views.(p) in
+      Sim.Pid.Set.iter
+        (fun q ->
+          if not (Sim.Pid.Set.mem q old.Fd.Fd_view.suspected) then
+            t.spans.(p).(q) <- Some (Sim.Engine.begin_span t.engine p ~component ~name:"suspicion"))
+        v.Fd.Fd_view.suspected;
+      Sim.Pid.Set.iter
+        (fun q ->
+          if not (Sim.Pid.Set.mem q v.Fd.Fd_view.suspected) then begin
+            match t.spans.(p).(q) with
+            | Some s ->
+              Sim.Engine.end_span t.engine s;
+              t.spans.(p).(q) <- None
+            | None -> ()
+          end)
+        old.Fd.Fd_view.suspected;
+      t.views.(p) <- v;
+      record t p;
+      t.calls <- (p, v) :: t.calls
+    end
+end
+
+(* One step of a generated view sequence; pids are taken modulo n. *)
+type view_op =
+  | Subset of int * int * int option  (** p, membership bit mask, trusted *)
+  | Rebuild of int  (** p's current view, its set rebuilt element by element *)
+  | Retrust of int * int option  (** p's current set (physically), new trusted *)
+  | Empty of int
+  | Full of int  (** everybody, p itself included *)
+  | Move of int * int  (** rescind one suspicion of p and add one, chosen by the seed *)
+
+let view_op_gen =
+  let open QCheck2.Gen in
+  let pid = int_range 0 11 in
+  let trusted = opt pid in
+  frequency
+    [
+      (4, map3 (fun p m tr -> Subset (p, m, tr)) pid (int_bound 4095) trusted);
+      (2, map (fun p -> Rebuild p) pid);
+      (2, map2 (fun p tr -> Retrust (p, tr)) pid trusted);
+      (1, map (fun p -> Empty p) pid);
+      (1, map (fun p -> Full p) pid);
+      (3, map2 (fun p r -> Move (p, r)) pid (int_bound 1_000));
+    ]
+
+let pp_view_op = function
+  | Subset (p, m, tr) ->
+    Printf.sprintf "Subset(%d,%#x,%s)" p m (match tr with None -> "-" | Some q -> string_of_int q)
+  | Rebuild p -> Printf.sprintf "Rebuild %d" p
+  | Retrust (p, tr) ->
+    Printf.sprintf "Retrust(%d,%s)" p (match tr with None -> "-" | Some q -> string_of_int q)
+  | Empty p -> Printf.sprintf "Empty %d" p
+  | Full p -> Printf.sprintf "Full %d" p
+  | Move (p, r) -> Printf.sprintf "Move(%d,%d)" p r
+
+(* The view [op] publishes, given the current view of its process. *)
+let view_of_op ~n ~current op =
+  let all = Sim.Pid.all ~n in
+  let pid q = q mod n in
+  let trusted = Option.map pid in
+  match op with
+  | Subset (p, mask, tr) ->
+    let suspected = Sim.Pid.set_of_list (List.filter (fun q -> mask land (1 lsl q) <> 0) all) in
+    (pid p, Fd.Fd_view.make ?trusted:(trusted tr) ~suspected ())
+  | Rebuild p ->
+    let v = current (pid p) in
+    let suspected = Sim.Pid.Set.fold Sim.Pid.Set.add v.Fd.Fd_view.suspected Sim.Pid.Set.empty in
+    (pid p, { v with Fd.Fd_view.suspected })
+  | Retrust (p, tr) ->
+    let v = current (pid p) in
+    (pid p, { v with Fd.Fd_view.trusted = trusted tr })
+  | Empty p -> (pid p, Fd.Fd_view.empty)
+  | Full p -> (pid p, Fd.Fd_view.make ~suspected:(Sim.Pid.set_of_list all) ())
+  | Move (p, r) ->
+    let v = current (pid p) in
+    let s = v.Fd.Fd_view.suspected in
+    let members = Sim.Pid.Set.elements s in
+    let others = List.filter (fun q -> not (Sim.Pid.Set.mem q s)) all in
+    let pick l = match l with [] -> None | _ -> Some (List.nth l (r mod List.length l)) in
+    let s = match pick members with Some q -> Sim.Pid.Set.remove q s | None -> s in
+    let s = match pick others with Some q -> Sim.Pid.Set.add q s | None -> s in
+    (pid p, { v with Fd.Fd_view.suspected = s })
+
+let event_equal (a : Sim.Trace.event) (b : Sim.Trace.event) =
+  a.seq = b.seq && a.lc = b.lc
+  &&
+  match (a.body, b.body) with
+  | Fd_view x, Fd_view y ->
+    x.at = y.at && x.pid = y.pid && String.equal x.component y.component
+    && Sim.Pid.Set.equal x.suspected y.suspected
+    && Option.equal Int.equal x.trusted y.trusted
+  | x, y -> x = y
+
+(* Replays [ops] on the real handle and on the reference, one engine
+   each; [Error] names the first divergence. *)
+let replay_views ~n ops =
+  let engine () = Sim.Engine.create ~n ~link:(Sim.Link.synchronous ~delay:1) () in
+  let e = engine () and e_ref = engine () in
+  let h = Fd.Fd_handle.make e ~component:Set_diff_handle.component in
+  let r = Set_diff_handle.make e_ref in
+  let calls = ref [] in
+  Fd.Fd_handle.subscribe h (fun p v -> calls := (p, v) :: !calls);
+  (* [open_.(p).(q)]: the id of the suspicion span p holds on q, read off
+     the trace: a call opens spans for its fresh suspicions in ascending
+     q, then closes the rescinded ones in ascending q. *)
+  let open_ = Array.make_matrix n n None in
+  let seen = ref (Sim.Trace.length (Sim.Engine.trace e)) in
+  let check_spans step p (old : Fd.Fd_view.t) (now : Fd.Fd_view.t) =
+    let fresh = Sim.Pid.Set.diff now.suspected old.suspected |> Sim.Pid.Set.elements in
+    let gone = Sim.Pid.Set.diff old.suspected now.suspected |> Sim.Pid.Set.elements in
+    let events = Sim.Trace.events (Sim.Engine.trace e) in
+    let added = List.filteri (fun i _ -> i >= !seen) events in
+    seen := Sim.Trace.length (Sim.Engine.trace e);
+    let opened, closed =
+      List.fold_left
+        (fun (o, c) (ev : Sim.Trace.event) ->
+          match ev.body with
+          | Span_begin { pid; span; name = "suspicion"; _ } when pid = p -> (span :: o, c)
+          | Span_end { pid; span; name = "suspicion"; _ } when pid = p -> (o, span :: c)
+          | _ -> (o, c))
+        ([], []) added
+    in
+    let opened = List.rev opened and closed = List.rev closed in
+    if List.length opened <> List.length fresh then
+      Error (Printf.sprintf "step %d: wrong span opens" step)
+    else begin
+      List.iter2 (fun q s -> open_.(p).(q) <- Some s) fresh opened;
+      let expect_closed = List.filter_map (fun q -> open_.(p).(q)) gone in
+      List.iter (fun q -> open_.(p).(q) <- None) gone;
+      if closed <> expect_closed then Error (Printf.sprintf "step %d: wrong span closes" step)
+      else
+        let bad =
+          List.concat_map
+            (fun p ->
+              let s = Fd.Fd_handle.suspected h p in
+              List.filter
+                (fun q -> Option.is_some open_.(p).(q) <> Sim.Pid.Set.mem q s)
+                (Sim.Pid.all ~n))
+            (Sim.Pid.all ~n)
+        in
+        if bad = [] then Ok ()
+        else Error (Printf.sprintf "step %d: a span is open exactly when p suspects q fails" step)
+    end
+  in
+  let rec go step = function
+    | [] ->
+      let evs = Sim.Trace.events (Sim.Engine.trace e) in
+      let evs_ref = Sim.Trace.events (Sim.Engine.trace e_ref) in
+      if not (List.equal event_equal evs evs_ref) then Error "trace events differ"
+      else if
+        not
+          (List.equal
+             (fun (p, v) (q, w) -> p = q && Fd.Fd_view.equal v w)
+             !calls r.Set_diff_handle.calls)
+      then Error "subscriber calls differ"
+      else Ok ()
+    | op :: rest -> (
+      let p, v = view_of_op ~n ~current:(Fd.Fd_handle.query h) op in
+      let old = Fd.Fd_handle.query h p in
+      Fd.Fd_handle.set h p v;
+      Set_diff_handle.set r p v;
+      match check_spans step p old (Fd.Fd_handle.query h p) with
+      | Error _ as err -> err
+      | Ok () ->
+        Sim.Engine.run_until e (Sim.Engine.now e + 1);
+        Sim.Engine.run_until e_ref (Sim.Engine.now e_ref + 1);
+        go (step + 1) rest)
+  in
+  go 0 ops
+
+let handle_diff_tests =
+  [
+    QCheck_alcotest.to_alcotest
+      (QCheck2.Test.make ~count:300
+         ~name:"set matches the Set.mem/Set.equal diff, and spans track views"
+         ~print:(fun (n, ops) ->
+           Printf.sprintf "n=%d [%s]" n (String.concat "; " (List.map pp_view_op ops)))
+         QCheck2.Gen.(pair (int_range 1 12) (list_size (int_range 0 40) view_op_gen))
+         (fun (n, ops) ->
+           match replay_views ~n ops with
+           | Ok () -> true
+           | Error msg -> QCheck2.Test.fail_report msg));
+    tc "hand-picked view sequences match the reference" (fun () ->
+        let cases =
+          [
+            (3, [ Full 0; Rebuild 0; Retrust (0, Some 0); Empty 0; Empty 0; Full 0; Move (0, 1) ]);
+            (1, [ Full 0; Retrust (0, Some 0); Rebuild 0; Empty 0 ]);
+            (12, [ Full 5; Move (5, 3); Move (5, 3); Subset (5, 0b101, None); Empty 5; Full 5 ]);
+          ]
+        in
+        List.iter
+          (fun (n, ops) ->
+            match replay_views ~n ops with
+            | Ok () -> ()
+            | Error msg -> Alcotest.failf "n=%d: %s" n msg)
+          cases);
+  ]
+
+(* Minor words [f] allocates, less what measuring costs. *)
+let minor_words f =
+  let words g =
+    let before = Gc.minor_words () in
+    g ();
+    Gc.minor_words () -. before
+  in
+  let overhead = words (fun () -> ()) in
+  words f -. overhead
+
+let handle_alloc_tests =
+  let n = 1000 and p = 0 and rounds = 1000 in
+  let setup () =
+    let e = Sim.Engine.create ~n ~link:(Sim.Link.synchronous ~delay:1) () in
+    let h = Fd.Fd_handle.make e ~component:"x" in
+    Fd.Fd_handle.subscribe h (fun _ _ -> ());
+    (e, h)
+  in
+  let everybody_but q = Sim.Pid.Set.remove q (Sim.Pid.set_of_list (Sim.Pid.all ~n)) in
+  [
+    tc "n = 1000: moving one suspicion allocates < 200 minor words per set" (fun () ->
+        let _, h = setup () in
+        (* The two sets differ only at their top end, so a diff that
+           compares them element by element walks them in full. *)
+        let a = Fd.Fd_view.make ~trusted:(n - 1) ~suspected:(everybody_but (n - 1)) () in
+        let b = Fd.Fd_view.make ~trusted:(n - 2) ~suspected:(everybody_but (n - 2)) () in
+        Fd.Fd_handle.set h p a;
+        let words =
+          minor_words (fun () ->
+              for i = 1 to rounds do
+                Fd.Fd_handle.set h p (if i land 1 = 1 then b else a)
+              done)
+        in
+        let per_set = words /. float_of_int rounds in
+        if per_set >= 200. then Alcotest.failf "%.1f minor words per view change" per_set);
+    tc "n = 1000: an equal view built afresh records nothing and allocates < 64 words" (fun () ->
+        let e, h = setup () in
+        let a = Fd.Fd_view.make ~trusted:1 ~suspected:(everybody_but 1) () in
+        Fd.Fd_handle.set h p a;
+        let copies =
+          Array.init 16 (fun _ -> Fd.Fd_view.make ~trusted:1 ~suspected:(everybody_but 1) ())
+        in
+        let len = Sim.Trace.length (Sim.Engine.trace e) in
+        let words =
+          minor_words (fun () -> Array.iter (fun v -> Fd.Fd_handle.set h p v) copies)
+        in
+        Alcotest.(check int) "no event" len (Sim.Trace.length (Sim.Engine.trace e));
+        let per_set = words /. float_of_int (Array.length copies) in
+        if per_set >= 64. then Alcotest.failf "%.1f minor words per unchanged publish" per_set);
+    tc "n = 1000: empty -> empty allocates nothing" (fun () ->
+        let e, h = setup () in
+        let v = Fd.Fd_view.make ~suspected:Sim.Pid.Set.empty () in
+        let len = Sim.Trace.length (Sim.Engine.trace e) in
+        let words =
+          minor_words (fun () ->
+              for _ = 1 to rounds do
+                Fd.Fd_handle.set h p v
+              done)
+        in
+        Alcotest.(check int) "no event" len (Sim.Trace.length (Sim.Engine.trace e));
+        Alcotest.(check (float 0.)) "minor words" 0. words);
+  ]
+
 (* ------------------------------------------------------------------ *)
 (* Classes                                                            *)
 (* ------------------------------------------------------------------ *)
@@ -516,6 +810,8 @@ let suites =
   [
     ("fd.view", view_tests);
     ("fd.handle", handle_tests);
+    ("fd.handle.diff", handle_diff_tests);
+    ("fd.handle.alloc", handle_alloc_tests);
     ("fd.classes", classes_tests);
     ("fd.heartbeat_p", heartbeat_tests);
     ("fd.ring_s", ring_tests);

@@ -469,6 +469,161 @@ let consensus_props_tests =
         Alcotest.(check (option int)) "last" (Some 9) (Spec.Consensus_props.last_decision_time t));
   ]
 
+(* Consensus_props composed property by property: each one walks
+   [Trace.crashes], [Trace.decisions] and [Trace.proposals] itself.  The
+   reference the one-pass checkers must match, violation for violation
+   and in order. *)
+module Consensus_ref = struct
+  open Spec.Consensus_props
+
+  let termination trace ~n =
+    let crashed = Sim.Pid.set_of_list (List.map fst (Sim.Trace.crashes trace)) in
+    let deciders =
+      Sim.Pid.set_of_list (List.map (fun (p, _, _, _) -> p) (Sim.Trace.decisions trace))
+    in
+    List.filter_map
+      (fun p ->
+        if Sim.Pid.Set.mem p crashed || Sim.Pid.Set.mem p deciders then None
+        else Some (No_decision p))
+      (Sim.Pid.all ~n)
+
+  let uniform_integrity trace =
+    let counts = Hashtbl.create 8 in
+    List.iter
+      (fun (p, _, _, _) ->
+        Hashtbl.replace counts p (1 + Option.value ~default:0 (Hashtbl.find_opt counts p)))
+      (Sim.Trace.decisions trace);
+    Hashtbl.fold (fun p c acc -> if c > 1 then p :: acc else acc) counts []
+    |> List.sort Sim.Pid.compare
+    |> List.map (fun p -> Multiple_decisions p)
+
+  let uniform_agreement trace =
+    match Sim.Trace.decisions trace with
+    | [] -> []
+    | (p, v, _, _) :: rest ->
+      List.filter_map
+        (fun (q, w, _, _) -> if w <> v then Some (Disagreement { p; v; q; w }) else None)
+        rest
+
+  let validity trace =
+    let proposed = List.map snd (Sim.Trace.proposals trace) in
+    List.filter_map
+      (fun (p, v, _, _) -> if List.mem v proposed then None else Some (Invalid_value { p; v }))
+      (Sim.Trace.decisions trace)
+
+  let check_safety trace = uniform_integrity trace @ uniform_agreement trace @ validity trace
+  let check_all trace ~n = termination trace ~n @ check_safety trace
+end
+
+let pp_violations vs =
+  String.concat "; " (List.map (Format.asprintf "%a" Spec.Consensus_props.pp_violation) vs)
+
+(* [Error] names the first checker that differs from the reference. *)
+let consensus_matches_ref trace ~n =
+  let module C = Spec.Consensus_props in
+  let module R = Consensus_ref in
+  let cases =
+    [
+      ("check_all", C.check_all trace ~n, R.check_all trace ~n);
+      ("check_safety", C.check_safety trace, R.check_safety trace);
+      ("termination", C.termination trace ~n, R.termination trace ~n);
+      ("uniform_integrity", C.uniform_integrity trace, R.uniform_integrity trace);
+      ("uniform_agreement", C.uniform_agreement trace, R.uniform_agreement trace);
+      ("validity", C.validity trace, R.validity trace);
+    ]
+  in
+  match List.find_opt (fun (_, got, want) -> got <> want) cases with
+  | None -> Ok ()
+  | Some (name, got, want) ->
+    Error
+      (Printf.sprintf "%s: got [%s], reference [%s]" name (pp_violations got)
+         (pp_violations want))
+
+let consensus_ref_law trace ~n =
+  match consensus_matches_ref trace ~n with
+  | Ok () -> true
+  | Error msg -> QCheck2.Test.fail_report msg
+
+(* Random Crash/Propose/Decide/Note events over n processes and a few
+   values, so that every violation kind turns up, often several at once. *)
+let random_consensus_events ~n rng =
+  List.init (Sim.Rng.int rng ~bound:30) (fun at ->
+      let pid = Sim.Rng.int rng ~bound:n and value = Sim.Rng.int rng ~bound:4 in
+      match Sim.Rng.int rng ~bound:4 with
+      | 0 -> Sim.Trace.Crash { at; pid }
+      | 1 -> propose ~at ~pid value
+      | 2 -> decide ~at ~pid ~round:(Sim.Rng.int rng ~bound:3) value
+      | _ -> Sim.Trace.Note { at; pid; tag = "noise"; detail = "" })
+
+let consensus_props_ref_tests =
+  [
+    tc "each violation kind: one-pass checkers = reference" (fun () ->
+        let module C = Spec.Consensus_props in
+        let cases =
+          [
+            ( "undecided correct process",
+              [ propose ~at:0 ~pid:0 7; propose ~at:0 ~pid:1 8; decide ~at:5 ~pid:0 ~round:1 7 ],
+              [ C.No_decision 1 ] );
+            ( "double decision",
+              [
+                propose ~at:0 ~pid:0 7;
+                decide ~at:4 ~pid:0 ~round:1 7;
+                decide ~at:5 ~pid:1 ~round:1 7;
+                decide ~at:6 ~pid:0 ~round:2 7;
+              ],
+              [ C.Multiple_decisions 0 ] );
+            ( "disagreement",
+              [
+                propose ~at:0 ~pid:0 7;
+                propose ~at:0 ~pid:1 8;
+                decide ~at:4 ~pid:1 ~round:1 8;
+                Sim.Trace.Crash { at = 5; pid = 1 };
+                decide ~at:6 ~pid:0 ~round:2 7;
+              ],
+              [ C.Disagreement { p = 1; v = 8; q = 0; w = 7 } ] );
+            ( "unproposed value",
+              [
+                propose ~at:0 ~pid:0 7;
+                decide ~at:4 ~pid:0 ~round:1 13;
+                decide ~at:4 ~pid:1 ~round:1 13;
+              ],
+              [ C.Invalid_value { p = 0; v = 13 }; C.Invalid_value { p = 1; v = 13 } ] );
+          ]
+        in
+        List.iter
+          (fun (what, events, expected) ->
+            let t = trace_of events in
+            (match consensus_matches_ref t ~n:2 with
+            | Ok () -> ()
+            | Error msg -> Alcotest.failf "%s: %s" what msg);
+            Alcotest.(check string) what (pp_violations expected)
+              (pp_violations (C.check_all t ~n:2)))
+          cases);
+    Test_util.qcheck ~count:500 ~name:"one-pass checkers = reference on random hand-built traces"
+      QCheck2.Gen.(pair (int_range 1 6) Test_util.Gen.seed)
+      (fun (n, seed) ->
+        let t = trace_of (random_consensus_events ~n (Sim.Rng.create ~seed)) in
+        consensus_ref_law t ~n);
+    Test_util.qcheck ~count:20 ~name:"one-pass checkers = reference on generated consensus runs"
+      QCheck2.Gen.(
+        quad (int_range 3 7) Test_util.Gen.seed (oneofl [ 20; 15_000 ])
+          (oneofl
+             [
+               Scenario.Ec Ecfd.Ec_consensus.default_params;
+               Scenario.Ct;
+               Scenario.Mr;
+               Scenario.Hr;
+             ]))
+      (fun (n, seed, horizon, protocol) ->
+        let rng = Sim.Rng.create ~seed in
+        let crashes = Sim.Fault.random_minority rng ~n ~latest:300 in
+        let net = { Scenario.default_net with seed; gst = 150 } in
+        let r =
+          Scenario.run_consensus ~net ~crashes ~horizon ~n ~detector:Scenario.Leader_s ~protocol ()
+        in
+        consensus_ref_law r.trace ~n);
+  ]
+
 (* ------------------------------------------------------------------ *)
 (* Round_metrics                                                      *)
 (* ------------------------------------------------------------------ *)
@@ -679,6 +834,7 @@ let suites =
     ("spec.fd_props", fd_props_tests);
     ("spec.fd_props_ref", fd_props_equivalence_tests);
     ("spec.consensus_props", consensus_props_tests);
+    ("spec.props_ref", consensus_props_ref_tests);
     ("spec.round_metrics", round_metrics_tests);
     ("spec.clock_props", clock_props_tests);
   ]
