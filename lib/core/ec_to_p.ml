@@ -20,8 +20,11 @@ type Sim.Payload.t +=
 
 type process_state = {
   mutable local_suspects : Sim.Pid.Set.t;  (** Built by Tasks 3/4 while leader. *)
-  last_alive : Sim.Sim_time.t array;
-  timeout : int array;
+  (* Per peer: last I-AM-ALIVE and adaptive time-out.  Both are empty
+     until the process first leads or first receives I-AM-ALIVE
+     ([ensure_tables]): in a stable run only the leader pays for them. *)
+  mutable last_alive : Sim.Sim_time.t array;
+  mutable timeout : int array;
   mutable was_leader : bool;
   mutable epoch_span : Sim.Engine.span option;  (** Open while this process leads. *)
 }
@@ -39,11 +42,17 @@ let install_gen ~component ~task1 ~wire_task5 engine ~underlying params =
     Array.init n (fun _ ->
         {
           local_suspects = Sim.Pid.Set.empty;
-          last_alive = Array.make n Sim.Sim_time.zero;
-          timeout = Array.make n params.initial_timeout;
+          last_alive = [||];
+          timeout = [||];
           was_leader = false;
           epoch_span = None;
         })
+  in
+  let ensure_tables st =
+    if Array.length st.timeout = 0 then begin
+      st.last_alive <- Array.make n Sim.Sim_time.zero;
+      st.timeout <- Array.make n params.initial_timeout
+    end
   in
   let is_leader p = Option.equal Sim.Pid.equal (Fd.Fd_handle.trusted underlying p) (Some p) in
   let grow st q =
@@ -73,6 +82,7 @@ let install_gen ~component ~task1 ~wire_task5 engine ~underlying params =
       (* Transition into leadership: restart every peer's grace period, and
          export our own local list — the exported view may still be a list
          adopted from the previous leader. *)
+      ensure_tables st;
       Array.fill st.last_alive 0 n (Sim.Engine.now engine);
       Obs.Registry.incr m_epochs;
       st.epoch_span <- Some (Sim.Engine.begin_span engine p ~component ~name:"leader-epoch");
@@ -107,6 +117,7 @@ let install_gen ~component ~task1 ~wire_task5 engine ~underlying params =
      and grows its time-out. *)
   let task4 p ~src =
     let st = states.(p) in
+    ensure_tables st;
     st.last_alive.(src) <- Sim.Engine.now engine;
     if Sim.Pid.Set.mem src st.local_suspects then begin
       st.local_suspects <- Sim.Pid.Set.remove src st.local_suspects;

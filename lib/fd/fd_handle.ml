@@ -3,14 +3,17 @@ type t = {
   component : string;
   views : Fd_view.t array;
   changes : (Sim.Pid.t * Fd_view.t) Sim.Signal.t;
-  (* [spans.(p).(q)]: the "suspicion" span opened when p started
-     suspecting q, closed when the suspicion is rescinded — open forever
-     when q really crashed.  Invariant: [spans.(p).(q)] is [Some _]
-     exactly when q is in [views.(p).suspected], so [set] reads the row
-     as its membership test for the old view.  Every detector built on
-     a handle gets complete suspicion spans this way, whatever its
-     mechanism. *)
-  spans : Sim.Engine.span option array array;
+  (* p's span row, two ints per peer: [span_ids.(p).(q)] is the id of
+     the "suspicion" span opened when p started suspecting q, or -1, and
+     [opened_at.(p).(q)] its opening instant.  The span closes when the
+     suspicion is rescinded, and stays open when q really crashed.
+     Invariant: [span_ids.(p).(q) >= 0] exactly when q is in
+     [views.(p).suspected], so [set] reads the row as its membership
+     test for the old view.  Both rows are [[||]] until p first suspects someone: a module that
+     never suspects costs no row.  Every detector built on a handle gets
+     complete suspicion spans this way, whatever its mechanism. *)
+  span_ids : int array array;
+  opened_at : Sim.Sim_time.t array array;
   sizes : int array;  (* [sizes.(p)]: cardinal of [views.(p).suspected]. *)
   (* [stamp.(q) = gen] while [set] runs: q is in the view being set.
      One array per handle serves every p: [set] finishes its diff
@@ -32,7 +35,8 @@ let make engine ~component =
       component;
       views = Array.make n Fd_view.empty;
       changes = Sim.Signal.create ();
-      spans = Array.init n (fun _ -> Array.make n None);
+      span_ids = Array.make n [||];
+      opened_at = Array.make n [||];
       sizes = Array.make n 0;
       stamp = Array.make n 0;
       gen = 0;
@@ -50,16 +54,23 @@ let trusted t p = (query t p).Fd_view.trusted
 let subscribe t f = Sim.Signal.subscribe t.changes (fun (p, v) -> f p v)
 
 (* The suspected-set half of [set], for two sets that are not
-   physically equal.  One walk over the new set stamps each member and
-   opens a span for each one whose row entry is empty: these are the
-   fresh suspicions, in ascending order.  Span bookkeeping comes before
-   the view record, so a suspicion episode reads Span_begin -> Fd_view in
+   physically equal, so at least one is non-empty: p's row is allocated
+   here on its first suspicion (an empty new set implies a non-empty old
+   one, hence a row).  One walk over the new set stamps each member and
+   opens a span for each one whose row entry is -1: these are the fresh
+   suspicions, in ascending order.  Span bookkeeping comes before the
+   view record, so a suspicion episode reads Span_begin -> Fd_view in
    the trace (and Span_end -> Fd_view on rescind).  Only when fewer old
    members were kept than the old view held does a second walk, over the
    old set, close the spans of the unstamped ones.  Returns whether the
    set changed. *)
 let diff_suspected t p ~old_set ~new_set =
-  let row = t.spans.(p) in
+  if Array.length t.span_ids.(p) = 0 then begin
+    let n = Array.length t.views in
+    t.span_ids.(p) <- Array.make n (-1);
+    t.opened_at.(p) <- Array.make n Sim.Sim_time.zero
+  end;
+  let ids = t.span_ids.(p) and opened_at = t.opened_at.(p) in
   t.gen <- t.gen + 1;
   let gen = t.gen in
   let size = ref 0 and fresh = ref 0 in
@@ -67,22 +78,21 @@ let diff_suspected t p ~old_set ~new_set =
     (fun q ->
       t.stamp.(q) <- gen;
       incr size;
-      match row.(q) with
-      | Some _ -> ()
-      | None ->
+      if ids.(q) < 0 then begin
         incr fresh;
-        row.(q) <- Some (Sim.Engine.begin_span t.engine p ~component:t.component ~name:"suspicion"))
+        ids.(q) <- Sim.Engine.open_span t.engine p ~component:t.component ~name:"suspicion";
+        opened_at.(q) <- Sim.Engine.now t.engine
+      end)
     new_set;
   let rescinded = !size - !fresh < t.sizes.(p) in
   if rescinded then
     Sim.Pid.Set.iter
       (fun q ->
-        if t.stamp.(q) <> gen then
-          match row.(q) with
-          | Some s ->
-            Sim.Engine.end_span t.engine s;
-            row.(q) <- None
-          | None -> ())
+        if t.stamp.(q) <> gen && ids.(q) >= 0 then begin
+          Sim.Engine.close_span t.engine p ~component:t.component ~name:"suspicion" ~span:ids.(q)
+            ~opened_at:opened_at.(q);
+          ids.(q) <- -1
+        end)
       old_set;
   t.sizes.(p) <- !size;
   !fresh > 0 || rescinded
@@ -106,3 +116,7 @@ let set t p v =
   end
 
 let update t p f = set t p (f t.views.(p))
+
+let suspicion_span t p q =
+  let ids = t.span_ids.(p) in
+  if Array.length ids = 0 || ids.(q) < 0 then None else Some ids.(q)

@@ -43,9 +43,17 @@ val set : t -> Sim.Pid.t -> Fd_view.t -> unit
     [Span_end]s in ascending order, then the [Fd_view]; subscribers run
     after that.
 
-    Invariant: p's suspicion span on q is open exactly when q is in p's
-    current suspected set.  [set] uses the open spans as its membership
-    test for the old view, so it never searches the old set.
+    Invariant: p's row entry for q holds a span id (it is not -1)
+    exactly when q is in p's current suspected set, and that id is the
+    open suspicion span p holds on q.  [set] uses the row as its
+    membership test for the old view, so it never searches the old set.
+
+    Memory: two ints per peer — the span id and its opening instant — in
+    two rows per observing process, allocated on that process's first
+    suspicion and kept from then on.  A module that never suspects (◇P
+    in a failure-free steady state) holds no row, so the handle costs
+    O(n) words plus 2n per process that has ever suspected; no record
+    is allocated per span.
 
     Cost: when the new suspected set is physically the old one (two
     empty sets always are), [set] compares [trusted] and nothing else:
@@ -56,3 +64,8 @@ val set : t -> Sim.Pid.t -> Fd_view.t -> unit
 
 val update : t -> Sim.Pid.t -> (Fd_view.t -> Fd_view.t) -> unit
 (** [set] composed with a function of the current view. *)
+
+val suspicion_span : t -> Sim.Pid.t -> Sim.Pid.t -> int option
+(** [suspicion_span t p q]: the id of the suspicion span p holds open on
+    q — [Some] exactly when p currently suspects q.  For tests of the
+    span-row invariant. *)

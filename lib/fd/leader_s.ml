@@ -22,7 +22,9 @@ type process_state = {
   mutable candidate : Sim.Pid.t;
   mutable candidate_since : Sim.Sim_time.t;  (** When we (re)adopted it. *)
   mutable last_heard : Sim.Sim_time.t;  (** Last heartbeat from the candidate. *)
-  timeout : int array;  (** Per peer: adaptive time-out. *)
+  mutable timeout : int array;
+      (** Per peer: adaptive time-out.  Empty until the first increment,
+          and read as [initial_timeout] while it is. *)
   mutable epoch_span : Sim.Engine.span option;  (** Open while trusting the current candidate. *)
 }
 
@@ -41,9 +43,12 @@ let install ?(component = component) ?hooks engine params =
           candidate = 0;
           candidate_since = Sim.Sim_time.zero;
           last_heard = Sim.Sim_time.zero;
-          timeout = Array.make n params.initial_timeout;
+          timeout = [||];
           epoch_span = None;
         })
+  in
+  let timeout_of st q =
+    if Array.length st.timeout = 0 then params.initial_timeout else st.timeout.(q)
   in
   let everybody = Sim.Pid.set_of_list (Sim.Pid.all ~n) in
   let publish p =
@@ -71,7 +76,7 @@ let install ?(component = component) ?hooks engine params =
     if not (Sim.Pid.equal st.candidate p) then begin
       let now = Sim.Engine.now engine in
       let start = Sim.Sim_time.max st.candidate_since st.last_heard in
-      if now - start > st.timeout.(st.candidate) then begin
+      if now - start > timeout_of st st.candidate then begin
         (* The candidate looks dead: discard it and move to the next process
            in the total order.  A process never discards itself, so the walk
            stops at p: reaching p means "I am the leader".  (Invariant:
@@ -89,6 +94,7 @@ let install ?(component = component) ?hooks engine params =
       else if Sim.Pid.compare src st.candidate < 0 then begin
         (* A smaller process is alive after all: re-adopt it with a larger
            time-out so repeated mistakes die out (eventual weak accuracy). *)
+        if Array.length st.timeout = 0 then st.timeout <- Array.make n params.initial_timeout;
         st.timeout.(src) <- st.timeout.(src) + params.timeout_increment;
         adopt p src
       end

@@ -419,6 +419,17 @@ let at t instant callback =
 
 let note t p ~tag detail = Trace.record t.trace (Note { at = t.now; pid = p; tag; detail })
 
+let open_span t p ~component ~name =
+  check_pid t p;
+  let span = t.next_span in
+  t.next_span <- span + 1;
+  Trace.record t.trace (Span_begin { at = t.now; pid = p; component; span; name });
+  span
+
+let close_span t p ~component ~name ~span ~opened_at =
+  Trace.record t.trace (Span_end { at = t.now; pid = p; component; span; name });
+  Obs.Registry.observe t.m_span_duration (t.now - opened_at)
+
 type span = {
   span_id : int;
   span_pid : Pid.t;
@@ -429,21 +440,15 @@ type span = {
 }
 
 let begin_span t p ~component ~name =
-  check_pid t p;
-  let span_id = t.next_span in
-  t.next_span <- span_id + 1;
-  Trace.record t.trace (Span_begin { at = t.now; pid = p; component; span = span_id; name });
+  let span_id = open_span t p ~component ~name in
   { span_id; span_pid = p; span_component = component; span_name = name; opened_at = t.now;
     closed = false }
 
 let end_span t s =
   if not s.closed then begin
     s.closed <- true;
-    Trace.record t.trace
-      (Span_end
-         { at = t.now; pid = s.span_pid; component = s.span_component; span = s.span_id;
-           name = s.span_name });
-    Obs.Registry.observe t.m_span_duration (t.now - s.opened_at)
+    close_span t s.span_pid ~component:s.span_component ~name:s.span_name ~span:s.span_id
+      ~opened_at:s.opened_at
   end
 
 let record_fd_view t ~component p ~suspected ~trusted =

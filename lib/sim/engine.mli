@@ -141,8 +141,29 @@ val note : t -> Pid.t -> tag:string -> string -> unit
     A span brackets a protocol phase — a consensus round, a leadership
     epoch, a suspicion episode — between a [Span_begin] and a [Span_end]
     trace event sharing an engine-allocated span id.  Exports render spans
-    as slices on the owning process's track; {!end_span} also feeds the
-    span's duration to the [engine.span_duration] histogram. *)
+    as slices on the owning process's track; closing a span also feeds
+    its duration to the [engine.span_duration] histogram.
+
+    Two interfaces write the same events.  {!open_span}/{!close_span}
+    keep a span as two ints the caller stores (its id and opening
+    instant), for callers that hold many spans at once — a detector
+    handle holds one per suspicion.  {!begin_span}/{!end_span} wrap that
+    pair in a record that remembers its owner, name and whether it was
+    closed. *)
+
+val open_span : t -> Pid.t -> component:string -> name:string -> int
+(** Open a span at [p] now: record its [Span_begin] and return its id.
+    The caller keeps the id and {!now} (the opening instant) for
+    {!close_span}.  [name] must be a string literal (check rule R6). *)
+
+val close_span :
+  t -> Pid.t -> component:string -> name:string -> span:int -> opened_at:Sim_time.t -> unit
+(** Close span [span], opened by {!open_span} at [p] with the same
+    [component] and [name] at instant [opened_at]: record its [Span_end]
+    now and observe [now - opened_at] in [engine.span_duration].  Not
+    idempotent: every call records another [Span_end], so the caller owns
+    the single close of each span.  [name] must be a string literal
+    (check rule R6). *)
 
 type span
 

@@ -9,5 +9,13 @@ let bad_span engine p component name = Sim.Engine.begin_span engine p ~component
 let good_counter reg = Obs.Registry.counter reg ~name:"consensus.ec.rounds"
 let good_span engine p = Sim.Engine.begin_span engine p ~component:"fd.ring" ~name:"epoch"
 
+let bad_scalar_span engine p name =
+  let span = Sim.Engine.open_span engine p ~component:"fd.ring" ~name in
+  Sim.Engine.close_span engine p ~component:"fd.ring" ~name:(name ^ "") ~span ~opened_at:0
+
+let good_scalar_span engine p =
+  let span = Sim.Engine.open_span engine p ~component:"fd.ring" ~name:"epoch" in
+  Sim.Engine.close_span engine p ~component:"fd.ring" ~name:"epoch" ~span ~opened_at:0
+
 let allowed reg name =
   (Obs.Registry.counter reg ~name [@check.allow obsname "fixture: the escape hatch"])

@@ -539,9 +539,81 @@ let ec_consensus_tests =
           (lc.Sim.Stats.timers_reclaimed + Sim.Engine.timer_residency e));
   ]
 
+(* ------------------------------------------------------------------ *)
+(* Detector state: memory and lazily allocated tables                 *)
+(* ------------------------------------------------------------------ *)
+
+(* A run that takes both lazily allocated paths.  Pre-GST delays make
+   process 3 give up on process 0 and re-adopt it when a late heartbeat
+   arrives, which grows Leader_s's time-out for 0; process 0's crash at
+   300 then hands Ec_to_p leadership to process 1.  The golden export
+   test/golden/TRACE_lazy_tables.jsonl was written by the dense-table
+   code, so the lazy tables must reproduce it byte for byte.  After an
+   intentional trace change, regenerate it with
+   [Sim.Trace_export.jsonl_string (lazy_tables_trace ())] and review the
+   diff. *)
+let lazy_tables_trace () =
+  let e, _, _ =
+    make_transformation_stack ~n:4 ~piggyback:true
+      ~net:(Scenario.chaotic_net ~seed:2 ~gst:200 ())
+      ~crashes:(Sim.Fault.crashes [ (0, 300) ])
+      ()
+  in
+  Sim.Engine.run_until e 400;
+  Sim.Engine.trace e
+
+(* Live major-heap words after a full collection. *)
+let live_words () =
+  Gc.full_major ();
+  (Gc.stat ()).Gc.live_words
+
+let detector_state_tests =
+  [
+    tc "lazy tables: the scripted run takes both paths" (fun () ->
+        let events = Sim.Trace.events (lazy_tables_trace ()) in
+        let readopted =
+          List.exists
+            (fun (ev : Sim.Trace.event) ->
+              match ev.body with
+              | Fd_view { component = "fd.leader-s"; trusted = Some 0; at; _ } -> at > 0
+              | _ -> false)
+            events
+        in
+        let handed_over =
+          List.exists
+            (fun (ev : Sim.Trace.event) ->
+              match ev.body with
+              | Span_begin { pid = 1; name = "leader-epoch"; at; _ } -> at > 300
+              | _ -> false)
+            events
+        in
+        Alcotest.(check bool) "a Leader_s process re-adopts process 0" true readopted;
+        Alcotest.(check bool) "process 1 leads after the crash" true handed_over);
+    tc "lazy tables: JSONL export matches the golden file byte-for-byte" (fun () ->
+        Alcotest.(check string)
+          "golden/TRACE_lazy_tables.jsonl"
+          (Test_util.read_file "golden/TRACE_lazy_tables.jsonl")
+          (Sim.Trace_export.jsonl_string (lazy_tables_trace ())));
+    (* The piggybacked stack of e23's ecp-steady at n = 400: every
+       non-leader's Leader_s and Ec views suspect n - 2 processes for the
+       whole run.  The trace lives off the OCaml heap, so the live words
+       measure detector state (dense span records measured 24.6 per pair,
+       int rows allocated on first suspicion 4.7). *)
+    tc "n = 400: the <>C -> <>P stack holds < 6 live words per (p, q)" (fun () ->
+        let n = 400 in
+        let before = live_words () in
+        let e, ec, p = make_transformation_stack ~n ~piggyback:true () in
+        Sim.Engine.run_until e 300;
+        let after = live_words () in
+        ignore (Sys.opaque_identity (e, ec, p));
+        let per_pair = float_of_int (after - before) /. float_of_int (n * n) in
+        if per_pair >= 6. then Alcotest.failf "%.1f live words per (p, q) pair" per_pair);
+  ]
+
 let suites =
   [
     ("ecfd.constructions", construction_tests);
     ("ecfd.ec_to_p", ec_to_p_tests);
     ("ecfd.ec_consensus", ec_consensus_tests);
+    ("ecfd.detector_state", detector_state_tests);
   ]

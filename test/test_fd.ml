@@ -45,6 +45,18 @@ let handle_tests =
           (Sim.Pid.Set.mem 1 (Fd.Fd_handle.suspected h 0)));
   ]
 
+(* A reference handle [replay_views] compares [Fd_handle] against:
+   every reference records on its own engine, with component [ref_component]. *)
+module type REFERENCE = sig
+  type t
+
+  val make : Sim.Engine.t -> t
+  val set : t -> Sim.Pid.t -> Fd.Fd_view.t -> unit
+  val calls : t -> (Sim.Pid.t * Fd.Fd_view.t) list  (** Subscriber calls, newest first. *)
+end
+
+let ref_component = "x"
+
 (* The plain view diff: [Set.equal] to detect a change, then [Set.mem]
    both ways.  The reference [Fd_handle.set] must match event for event,
    though the handle tests membership through its open spans. *)
@@ -56,7 +68,7 @@ module Set_diff_handle = struct
     mutable calls : (Sim.Pid.t * Fd.Fd_view.t) list;  (* newest first *)
   }
 
-  let component = "x"
+  let component = ref_component
 
   let record t p =
     let v = t.views.(p) in
@@ -98,6 +110,93 @@ module Set_diff_handle = struct
       record t p;
       t.calls <- (p, v) :: t.calls
     end
+
+  let calls t = t.calls
+end
+
+(* The span row as a row of records: one [Engine.span] per open
+   suspicion in a dense [span option] row per observer, opened with
+   [begin_span] and closed with [end_span], under the same stamp-and-size
+   diff as [Fd_handle.set].  [Fd_handle] keeps the same spans as two int
+   rows allocated on first suspicion; it must match this event for event
+   and in the [engine.span_duration] histogram. *)
+module Record_row_handle = struct
+  type t = {
+    engine : Sim.Engine.t;
+    views : Fd.Fd_view.t array;
+    spans : Sim.Engine.span option array array;
+    sizes : int array;
+    stamp : int array;
+    mutable gen : int;
+    mutable calls : (Sim.Pid.t * Fd.Fd_view.t) list;  (* newest first *)
+  }
+
+  let component = ref_component
+
+  let record t p =
+    let v = t.views.(p) in
+    Sim.Engine.record_fd_view t.engine ~component p ~suspected:v.Fd.Fd_view.suspected
+      ~trusted:v.Fd.Fd_view.trusted
+
+  let make engine =
+    let n = Sim.Engine.n engine in
+    let t =
+      {
+        engine;
+        views = Array.make n Fd.Fd_view.empty;
+        spans = Array.init n (fun _ -> Array.make n None);
+        sizes = Array.make n 0;
+        stamp = Array.make n 0;
+        gen = 0;
+        calls = [];
+      }
+    in
+    List.iter (fun p -> record t p) (Sim.Pid.all ~n);
+    t
+
+  let diff_suspected t p ~old_set ~new_set =
+    let row = t.spans.(p) in
+    t.gen <- t.gen + 1;
+    let gen = t.gen in
+    let size = ref 0 and fresh = ref 0 in
+    Sim.Pid.Set.iter
+      (fun q ->
+        t.stamp.(q) <- gen;
+        incr size;
+        match row.(q) with
+        | Some _ -> ()
+        | None ->
+          incr fresh;
+          row.(q) <- Some (Sim.Engine.begin_span t.engine p ~component ~name:"suspicion"))
+      new_set;
+    let rescinded = !size - !fresh < t.sizes.(p) in
+    if rescinded then
+      Sim.Pid.Set.iter
+        (fun q ->
+          if t.stamp.(q) <> gen then
+            match row.(q) with
+            | Some s ->
+              Sim.Engine.end_span t.engine s;
+              row.(q) <- None
+            | None -> ())
+        old_set;
+    t.sizes.(p) <- !size;
+    !fresh > 0 || rescinded
+
+  let set t p v =
+    let old = t.views.(p) in
+    let suspected_changed =
+      old.Fd.Fd_view.suspected != v.Fd.Fd_view.suspected
+      && diff_suspected t p ~old_set:old.Fd.Fd_view.suspected ~new_set:v.Fd.Fd_view.suspected
+    in
+    if suspected_changed || not (Option.equal Sim.Pid.equal old.Fd.Fd_view.trusted v.Fd.Fd_view.trusted)
+    then begin
+      t.views.(p) <- v;
+      record t p;
+      t.calls <- (p, v) :: t.calls
+    end
+
+  let calls t = t.calls
 end
 
 (* One step of a generated view sequence; pids are taken modulo n. *)
@@ -171,13 +270,16 @@ let event_equal (a : Sim.Trace.event) (b : Sim.Trace.event) =
     && Option.equal Int.equal x.trusted y.trusted
   | x, y -> x = y
 
-(* Replays [ops] on the real handle and on the reference, one engine
+let span_durations e =
+  List.assoc_opt "engine.span_duration" (Obs.Registry.snapshot (Sim.Engine.obs e))
+
+(* Replays [ops] on the real handle and on the reference [R], one engine
    each; [Error] names the first divergence. *)
-let replay_views ~n ops =
+let replay_views (module R : REFERENCE) ~n ops =
   let engine () = Sim.Engine.create ~n ~link:(Sim.Link.synchronous ~delay:1) () in
   let e = engine () and e_ref = engine () in
-  let h = Fd.Fd_handle.make e ~component:Set_diff_handle.component in
-  let r = Set_diff_handle.make e_ref in
+  let h = Fd.Fd_handle.make e ~component:ref_component in
+  let r = R.make e_ref in
   let calls = ref [] in
   Fd.Fd_handle.subscribe h (fun p v -> calls := (p, v) :: !calls);
   (* [open_.(p).(q)]: the id of the suspicion span p holds on q, read off
@@ -209,12 +311,16 @@ let replay_views ~n ops =
       List.iter (fun q -> open_.(p).(q) <- None) gone;
       if closed <> expect_closed then Error (Printf.sprintf "step %d: wrong span closes" step)
       else
+        (* The handle's own row must agree: an entry holds exactly the
+           open span's id, and only while p suspects q. *)
         let bad =
           List.concat_map
             (fun p ->
               let s = Fd.Fd_handle.suspected h p in
               List.filter
-                (fun q -> Option.is_some open_.(p).(q) <> Sim.Pid.Set.mem q s)
+                (fun q ->
+                  Option.is_some open_.(p).(q) <> Sim.Pid.Set.mem q s
+                  || Fd.Fd_handle.suspicion_span h p q <> open_.(p).(q))
                 (Sim.Pid.all ~n))
             (Sim.Pid.all ~n)
         in
@@ -231,14 +337,16 @@ let replay_views ~n ops =
         not
           (List.equal
              (fun (p, v) (q, w) -> p = q && Fd.Fd_view.equal v w)
-             !calls r.Set_diff_handle.calls)
+             !calls (R.calls r))
       then Error "subscriber calls differ"
+      else if span_durations e <> span_durations e_ref then
+        Error "engine.span_duration histograms differ"
       else Ok ()
     | op :: rest -> (
       let p, v = view_of_op ~n ~current:(Fd.Fd_handle.query h) op in
       let old = Fd.Fd_handle.query h p in
       Fd.Fd_handle.set h p v;
-      Set_diff_handle.set r p v;
+      R.set r p v;
       match check_spans step p old (Fd.Fd_handle.query h p) with
       | Error _ as err -> err
       | Ok () ->
@@ -248,18 +356,23 @@ let replay_views ~n ops =
   in
   go 0 ops
 
+let view_sequences_law reference (n, ops) =
+  match replay_views reference ~n ops with
+  | Ok () -> true
+  | Error msg -> QCheck2.Test.fail_report msg
+
+let view_sequences_test ~name reference =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:300 ~name
+       ~print:(fun (n, ops) ->
+         Printf.sprintf "n=%d [%s]" n (String.concat "; " (List.map pp_view_op ops)))
+       QCheck2.Gen.(pair (int_range 1 12) (list_size (int_range 0 40) view_op_gen))
+       (view_sequences_law reference))
+
 let handle_diff_tests =
   [
-    QCheck_alcotest.to_alcotest
-      (QCheck2.Test.make ~count:300
-         ~name:"set matches the Set.mem/Set.equal diff, and spans track views"
-         ~print:(fun (n, ops) ->
-           Printf.sprintf "n=%d [%s]" n (String.concat "; " (List.map pp_view_op ops)))
-         QCheck2.Gen.(pair (int_range 1 12) (list_size (int_range 0 40) view_op_gen))
-         (fun (n, ops) ->
-           match replay_views ~n ops with
-           | Ok () -> true
-           | Error msg -> QCheck2.Test.fail_report msg));
+    view_sequences_test ~name:"set matches the Set.mem/Set.equal diff, and spans track views"
+      (module Set_diff_handle);
     tc "hand-picked view sequences match the reference" (fun () ->
         let cases =
           [
@@ -270,10 +383,18 @@ let handle_diff_tests =
         in
         List.iter
           (fun (n, ops) ->
-            match replay_views ~n ops with
-            | Ok () -> ()
-            | Error msg -> Alcotest.failf "n=%d: %s" n msg)
+            List.iter
+              (fun reference ->
+                match replay_views reference ~n ops with
+                | Ok () -> ()
+                | Error msg -> Alcotest.failf "n=%d: %s" n msg)
+              [ (module Set_diff_handle : REFERENCE); (module Record_row_handle) ])
           cases);
+    (* Int rows against the record rows they replaced: the same events,
+       the same span-duration histogram, and after every [set] p's row
+       entry for q holds a span exactly when p suspects q. *)
+    view_sequences_test ~name:"int span rows match the record-based row, histogram included"
+      (module Record_row_handle);
   ]
 
 (* Minor words [f] allocates, less what measuring costs. *)
@@ -296,7 +417,7 @@ let handle_alloc_tests =
   in
   let everybody_but q = Sim.Pid.Set.remove q (Sim.Pid.set_of_list (Sim.Pid.all ~n)) in
   [
-    tc "n = 1000: moving one suspicion allocates < 200 minor words per set" (fun () ->
+    tc "n = 1000: moving one suspicion allocates < 56 minor words per set" (fun () ->
         let _, h = setup () in
         (* The two sets differ only at their top end, so a diff that
            compares them element by element walks them in full. *)
@@ -310,7 +431,7 @@ let handle_alloc_tests =
               done)
         in
         let per_set = words /. float_of_int rounds in
-        if per_set >= 200. then Alcotest.failf "%.1f minor words per view change" per_set);
+        if per_set >= 56. then Alcotest.failf "%.1f minor words per view change" per_set);
     tc "n = 1000: an equal view built afresh records nothing and allocates < 64 words" (fun () ->
         let e, h = setup () in
         let a = Fd.Fd_view.make ~trusted:1 ~suspected:(everybody_but 1) () in

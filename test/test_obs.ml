@@ -178,23 +178,17 @@ let golden_trace () =
   in
   r.Scenario.trace
 
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
 let golden_tests =
   [
     tc "JSONL export matches the golden file byte-for-byte" (fun () ->
         Alcotest.(check string)
           "golden/trace_small.jsonl"
-          (read_file "golden/trace_small.jsonl")
+          (Test_util.read_file "golden/trace_small.jsonl")
           (Sim.Trace_export.jsonl_string (golden_trace ())));
     tc "Chrome export matches the golden file byte-for-byte" (fun () ->
         Alcotest.(check string)
           "golden/trace_small.chrome.json"
-          (read_file "golden/trace_small.chrome.json")
+          (Test_util.read_file "golden/trace_small.chrome.json")
           (Sim.Trace_export.chrome_string (golden_trace ())));
     tc "golden JSONL parses line-by-line in the query core" (fun () ->
         let events = Tracequery_core.Trace_file.load "golden/trace_small.jsonl" in

@@ -182,22 +182,16 @@ let rollup_tests =
    A runtest rule in test/dune re-runs the first command and diffs its
    output against the committed trace. *)
 
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
 let golden_rollup_tests =
   [
     tc "rollup of the checked-in e4 trace matches the golden bytes" (fun () ->
         Alcotest.(check string)
           "golden/TRACE_e4.rollup.json"
-          (read_file "golden/TRACE_e4.rollup.json")
+          (Test_util.read_file "golden/TRACE_e4.rollup.json")
           (Tracequery_core.Qos_rollup.of_lines
              (Tracequery_core.Trace_file.read_lines "golden/TRACE_e4.jsonl")));
     tc "the golden rollup sees both crashes" (fun () ->
-        let json = read_file "golden/TRACE_e4.rollup.json" in
+        let json = Test_util.read_file "golden/TRACE_e4.rollup.json" in
         let j = Tracequery_core.Json_min.parse json in
         match Tracequery_core.Json_min.member "scenarios" j with
         | Some (Tracequery_core.Json_min.List [ s ]) -> (

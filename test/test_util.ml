@@ -25,6 +25,15 @@ module Gen = struct
     { Scenario.default_net with seed = s; gst }
 end
 
+(* --- files --- *)
+
+(* The whole file, for byte-for-byte golden comparisons. *)
+let read_file path =
+  let ic = open_in_bin path in
+  Fun.protect
+    ~finally:(fun () -> close_in ic)
+    (fun () -> really_input_string ic (in_channel_length ic))
+
 (* --- assertions --- *)
 
 let check_no_violations what trace ~n =

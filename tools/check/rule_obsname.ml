@@ -8,19 +8,22 @@
    as a greppable inventory, and defeats R6 itself on every other site.
 
    The rule checks the [~name] argument of [Obs.Registry.counter],
-   [Obs.Registry.gauge], [Obs.Registry.histogram] and [Engine.begin_span]
-   applications.  A genuinely parametric site (none exist today) can
+   [Obs.Registry.gauge], [Obs.Registry.histogram], [Engine.begin_span],
+   [Engine.open_span] and [Engine.close_span] applications.  A genuinely parametric site (none exist today) can
    carry [@check.allow obsname "reason"]. *)
 
 (* The registration entry points, by path suffix — [Obs.Registry.counter]
-   and a local [Registry.counter] alike.  [begin_span] is matched under
-   any [Engine] prefix ([Sim.Engine.begin_span], [Engine.begin_span]). *)
+   and a local [Registry.counter] alike.  The span entry points are
+   matched under any [Engine] prefix ([Sim.Engine.begin_span],
+   [Engine.open_span]). *)
 let watched =
   [
     ([ "Registry"; "counter" ], "metric");
     ([ "Registry"; "gauge" ], "metric");
     ([ "Registry"; "histogram" ], "metric");
     ([ "Engine"; "begin_span" ], "span");
+    ([ "Engine"; "open_span" ], "span");
+    ([ "Engine"; "close_span" ], "span");
   ]
 
 let rec is_literal (e : Parsetree.expression) =
@@ -77,5 +80,5 @@ let rule =
   Rule.one ~id:"R6" ~key:"obsname"
     ~doc:
       "static observability names: ~name passed to Obs.Registry.counter/gauge/histogram \
-       and Engine.begin_span must be a string literal"
+       and Engine.begin_span/open_span/close_span must be a string literal"
     (File check)
