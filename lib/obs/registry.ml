@@ -83,6 +83,8 @@ let incr c = c.count <- c.count + 1
 let add c k = c.count <- c.count + k
 let set g v = g.level <- v
 let set_max g v = if v > g.level then g.level <- v
+let count c = c.count
+let level g = g.level
 
 (* Few buckets per histogram; a linear scan beats binary search at these
    sizes and stays branch-predictable.  Top-level, so a delivery's

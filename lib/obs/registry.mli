@@ -53,6 +53,11 @@ val set_max : gauge -> int -> unit
 
 val observe : histogram -> int -> unit
 
+(** {1 Reads} *)
+
+val count : counter -> int
+val level : gauge -> int
+
 (** {1 Snapshots} *)
 
 type value =
@@ -91,4 +96,5 @@ val pp_snapshot : Format.formatter -> snapshot -> unit
 val json_of_snapshot : snapshot -> string
 (** A deterministic JSON object:
     [{"metrics": [{"name": ..., "kind": ..., ...}, ...]}] with metrics in
-    name order — embeddable in the bench JSON alongside {!Sim.Stats}. *)
+    name order — embeddable in the bench JSON, where it carries the
+    engine's lifecycle facts next to {!Sim.Stats}' message ledger. *)

@@ -97,7 +97,6 @@ type consensus_run = {
   fd : Fd.Fd_handle.t;
   instance : Consensus.Instance.t;
   trace : Sim.Trace.t;
-  stats : Sim.Stats.t;
 }
 
 let run_consensus ?(net = default_net) ?(crashes = Sim.Fault.none) ?proposals ?propose_at
@@ -121,7 +120,7 @@ let run_consensus ?(net = default_net) ?(crashes = Sim.Fault.none) ?proposals ?p
           if Sim.Engine.is_alive eng p then instance.Consensus.Instance.propose p (value_of p)))
     (Sim.Pid.all ~n);
   Sim.Engine.run_until eng horizon;
-  { engine = eng; fd; instance; trace = Sim.Engine.trace eng; stats = Sim.Engine.stats eng }
+  { engine = eng; fd; instance; trace = Sim.Engine.trace eng }
 
 let fd_run ?(net = default_net) ?(crashes = Sim.Fault.none) ?(horizon = 5000) ~n ~detector () =
   let eng = engine ~net ~n () in

@@ -59,7 +59,6 @@ type consensus_run = {
   fd : Fd.Fd_handle.t;
   instance : Consensus.Instance.t;
   trace : Sim.Trace.t;
-  stats : Sim.Stats.t;
 }
 
 val run_consensus :

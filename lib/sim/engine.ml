@@ -67,12 +67,6 @@ type t = {
   obs : Obs.Registry.t;
   m_delivery_latency : Obs.Registry.histogram;
   m_span_duration : Obs.Registry.histogram;
-  m_queue_depth_hw : Obs.Registry.gauge;
-  m_timer_residency_hw : Obs.Registry.gauge;
-  m_timer_set : Obs.Registry.counter;
-  m_timer_fired : Obs.Registry.counter;
-  m_timer_cancelled : Obs.Registry.counter;
-  m_timer_orphaned : Obs.Registry.counter;
   mutable next_seq : int;  (* scheduling sequence, shared by both wheels *)
   mutable next_msg : int;  (* message ids handed to Send/Deliver/Drop trace events *)
   mutable next_span : int;  (* span ids handed to Span_begin/Span_end *)
@@ -129,17 +123,11 @@ let create ?(seed = 0) ~n ~link () =
     handlers;
     handler_slots = Phys_cache.create ~dummy:[||] (handler_column handlers n);
     trace = Trace.create ();
-    stats = Stats.create ();
+    stats = Stats.create obs;
     obs;
     m_delivery_latency =
       Obs.Registry.histogram obs ~name:"engine.delivery_latency" ~buckets:tick_buckets;
     m_span_duration = Obs.Registry.histogram obs ~name:"engine.span_duration" ~buckets:tick_buckets;
-    m_queue_depth_hw = Obs.Registry.gauge obs ~name:"engine.queue_depth_high_water";
-    m_timer_residency_hw = Obs.Registry.gauge obs ~name:"engine.timer_residency_high_water";
-    m_timer_set = Obs.Registry.counter obs ~name:"engine.timer_set_total";
-    m_timer_fired = Obs.Registry.counter obs ~name:"engine.timer_fired_total";
-    m_timer_cancelled = Obs.Registry.counter obs ~name:"engine.timer_cancelled_total";
-    m_timer_orphaned = Obs.Registry.counter obs ~name:"engine.timer_orphaned_total";
     next_seq = 0;
     next_msg = 0;
     next_span = 0;
@@ -185,9 +173,7 @@ let alloc_seq t =
 (* Depth of the logical event queue: pending events plus pending timer
    cells, the length one combined queue would have at every instant. *)
 let note_event_depth t =
-  let depth = Timer_wheel.cardinal t.event_wheel + t.timer_live in
-  Stats.note_queue_depth t.stats ~depth;
-  Obs.Registry.set_max t.m_queue_depth_hw depth
+  Stats.note_queue_depth t.stats ~depth:(Timer_wheel.cardinal t.event_wheel + t.timer_live)
 
 (* The free stack is as long as the slab, so pushing a released slot never
    grows it. *)
@@ -354,9 +340,9 @@ let reclaim_timer_slot t slot =
 
 (* The arm path shared by [set_timer] and the periodic re-arm.  Returns the
    slot index (not a handle record) so the re-arm fast path stays
-   allocation-free; the accounting sequence — residency note, obs
-   high-water, set counter, depth note — is the exact sequence the old
-   heap-backed [set_timer] performed. *)
+   allocation-free; the accounting sequence — residency note, set
+   counter, depth note — is the exact sequence the old heap-backed
+   [set_timer] performed. *)
 let[@alloc.zero] arm_timer t p ~delay callback ctl =
   if delay < 0 then invalid_arg "Engine.set_timer: negative delay";
   let slot = alloc_timer_slot t in
@@ -367,9 +353,7 @@ let[@alloc.zero] arm_timer t p ~delay callback ctl =
   t.timer_live <- t.timer_live + 1;
   t.timer_armed <- t.timer_armed + 1;
   Stats.note_timer_residency t.stats ~residency:t.timer_live;
-  Obs.Registry.set_max t.m_timer_residency_hw t.timer_live;
   Stats.on_timer_set t.stats;
-  Obs.Registry.incr t.m_timer_set;
   Timer_wheel.add t.timer_wheel ~cell:slot ~deadline:(t.now + delay) ~seq:(alloc_seq t);
   note_event_depth t;
   slot
@@ -391,8 +375,7 @@ let cancel_slot t slot gen =
        is when the slot is reclaimed. *)
     t.timer_states.(slot) <- Cancelled;
     t.timer_armed <- t.timer_armed - 1;
-    Stats.on_timer_cancelled t.stats;
-    Obs.Registry.incr t.m_timer_cancelled
+    Stats.on_timer_cancelled t.stats
   end
 
 let cancel_timer t { slot; gen } = cancel_slot t slot gen
@@ -500,7 +483,6 @@ let[@alloc.zero] execute_timer t cell =
     t.timer_armed <- t.timer_armed - 1;
     if t.alive.(pid) then begin
       Stats.on_timer_fired t.stats;
-      Obs.Registry.incr t.m_timer_fired;
       if Sim_time.equal ctl.p_period Sim_time.zero then
         (cb ()
         [@check.allow extern
@@ -523,8 +505,7 @@ let[@alloc.zero] execute_timer t cell =
     end
     else begin
       (* Orphaned: the owner crashed between arm and deadline. *)
-      Stats.on_timer_orphaned t.stats;
-      Obs.Registry.incr t.m_timer_orphaned
+      Stats.on_timer_orphaned t.stats
     end
   | Cancelled -> ()
   | Free -> assert false

@@ -5,8 +5,9 @@
     abstract global clock.  Processes fail only by crashing, permanently.
     Protocol components attach per-process message handlers and timers; the
     engine delivers messages according to the configured {!Link} model,
-    fires timers, executes crashes, and records everything in a {!Trace}
-    and in {!Stats} counters.
+    fires timers, executes crashes, and records everything in a {!Trace},
+    in the {!Stats} message ledger and in its {!Obs.Registry} ({!obs}),
+    which alone stores the lifecycle facts that {!Stats.lifecycle} reads.
 
     Determinism: the engine owns a seeded {!Rng} used exclusively for link
     fates, and same-instant events fire in scheduling order, so a run is a
@@ -42,11 +43,13 @@ val stats : t -> Stats.t
 val obs : t -> Obs.Registry.t
 (** The engine's metric registry.  The engine itself feeds
     [engine.delivery_latency] (per non-local delivery),
-    [engine.span_duration] (on {!end_span}), the
+    [engine.span_duration] (on {!end_span}), and, through {!Stats}, the
+    eight lifecycle metrics {!Stats.lifecycle} reads back: the
     [engine.queue_depth_high_water] / [engine.timer_residency_high_water]
-    gauges, and the timer lifecycle counters [engine.timer_set_total],
-    [engine.timer_fired_total], [engine.timer_cancelled_total] and
-    [engine.timer_orphaned_total]; components register their own metrics
+    gauges and the counters [engine.events_executed_total],
+    [engine.timer_set_total], [engine.timer_fired_total],
+    [engine.timer_cancelled_total], [engine.timer_orphaned_total] and
+    [engine.timer_reclaimed_total].  Components register their own metrics
     here — with literal names (check rule R6). *)
 
 val link_description : t -> string

@@ -27,18 +27,19 @@ type lifecycle = {
 (* Keyed by (component, tag); component-level views aggregate on the fly.
    Simulations have few distinct keys, so a Hashtbl is ample.  The
    per-message counters reach it through [cells], which answers the
-   repeated constant keys without hashing. *)
+   repeated constant keys without hashing.  The lifecycle facts live only
+   in the engine's registry; [t] holds their handles. *)
 type t = {
   table : (string * string, cell) Hashtbl.t;
   cells : cell Phys_cache.t;
-  mutable events_executed : int;
-  mutable timers_set : int;
-  mutable timers_fired : int;
-  mutable timers_cancelled : int;
-  mutable timers_orphaned : int;
-  mutable timers_reclaimed : int;
-  mutable queue_high_water : int;
-  mutable timer_residency_high_water : int;
+  events_executed : Obs.Registry.counter;
+  timers_set : Obs.Registry.counter;
+  timers_fired : Obs.Registry.counter;
+  timers_cancelled : Obs.Registry.counter;
+  timers_orphaned : Obs.Registry.counter;
+  timers_reclaimed : Obs.Registry.counter;
+  queue_high_water : Obs.Registry.gauge;
+  timer_residency_high_water : Obs.Registry.gauge;
 }
 
 let find_or_add table component tag _ =
@@ -50,20 +51,20 @@ let find_or_add table component tag _ =
     Hashtbl.add table key c;
     c
 
-let create () =
+let create obs =
   let table = Hashtbl.create 32 in
   {
     table;
     cells =
       Phys_cache.create ~dummy:{ c_sent = 0; c_delivered = 0; c_dropped = 0 } (find_or_add table);
-    events_executed = 0;
-    timers_set = 0;
-    timers_fired = 0;
-    timers_cancelled = 0;
-    timers_orphaned = 0;
-    timers_reclaimed = 0;
-    queue_high_water = 0;
-    timer_residency_high_water = 0;
+    events_executed = Obs.Registry.counter obs ~name:"engine.events_executed_total";
+    timers_set = Obs.Registry.counter obs ~name:"engine.timer_set_total";
+    timers_fired = Obs.Registry.counter obs ~name:"engine.timer_fired_total";
+    timers_cancelled = Obs.Registry.counter obs ~name:"engine.timer_cancelled_total";
+    timers_orphaned = Obs.Registry.counter obs ~name:"engine.timer_orphaned_total";
+    timers_reclaimed = Obs.Registry.counter obs ~name:"engine.timer_reclaimed_total";
+    queue_high_water = Obs.Registry.gauge obs ~name:"engine.queue_depth_high_water";
+    timer_residency_high_water = Obs.Registry.gauge obs ~name:"engine.timer_residency_high_water";
   }
 
 let cell t ~component ~tag = Phys_cache.find t.cells component tag ""
@@ -80,30 +81,27 @@ let on_drop t ~component ~tag =
   let c = cell t ~component ~tag in
   c.c_dropped <- c.c_dropped + 1
 
-let on_event_executed t = t.events_executed <- t.events_executed + 1
-let on_timer_set t = t.timers_set <- t.timers_set + 1
-let on_timer_fired t = t.timers_fired <- t.timers_fired + 1
-let on_timer_cancelled t = t.timers_cancelled <- t.timers_cancelled + 1
-let on_timer_orphaned t = t.timers_orphaned <- t.timers_orphaned + 1
-let on_timer_reclaimed t = t.timers_reclaimed <- t.timers_reclaimed + 1
-
-let note_queue_depth t ~depth =
-  if depth > t.queue_high_water then t.queue_high_water <- depth
+let on_event_executed t = Obs.Registry.incr t.events_executed
+let on_timer_set t = Obs.Registry.incr t.timers_set
+let on_timer_fired t = Obs.Registry.incr t.timers_fired
+let on_timer_cancelled t = Obs.Registry.incr t.timers_cancelled
+let on_timer_orphaned t = Obs.Registry.incr t.timers_orphaned
+let on_timer_reclaimed t = Obs.Registry.incr t.timers_reclaimed
+let note_queue_depth t ~depth = Obs.Registry.set_max t.queue_high_water depth
 
 let note_timer_residency t ~residency =
-  if residency > t.timer_residency_high_water then
-    t.timer_residency_high_water <- residency
+  Obs.Registry.set_max t.timer_residency_high_water residency
 
 let lifecycle t =
   {
-    events_executed = t.events_executed;
-    timers_set = t.timers_set;
-    timers_fired = t.timers_fired;
-    timers_cancelled = t.timers_cancelled;
-    timers_orphaned = t.timers_orphaned;
-    timers_reclaimed = t.timers_reclaimed;
-    queue_high_water = t.queue_high_water;
-    timer_residency_high_water = t.timer_residency_high_water;
+    events_executed = Obs.Registry.count t.events_executed;
+    timers_set = Obs.Registry.count t.timers_set;
+    timers_fired = Obs.Registry.count t.timers_fired;
+    timers_cancelled = Obs.Registry.count t.timers_cancelled;
+    timers_orphaned = Obs.Registry.count t.timers_orphaned;
+    timers_reclaimed = Obs.Registry.count t.timers_reclaimed;
+    queue_high_water = Obs.Registry.level t.queue_high_water;
+    timer_residency_high_water = Obs.Registry.level t.timer_residency_high_water;
   }
 
 let pp_lifecycle ppf (l : lifecycle) =
@@ -118,14 +116,7 @@ let component_counts t ~component =
     (fun (c, _) v acc -> if String.equal c component then add acc (read v) else acc)
     t.table zero
 
-let tag_counts t ~component ~tag =
-  match Hashtbl.find_opt t.table (component, tag) with Some c -> read c | None -> zero
-
 let total t = Hashtbl.fold (fun _ v acc -> add acc (read v)) t.table zero
-
-let components t =
-  Hashtbl.fold (fun (c, _) _ acc -> c :: acc) t.table []
-  |> List.sort_uniq String.compare
 
 type snapshot = (string * string * counts) list
 
@@ -143,6 +134,3 @@ let sent_in_snapshot snap ~component =
 
 let sent_since t snap ~component =
   (component_counts t ~component).sent - sent_in_snapshot snap ~component
-
-let total_sent_since t snap =
-  (total t).sent - List.fold_left (fun acc (_, _, v) -> acc + v.sent) 0 snap

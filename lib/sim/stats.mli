@@ -1,11 +1,17 @@
-(** Message counters.
+(** Message counters and the engine's lifecycle view.
 
     Counts sends / deliveries / drops per protocol component (and per
     component+tag), which is how the benchmark harness measures the paper's
     "messages periodically sent" (Section 4) and "messages per round"
-    (Section 5.4) claims.  [snapshot]/[diff] support windowed counting:
-    count only what happens between two instants, e.g. one heartbeat period
-    or one consensus round in steady state. *)
+    (Section 5.4) claims.  [snapshot]/[sent_since] support windowed
+    counting: count only what happens between two instants, e.g. one
+    heartbeat period or one consensus round in steady state.
+
+    The engine's lifecycle facts (events executed, timers set / fired /
+    cancelled / orphaned / reclaimed, queue and residency high-water marks)
+    are stored only in the engine's {!Obs.Registry}, as the [engine.*]
+    metrics; the hooks below update those metrics and {!lifecycle} reads
+    them back. *)
 
 type counts = { sent : int; delivered : int; dropped : int }
 
@@ -36,7 +42,9 @@ type lifecycle = {
 
 type t
 
-val create : unit -> t
+val create : Obs.Registry.t -> t
+(** Registers the eight [engine.*] lifecycle metrics in the registry
+    (see [Engine.obs]). *)
 
 val on_send : t -> component:string -> tag:string -> unit
 val on_deliver : t -> component:string -> tag:string -> unit
@@ -58,19 +66,15 @@ val note_timer_residency : t -> residency:int -> unit
 (** Record the current timer-registry residency; retains the maximum seen. *)
 
 val lifecycle : t -> lifecycle
-(** Current lifecycle counters, as an immutable snapshot. *)
+(** Current lifecycle counters, read back from the registry, as an
+    immutable snapshot. *)
 
 val pp_lifecycle : Format.formatter -> lifecycle -> unit
 
 val component_counts : t -> component:string -> counts
 (** Aggregated over all tags of the component; zeros if unknown. *)
 
-val tag_counts : t -> component:string -> tag:string -> counts
-
 val total : t -> counts
-
-val components : t -> string list
-(** All component names seen so far, sorted. *)
 
 type snapshot = (string * string * counts) list
 (** Per-(component, tag) counters, sorted by (component, tag): a pure
@@ -81,5 +85,3 @@ val snapshot : t -> snapshot
 
 val sent_since : t -> snapshot -> component:string -> int
 (** Messages of [component] sent since the snapshot was taken. *)
-
-val total_sent_since : t -> snapshot -> int

@@ -32,14 +32,15 @@ let ops =
   ]
 
 let test_snapshot_insertion_order () =
-  let a = Sim.Stats.create () and b = Sim.Stats.create () in
+  let a = Sim.Stats.create (Obs.Registry.create ())
+  and b = Sim.Stats.create (Obs.Registry.create ()) in
   feed a ops;
   feed b (List.rev ops);
   Alcotest.check snapshot_t "snapshot independent of insertion order"
     (flatten_snapshot a) (flatten_snapshot b)
 
 let test_snapshot_sorted () =
-  let a = Sim.Stats.create () in
+  let a = Sim.Stats.create (Obs.Registry.create ()) in
   feed a ops;
   let snap = flatten_snapshot a in
   let resorted =

@@ -429,6 +429,17 @@ type Sim.Payload.t += Ping of int
 let mk_engine ?(seed = 0) ?(n = 3) ?(delay = 2) () =
   Sim.Engine.create ~seed ~n ~link:(Sim.Link.synchronous ~delay) ()
 
+(* One timer each fired, cancelled and orphaned by its owner's crash. *)
+let timer_mix () =
+  let e = mk_engine () in
+  let t1 = Sim.Engine.set_timer e 0 ~delay:3 (fun () -> ()) in
+  ignore (Sim.Engine.set_timer e 1 ~delay:4 (fun () -> ()) : Sim.Engine.timer);
+  ignore (Sim.Engine.set_timer e 2 ~delay:5 (fun () -> ()) : Sim.Engine.timer);
+  Sim.Engine.cancel_timer e t1;
+  Sim.Engine.schedule_crash e 2 ~at:1;
+  Sim.Engine.run_until e 10;
+  e
+
 let engine_tests =
   [
     tc "message delivery calls the handler with src and payload" (fun () ->
@@ -583,13 +594,7 @@ let engine_tests =
         Sim.Engine.run_until e 10;
         Alcotest.(check bool) "new timer in reused slot fired" true !fired);
     tc "timer lifecycle counters balance: set = fired + cancelled + crash-orphaned" (fun () ->
-        let e = mk_engine () in
-        let t1 = Sim.Engine.set_timer e 0 ~delay:3 (fun () -> ()) in
-        ignore (Sim.Engine.set_timer e 1 ~delay:4 (fun () -> ()) : Sim.Engine.timer);
-        ignore (Sim.Engine.set_timer e 2 ~delay:5 (fun () -> ()) : Sim.Engine.timer);
-        Sim.Engine.cancel_timer e t1;
-        Sim.Engine.schedule_crash e 2 ~at:1;
-        Sim.Engine.run_until e 10;
+        let e = timer_mix () in
         let lc = Sim.Stats.lifecycle (Sim.Engine.stats e) in
         Alcotest.(check int) "set" 3 lc.Sim.Stats.timers_set;
         Alcotest.(check int) "fired" 1 lc.Sim.Stats.timers_fired;
@@ -601,6 +606,27 @@ let engine_tests =
           + lc.Sim.Stats.timers_orphaned + Sim.Engine.timer_armed e);
         Alcotest.(check int) "all reclaimed" 3 lc.Sim.Stats.timers_reclaimed;
         Alcotest.(check int) "no residual slots" 0 (Sim.Engine.timer_residency e));
+    tc "lifecycle view reads the engine.* registry metrics" (fun () ->
+        let e = timer_mix () in
+        let lc = Sim.Stats.lifecycle (Sim.Engine.stats e) in
+        let snap = Obs.Registry.snapshot (Sim.Engine.obs e) in
+        let metric name =
+          match List.assoc_opt name snap with
+          | Some (Obs.Registry.Counter v | Obs.Registry.Gauge v) -> v
+          | _ -> Alcotest.failf "%s missing from the registry" name
+        in
+        List.iter
+          (fun (name, v) -> Alcotest.(check int) name v (metric name))
+          [
+            ("engine.events_executed_total", lc.Sim.Stats.events_executed);
+            ("engine.timer_set_total", lc.Sim.Stats.timers_set);
+            ("engine.timer_fired_total", lc.Sim.Stats.timers_fired);
+            ("engine.timer_cancelled_total", lc.Sim.Stats.timers_cancelled);
+            ("engine.timer_orphaned_total", lc.Sim.Stats.timers_orphaned);
+            ("engine.timer_reclaimed_total", lc.Sim.Stats.timers_reclaimed);
+            ("engine.queue_depth_high_water", lc.Sim.Stats.queue_high_water);
+            ("engine.timer_residency_high_water", lc.Sim.Stats.timer_residency_high_water);
+          ]);
     tc "every ~phase:0 fires at the current instant, then exactly once per period" (fun () ->
         let e = mk_engine () in
         let fired = ref [] in
@@ -797,24 +823,33 @@ let engine_tests =
 let stats_tests =
   [
     tc "per-component and per-tag counts" (fun () ->
-        let s = Sim.Stats.create () in
+        let s = Sim.Stats.create (Obs.Registry.create ()) in
         Sim.Stats.on_send s ~component:"a" ~tag:"x";
         Sim.Stats.on_send s ~component:"a" ~tag:"y";
         Sim.Stats.on_deliver s ~component:"a" ~tag:"x";
         Sim.Stats.on_send s ~component:"b" ~tag:"x";
+        let snap = Sim.Stats.snapshot s in
         Alcotest.(check int) "a sent" 2 (Sim.Stats.component_counts s ~component:"a").Sim.Stats.sent;
-        Alcotest.(check int) "a/x delivered" 1
-          (Sim.Stats.tag_counts s ~component:"a" ~tag:"x").Sim.Stats.delivered;
+        Alcotest.(check (option int)) "a/x delivered" (Some 1)
+          (List.find_map
+             (fun (c, tag, v) ->
+               if String.equal c "a" && String.equal tag "x" then Some v.Sim.Stats.delivered
+               else None)
+             snap);
         Alcotest.(check int) "total sent" 3 (Sim.Stats.total s).Sim.Stats.sent;
-        Alcotest.(check (list string)) "components" [ "a"; "b" ] (Sim.Stats.components s));
+        Alcotest.(check (list string))
+          "components" [ "a"; "b" ]
+          (List.sort_uniq String.compare (List.map (fun (c, _, _) -> c) snap)));
     tc "snapshots measure windows" (fun () ->
-        let s = Sim.Stats.create () in
+        let s = Sim.Stats.create (Obs.Registry.create ()) in
         Sim.Stats.on_send s ~component:"a" ~tag:"x";
         let snap = Sim.Stats.snapshot s in
         Sim.Stats.on_send s ~component:"a" ~tag:"x";
         Sim.Stats.on_send s ~component:"a" ~tag:"z";
         Alcotest.(check int) "window" 2 (Sim.Stats.sent_since s snap ~component:"a");
-        Alcotest.(check int) "total window" 2 (Sim.Stats.total_sent_since s snap));
+        Alcotest.(check int) "total window" 2
+          ((Sim.Stats.total s).Sim.Stats.sent
+          - List.fold_left (fun acc (_, _, v) -> acc + v.Sim.Stats.sent) 0 snap));
   ]
 
 let fault_tests =
