@@ -1,8 +1,3 @@
-type event_kind =
-  | Deliver of Payload.envelope
-  | Crash_now of Pid.t
-  | Harness of (unit -> unit)
-
 (* Timer registry: a generation/slot table replacing the old
    [(int, unit) Hashtbl.t] of cancelled ids, which grew for the lifetime of
    the run (entries were never purged, so a soak run leaked one table entry
@@ -23,8 +18,9 @@ type event_kind =
    re-arm — performs no minor-heap allocation at all.
 
    Aperiodic events (messages, crashes, harness callbacks) ride a second
-   wheel the same way: each one occupies a slot of the event slab (an
-   [event_kind] column plus a LIFO free stack) from schedule to pop.
+   wheel the same way: each one occupies a slot of the event slab (four
+   ints and a payload, plus a LIFO free stack; see [ev_ints] below) from
+   schedule to pop.
    [step] merges the two wheels by (time, scheduling sequence), both
    drawing from the engine's single sequence counter, which reproduces
    exactly the order of one combined queue (HACKING.md, "Engine
@@ -46,11 +42,55 @@ type periodic = {
 let no_ctl = { p_slot = -1; p_gen = -1; p_period = 0; p_stopped = false }
 let no_callback () = ()
 
-(* The content of a free event-slab slot: a popped event is dropped from
-   the slab at once, so its envelope or closure is GC-reclaimable. *)
-let no_event = Harness no_callback
-
 type handler = src:Pid.t -> Payload.t -> unit
+
+(* [Engine.at] callbacks ride the event slab's payload column under this
+   constructor, which nothing outside the engine can build or match. *)
+type Payload.t += Harness of (unit -> unit)
+
+(* Event-slab slot [s] is the four ints at [ev_ints.(4 s ..)] and the
+   payload [ev_payloads.(s)]:
+
+     +0  head     kind (2 bits) | a (21) | b (21) | route, low to high
+     +1  sent_at
+     +2  msg      the message id; -1 for a local self-send
+     +3  lc       the send's Lamport stamp, handed back to the trace
+
+   [a]/[b] are src/dst of a message and the victim of a crash.  A free
+   slot has head 0 (no kind is 0) and payload [Blank], so a popped
+   event's payload or callback is GC-reclaimable at once. *)
+let ev_stride = 4
+let k_deliver = 1
+let k_crash = 2
+let k_harness = 3
+let pid_bits = 21
+let pid_mask = (1 lsl pid_bits) - 1
+let route_shift = 2 + (2 * pid_bits)
+let max_routes = 1 lsl (Sys.int_size - route_shift)
+let head_kind h = h land 3
+let head_a h = (h lsr 2) land pid_mask
+let head_b h = (h lsr (2 + pid_bits)) land pid_mask
+let head_route h = h lsr route_shift
+
+(* A route is one interned (component, tag): everything [send] and
+   [dispatch] need about it, looked up once.  [handlers] is the
+   component's handler column, shared with [register]; the labels are the
+   trace's (component, tag, reason) for sends and deliveries, lossy drops
+   and drops at a crashed destination. *)
+type route = {
+  component : string;
+  handlers : handler option array;
+  cell : Stats.cell;
+  label : Trace.label;
+  lossy : Trace.label;
+  crashed : Trace.label;
+}
+
+type routes = {
+  mutable table : route array;  (* the first [len] are interned *)
+  mutable len : int;
+  by_key : (string * string, int) Hashtbl.t;
+}
 
 type t = {
   n : int;
@@ -60,8 +100,9 @@ type t = {
   link : Link.t;
   rng : Rng.t;
   alive : bool array;
-  handlers : (string, handler option array) Hashtbl.t;
-  handler_slots : handler option array Phys_cache.t;  (* [handlers], by component *)
+  handlers : (string, handler option array) Hashtbl.t;  (* by component *)
+  routes : routes;
+  route_ids : int Phys_cache.t;  (* [routes], by (component, tag) *)
   trace : Trace.t;
   stats : Stats.t;
   obs : Obs.Registry.t;
@@ -87,8 +128,9 @@ type t = {
                                      one past every generation the dropped
                                      slots ever handed out, so pre-compact
                                      handles can never match again *)
-  mutable ev_kinds : event_kind array;  (* the event slab; [no_event] when free *)
-  mutable ev_free : int array;  (* LIFO stack of free slab slots, as long as [ev_kinds] *)
+  mutable ev_ints : int array;  (* the event slab: [ev_stride] ints per slot *)
+  mutable ev_payloads : Payload.t array;  (* one per slot *)
+  mutable ev_free : int array;  (* LIFO stack of free slab slots, one per slot *)
   mutable ev_free_len : int;
   mutable ev_next_slot : int;  (* slab slots ever handed out; slab high-water *)
 }
@@ -98,9 +140,9 @@ type t = {
    chaos and long protocol phases. *)
 let tick_buckets = [ 1; 2; 4; 8; 16; 32; 64; 128; 256; 512; 1024; 4096 ]
 
-(* Every component's handler column, created empty on first use so
-   [register] and [dispatch] share one path through [handler_slots]. *)
-let handler_column handlers n component _ _ =
+(* Every component's handler column, created empty on first use, by
+   [register] or by the first route of the component. *)
+let handler_column handlers n component =
   match Hashtbl.find_opt handlers component with
   | Some slots -> slots
   | None ->
@@ -108,10 +150,43 @@ let handler_column handlers n component _ _ =
     Hashtbl.add handlers component slots;
     slots
 
+let intern_route routes handlers n stats trace component tag _ =
+  let key = (component, tag) in
+  match Hashtbl.find_opt routes.by_key key with
+  | Some id -> id
+  | None ->
+    if routes.len >= max_routes then
+      invalid_arg (Printf.sprintf "Engine.send: more than %d (component, tag) pairs" max_routes);
+    let route =
+      {
+        component;
+        handlers = handler_column handlers n component;
+        cell = Stats.cell stats ~component ~tag;
+        label = Trace.label trace component tag "";
+        lossy = Trace.label trace component tag "lossy";
+        crashed = Trace.label trace component tag "destination crashed";
+      }
+    in
+    if routes.len = Array.length routes.table then begin
+      let table = Array.make (Stdlib.max 8 (2 * routes.len)) route in
+      Array.blit routes.table 0 table 0 routes.len;
+      routes.table <- table
+    end;
+    let id = routes.len in
+    routes.table.(id) <- route;
+    routes.len <- id + 1;
+    Hashtbl.add routes.by_key key id;
+    id
+
 let create ?(seed = 0) ~n ~link () =
   if n < 1 then invalid_arg "Engine.create: n must be >= 1";
+  if n > Trace.max_pid + 1 then
+    invalid_arg (Printf.sprintf "Engine.create: n must be <= %d" (Trace.max_pid + 1));
   let obs = Obs.Registry.create () in
   let handlers = Hashtbl.create 8 in
+  let trace = Trace.create () in
+  let stats = Stats.create obs in
+  let routes = { table = [||]; len = 0; by_key = Hashtbl.create 16 } in
   {
     n;
     now = Sim_time.zero;
@@ -121,9 +196,10 @@ let create ?(seed = 0) ~n ~link () =
     rng = Rng.create ~seed;
     alive = Array.make n true;
     handlers;
-    handler_slots = Phys_cache.create ~dummy:[||] (handler_column handlers n);
-    trace = Trace.create ();
-    stats = Stats.create obs;
+    routes;
+    route_ids = Phys_cache.create ~dummy:(-1) (intern_route routes handlers n stats trace);
+    trace;
+    stats;
     obs;
     m_delivery_latency =
       Obs.Registry.histogram obs ~name:"engine.delivery_latency" ~buckets:tick_buckets;
@@ -142,7 +218,8 @@ let create ?(seed = 0) ~n ~link () =
     timer_live = 0;
     timer_armed = 0;
     timer_gen_floor = 0;
-    ev_kinds = [||];
+    ev_ints = [||];
+    ev_payloads = [||];
     ev_free = [||];
     ev_free_len = 0;
     ev_next_slot = 0;
@@ -178,57 +255,63 @@ let note_event_depth t =
 (* The free stack is as long as the slab, so pushing a released slot never
    grows it. *)
 let[@check.allow bulk
-     "amortized slab growth: the kind column and free stack double together, \
-      so per-event cost is O(1) and a steady-state run never takes this branch"]
+     "amortized slab growth: the int block, payload column and free stack double \
+      together, so per-event cost is O(1) and a steady-state run never takes this \
+      branch"]
     grow_event_slab t =
-  let capacity = Array.length t.ev_kinds in
+  let capacity = Array.length t.ev_payloads in
   let capacity' = Stdlib.max 16 (2 * capacity) in
-  let kinds' = Array.make capacity' no_event in
+  let ints' = Array.make (ev_stride * capacity') 0 in
+  let payloads' = Array.make capacity' Payload.Blank in
   let free' = Array.make capacity' 0 in
-  Array.blit t.ev_kinds 0 kinds' 0 capacity;
+  Array.blit t.ev_ints 0 ints' 0 (ev_stride * capacity);
+  Array.blit t.ev_payloads 0 payloads' 0 capacity;
   Array.blit t.ev_free 0 free' 0 t.ev_free_len;
-  t.ev_kinds <- kinds';
+  t.ev_ints <- ints';
+  t.ev_payloads <- payloads';
   t.ev_free <- free';
   Timer_wheel.ensure_capacity t.event_wheel capacity'
 
-let[@alloc.zero] take_event_slot t kind =
-  let slot =
-    if t.ev_free_len > 0 then begin
-      t.ev_free_len <- t.ev_free_len - 1;
-      t.ev_free.(t.ev_free_len)
-    end
-    else begin
-      if t.ev_next_slot = Array.length t.ev_kinds then grow_event_slab t;
-      let slot = t.ev_next_slot in
-      t.ev_next_slot <- slot + 1;
-      slot
-    end
-  in
-  t.ev_kinds.(slot) <- kind;
-  slot
+let[@alloc.zero] take_event_slot t =
+  if t.ev_free_len > 0 then begin
+    t.ev_free_len <- t.ev_free_len - 1;
+    t.ev_free.(t.ev_free_len)
+  end
+  else begin
+    if t.ev_next_slot = Array.length t.ev_payloads then grow_event_slab t;
+    let slot = t.ev_next_slot in
+    t.ev_next_slot <- slot + 1;
+    slot
+  end
 
 let[@alloc.zero] release_event_slot t slot =
-  let kind = t.ev_kinds.(slot) in
-  t.ev_kinds.(slot) <- no_event;
+  t.ev_ints.(ev_stride * slot) <- 0;
+  t.ev_payloads.(slot) <- Payload.Blank;
   t.ev_free.(t.ev_free_len) <- slot;
-  t.ev_free_len <- t.ev_free_len + 1;
-  kind
+  t.ev_free_len <- t.ev_free_len + 1
 
-(* Every enqueue goes through here so the queue high-water mark in [Stats]
-   is exact, not sampled. *)
-let schedule_event t ~at kind =
-  let slot = take_event_slot t kind in
+(* Write one event into a fresh slab slot and enqueue it.  Every enqueue
+   goes through here so the queue high-water mark in [Stats] is exact,
+   not sampled. *)
+let[@alloc.zero] schedule_event t ~at ~head ~msg ~lc payload =
+  let slot = take_event_slot t in
+  let o = ev_stride * slot in
+  t.ev_ints.(o) <- head;
+  t.ev_ints.(o + 1) <- t.now;
+  t.ev_ints.(o + 2) <- msg;
+  t.ev_ints.(o + 3) <- lc;
+  t.ev_payloads.(slot) <- payload;
   Timer_wheel.add t.event_wheel ~cell:slot ~deadline:at ~seq:(alloc_seq t);
   note_event_depth t
 
 let schedule_crash t p ~at =
   check_pid t p;
   if at < t.now then invalid_arg "Engine.schedule_crash: instant in the past";
-  schedule_event t ~at (Crash_now p)
+  schedule_event t ~at ~head:(k_crash lor (p lsl 2)) ~msg:0 ~lc:0 Payload.Blank
 
 let register t ~component p handler =
   check_pid t p;
-  let slots = Phys_cache.find t.handler_slots component "" "" in
+  let slots = handler_column t.handlers t.n component in
   match slots.(p) with
   | Some _ ->
     invalid_arg
@@ -236,29 +319,32 @@ let register t ~component p handler =
          (Pid.to_string p))
   | None -> slots.(p) <- Some handler
 
+let message_head ~src ~dst route =
+  k_deliver lor (src lsl 2) lor (dst lsl (2 + pid_bits)) lor (route lsl route_shift)
+
 let send t ~component ~tag ~src ~dst payload =
   check_pid t src;
   check_pid t dst;
   if t.alive.(src) then begin
+    let route = Phys_cache.find t.route_ids component tag "" in
+    let head = message_head ~src ~dst route in
     if Pid.equal src dst then
       (* Local delivery: immediate, not a network message, not counted,
          not traced (hence no message id). *)
-      schedule_event t ~at:t.now
-        (Deliver { Payload.src; dst; component; tag; payload; sent_at = t.now; msg = -1 })
+      schedule_event t ~at:t.now ~head ~msg:(-1) ~lc:0 payload
     else begin
+      let r = t.routes.table.(route) in
       let msg = t.next_msg in
       t.next_msg <- msg + 1;
-      let envelope = { Payload.src; dst; component; tag; payload; sent_at = t.now; msg } in
-      Trace.record t.trace (Send { at = t.now; src; dst; msg; component; tag });
-      Stats.on_send t.stats ~component ~tag;
+      let lc = Trace.record_send t.trace ~at:t.now ~src ~dst ~msg r.label in
+      Stats.count_send r.cell;
       match t.link.Link.fate ~rng:t.rng ~now:t.now ~src ~dst with
       | Link.Drop ->
-        Trace.record t.trace
-          (Drop { at = t.now; src; dst; msg; component; tag; reason = "lossy" });
-        Stats.on_drop t.stats ~component ~tag
+        Trace.record_drop t.trace ~at:t.now ~src ~dst ~msg ~sent_lc:lc r.lossy;
+        Stats.count_drop r.cell
       | Link.Deliver_at at ->
         assert (at >= t.now);
-        schedule_event t ~at (Deliver envelope)
+        schedule_event t ~at ~head ~msg ~lc payload
     end
   end
 
@@ -398,7 +484,7 @@ let every t p ?phase ~period callback =
 
 let at t instant callback =
   if instant < t.now then invalid_arg "Engine.at: instant in the past";
-  schedule_event t ~at:instant (Harness callback)
+  schedule_event t ~at:instant ~head:k_harness ~msg:0 ~lc:0 (Harness callback)
 
 let note t p ~tag detail = Trace.record t.trace (Note { at = t.now; pid = p; tag; detail })
 
@@ -406,11 +492,11 @@ let open_span t p ~component ~name =
   check_pid t p;
   let span = t.next_span in
   t.next_span <- span + 1;
-  Trace.record t.trace (Span_begin { at = t.now; pid = p; component; span; name });
+  Trace.record_span_begin t.trace ~at:t.now ~pid:p ~span (Trace.label t.trace component name "");
   span
 
 let close_span t p ~component ~name ~span ~opened_at =
-  Trace.record t.trace (Span_end { at = t.now; pid = p; component; span; name });
+  Trace.record_span_end t.trace ~at:t.now ~pid:p ~span (Trace.label t.trace component name "");
   Obs.Registry.observe t.m_span_duration (t.now - opened_at)
 
 type span = {
@@ -437,25 +523,31 @@ let end_span t s =
 let record_fd_view t ~component p ~suspected ~trusted =
   Trace.record t.trace (Fd_view { at = t.now; pid = p; component; suspected; trusted })
 
-let dispatch t (envelope : Payload.envelope) =
-  let { Payload.src; dst; component; tag; payload; sent_at; msg } = envelope in
+(* Deliver the message in slab slot [slot].  The slot is released before
+   the handler runs, so the handler's own sends may reuse it. *)
+let dispatch t slot head =
+  let o = ev_stride * slot in
+  let sent_at = t.ev_ints.(o + 1) and msg = t.ev_ints.(o + 2) and lc = t.ev_ints.(o + 3) in
+  let payload = t.ev_payloads.(slot) in
+  release_event_slot t slot;
+  let src = head_a head and dst = head_b head in
+  let r = t.routes.table.(head_route head) in
   if not t.alive.(dst) then begin
     if not (Pid.equal src dst) then begin
-      Trace.record t.trace
-        (Drop { at = t.now; src; dst; msg; component; tag; reason = "destination crashed" });
-      Stats.on_drop t.stats ~component ~tag
+      Trace.record_drop t.trace ~at:t.now ~src ~dst ~msg ~sent_lc:lc r.crashed;
+      Stats.count_drop r.cell
     end
   end
   else begin
-    match (Phys_cache.find t.handler_slots component "" "").(dst) with
+    match r.handlers.(dst) with
     | None ->
       failwith
         (Printf.sprintf "Engine: message for component %S at %s but no handler registered"
-           component (Pid.to_string dst))
+           r.component (Pid.to_string dst))
     | Some h ->
       if not (Pid.equal src dst) then begin
-        Trace.record t.trace (Deliver { at = t.now; src; dst; msg; component; tag });
-        Stats.on_deliver t.stats ~component ~tag;
+        Trace.record_deliver t.trace ~at:t.now ~src ~dst ~msg ~sent_lc:lc r.label;
+        Stats.count_deliver r.cell;
         Obs.Registry.observe t.m_delivery_latency (t.now - sent_at)
       end;
       h ~src payload
@@ -510,15 +602,24 @@ let[@alloc.zero] execute_timer t cell =
   | Cancelled -> ()
   | Free -> assert false
 
-let execute t kind =
-  match kind with
-  | Deliver envelope -> dispatch t envelope
-  | Crash_now p ->
+let execute t slot =
+  let head = t.ev_ints.(ev_stride * slot) in
+  let kind = head_kind head in
+  if kind = k_deliver then dispatch t slot head
+  else if kind = k_crash then begin
+    release_event_slot t slot;
+    let p = head_a head in
     if t.alive.(p) then begin
       t.alive.(p) <- false;
       Trace.record t.trace (Crash { at = t.now; pid = p })
     end
-  | Harness f -> f ()
+  end
+  else
+    match t.ev_payloads.(slot) with
+    | Harness f ->
+      release_event_slot t slot;
+      f ()
+    | _ -> assert false
 
 (* Merge the timer wheel and the event wheel by (time, scheduling
    sequence).  Sequence numbers are globally unique (one counter feeds
@@ -551,11 +652,11 @@ let[@alloc.zero] step t =
     end
     else begin
       let at = Timer_wheel.next_at t.event_wheel in
-      let kind = release_event_slot t (Timer_wheel.pop t.event_wheel) in
+      let slot = Timer_wheel.pop t.event_wheel in
       assert (at >= t.now);
       t.now <- at;
       Stats.on_event_executed t.stats;
-      (execute t kind
+      (execute t slot
       [@check.allow extern
           "aperiodic dispatch leg: trace records, handler lookup and harness \
            callbacks may allocate — the zero-alloc contract covers the wheel \
@@ -584,7 +685,7 @@ let run_until t horizon =
 
 let pending_events t = Timer_wheel.cardinal t.event_wheel + t.timer_live
 
-let event_slab_capacity t = Array.length t.ev_kinds
+let event_slab_capacity t = Array.length t.ev_payloads
 
 (* Drop the event slab to one past its highest occupied slot.  Pending
    events never sit in a free slot, so nothing above the cut is in the
@@ -592,10 +693,10 @@ let event_slab_capacity t = Array.length t.ev_kinds
 let compact_events t =
   let cap = ref 0 in
   for s = 0 to t.ev_next_slot - 1 do
-    if t.ev_kinds.(s) != no_event then cap := s + 1
+    if t.ev_ints.(ev_stride * s) <> 0 then cap := s + 1
   done;
   let cap = !cap in
-  if cap < Array.length t.ev_kinds then begin
+  if cap < Array.length t.ev_payloads then begin
     (* Keep the surviving free slots in LIFO order. *)
     let kept = ref 0 in
     for i = 0 to t.ev_free_len - 1 do
@@ -606,7 +707,8 @@ let compact_events t =
       end
     done;
     t.ev_free_len <- !kept;
-    t.ev_kinds <- Array.sub t.ev_kinds 0 cap;
+    t.ev_ints <- Array.sub t.ev_ints 0 (ev_stride * cap);
+    t.ev_payloads <- Array.sub t.ev_payloads 0 cap;
     t.ev_free <- Array.sub t.ev_free 0 cap;
     t.ev_next_slot <- cap;
     Timer_wheel.shrink_capacity t.event_wheel cap

@@ -20,6 +20,15 @@
     identical to a single combined queue's (HACKING.md, "Engine
     guarantees").
 
+    An in-flight event holds no heap record of its own: its slab slot is
+    four ints (a head packing kind, src, dst and route, then [sent_at],
+    the message id and the send's Lamport stamp) plus its payload.  A
+    route is one (component, tag), interned on its first send with its
+    trace labels, handler column and {!Stats} cell.  The engine records
+    its messages and spans through {!Trace}'s scalar writers and hands
+    each message's send stamp back to the trace at delivery or drop, so
+    a message costs only its link fate's [Deliver_at] box (2 minor words).
+
     Conventions:
     - a {b self-send} ([src = dst]) is local: it is delivered at the current
       instant, bypasses the link model, and is {i not} counted as a message
@@ -32,7 +41,8 @@
 type t
 
 val create : ?seed:int -> n:int -> link:Link.t -> unit -> t
-(** [n >= 1] processes, all initially alive, clock at 0. *)
+(** [1 <= n <= Trace.max_pid + 1] processes, all initially alive, clock
+    at 0. *)
 
 val n : t -> int
 val now : t -> Sim_time.t
@@ -74,7 +84,11 @@ val register : t -> component:string -> Pid.t -> (src:Pid.t -> Payload.t -> unit
 
 val send :
   t -> component:string -> tag:string -> src:Pid.t -> dst:Pid.t -> Payload.t -> unit
-(** Send a message.  No-op if [src] has crashed. *)
+(** Send a message.  No-op if [src] has crashed.  The first send of a
+    (component, tag) interns its route; pass the same physical strings
+    every time and later sends find it without hashing.
+    @raise Invalid_argument past [2{^19}] distinct (component, tag)
+    pairs. *)
 
 val send_to_all_others :
   t -> component:string -> tag:string -> src:Pid.t -> Payload.t -> unit

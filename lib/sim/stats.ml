@@ -25,13 +25,12 @@ type lifecycle = {
 }
 
 (* Keyed by (component, tag); component-level views aggregate on the fly.
-   Simulations have few distinct keys, so a Hashtbl is ample.  The
-   per-message counters reach it through [cells], which answers the
-   repeated constant keys without hashing.  The lifecycle facts live only
-   in the engine's registry; [t] holds their handles. *)
+   Simulations have few distinct keys, so a Hashtbl is ample.  The engine
+   looks each key's cell up once, when it interns the (component, tag)
+   route, and counts through the cell from then on.  The lifecycle facts
+   live only in the engine's registry; [t] holds their handles. *)
 type t = {
   table : (string * string, cell) Hashtbl.t;
-  cells : cell Phys_cache.t;
   events_executed : Obs.Registry.counter;
   timers_set : Obs.Registry.counter;
   timers_fired : Obs.Registry.counter;
@@ -42,21 +41,9 @@ type t = {
   timer_residency_high_water : Obs.Registry.gauge;
 }
 
-let find_or_add table component tag _ =
-  let key = (component, tag) in
-  match Hashtbl.find_opt table key with
-  | Some c -> c
-  | None ->
-    let c = { c_sent = 0; c_delivered = 0; c_dropped = 0 } in
-    Hashtbl.add table key c;
-    c
-
 let create obs =
-  let table = Hashtbl.create 32 in
   {
-    table;
-    cells =
-      Phys_cache.create ~dummy:{ c_sent = 0; c_delivered = 0; c_dropped = 0 } (find_or_add table);
+    table = Hashtbl.create 32;
     events_executed = Obs.Registry.counter obs ~name:"engine.events_executed_total";
     timers_set = Obs.Registry.counter obs ~name:"engine.timer_set_total";
     timers_fired = Obs.Registry.counter obs ~name:"engine.timer_fired_total";
@@ -67,19 +54,18 @@ let create obs =
     timer_residency_high_water = Obs.Registry.gauge obs ~name:"engine.timer_residency_high_water";
   }
 
-let cell t ~component ~tag = Phys_cache.find t.cells component tag ""
+let cell t ~component ~tag =
+  let key = (component, tag) in
+  match Hashtbl.find_opt t.table key with
+  | Some c -> c
+  | None ->
+    let c = { c_sent = 0; c_delivered = 0; c_dropped = 0 } in
+    Hashtbl.add t.table key c;
+    c
 
-let on_send t ~component ~tag =
-  let c = cell t ~component ~tag in
-  c.c_sent <- c.c_sent + 1
-
-let on_deliver t ~component ~tag =
-  let c = cell t ~component ~tag in
-  c.c_delivered <- c.c_delivered + 1
-
-let on_drop t ~component ~tag =
-  let c = cell t ~component ~tag in
-  c.c_dropped <- c.c_dropped + 1
+let count_send c = c.c_sent <- c.c_sent + 1
+let count_deliver c = c.c_delivered <- c.c_delivered + 1
+let count_drop c = c.c_dropped <- c.c_dropped + 1
 
 let on_event_executed t = Obs.Registry.incr t.events_executed
 let on_timer_set t = Obs.Registry.incr t.timers_set

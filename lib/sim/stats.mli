@@ -46,9 +46,16 @@ val create : Obs.Registry.t -> t
 (** Registers the eight [engine.*] lifecycle metrics in the registry
     (see [Engine.obs]). *)
 
-val on_send : t -> component:string -> tag:string -> unit
-val on_deliver : t -> component:string -> tag:string -> unit
-val on_drop : t -> component:string -> tag:string -> unit
+type cell
+(** The three counters of one (component, tag). *)
+
+val cell : t -> component:string -> tag:string -> cell
+(** The key's cell, created (all zeros) on first use.  The engine looks
+    it up once per (component, tag) and counts through it. *)
+
+val count_send : cell -> unit
+val count_deliver : cell -> unit
+val count_drop : cell -> unit
 
 (** {2 Lifecycle accounting (engine-internal hooks)} *)
 

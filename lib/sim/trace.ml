@@ -111,10 +111,10 @@ let push v x =
   v.len <- v.len + 1;
   v.len - 1
 
-type label = { l1 : string; l2 : string; l3 : string }
+type triple = { l1 : string; l2 : string; l3 : string }
 
 module Label_tbl = Hashtbl.Make (struct
-  type t = label
+  type t = triple
 
   let equal a b = String.equal a.l1 b.l1 && String.equal a.l2 b.l2 && String.equal a.l3 b.l3
   let hash = Hashtbl.hash
@@ -124,17 +124,22 @@ module Int_tbl = Hashtbl.Make (Int)
 
 (* [clocks] is the per-process Lamport clock, grown on demand — the trace
    does not know [n], and hand-built test traces should not have to
-   declare it.  [send_lc] maps an in-flight message id to its send stamp;
-   the entry is consumed by the matching [Deliver] or [Drop], so the
-   table's residency is bounded by in-flight messages, not run length.
-   [label_cache] sits in front of [label_ids]: callers pass the same
-   physical component and tag constants over and over, so most interning
-   skips hashing. *)
+   declare it.  [cur] is the chunk the next event goes to, and [cur_limit]
+   one past the last index it has room for, so a write tests one int.
+   [send_lc] maps an in-flight message id to its send stamp for {!record}
+   alone: the engine carries the stamp itself and hands it back to
+   [record_deliver]/[record_drop].  A [Deliver] or [Drop] consumes the
+   entry, so the table's residency is bounded by in-flight messages, not
+   run length.  [label_cache] sits in front of [label_ids]: callers pass
+   the same physical component and tag constants over and over, so most
+   interning skips hashing. *)
 type t = {
   mutable chunks : chunk array;  (* the first [n_chunks] are in use *)
   mutable n_chunks : int;
   mutable count : int;
-  labels : label vec;
+  mutable cur : chunk;
+  mutable cur_limit : int;
+  labels : triple vec;
   label_ids : int Label_tbl.t;
   label_cache : int Phys_cache.t;
   sets : Pid.Set.t vec;
@@ -143,6 +148,8 @@ type t = {
   mutable clocks : int array;
   send_lc : int Int_tbl.t;
 }
+
+type label = int
 
 let no_label = { l1 = ""; l2 = ""; l3 = "" }
 
@@ -157,6 +164,9 @@ let intern_label labels label_ids l1 l2 l3 =
     Label_tbl.add label_ids key id;
     id
 
+let new_chunk events : chunk =
+  Bigarray.Array1.create Bigarray.int Bigarray.c_layout (events * stride)
+
 (* Label 0 is the empty triple, the label of the kinds that carry no
    string ([body_at] reads it unconditionally). *)
 let create () =
@@ -167,6 +177,8 @@ let create () =
     chunks = [||];
     n_chunks = 0;
     count = 0;
+    cur = new_chunk 0;
+    cur_limit = 0;
     labels;
     label_ids;
     label_cache = Phys_cache.create ~dummy:0 (intern_label labels label_ids);
@@ -174,28 +186,35 @@ let create () =
     texts = vec ();
     ints = vec ();
     clocks = [||];
-    send_lc = Int_tbl.create 64;
+    send_lc = Int_tbl.create 16;
   }
 
-let intern t l1 l2 l3 = Phys_cache.find t.label_cache l1 l2 l3
+let label t l1 l2 l3 = Phys_cache.find t.label_cache l1 l2 l3
 
 let check_pid what p =
   if p < 0 || p > max_pid then
     invalid_arg (Printf.sprintf "Trace.record: %s %d outside [0, %d]" what p max_pid)
 
-let head kind ~a ~b label =
-  Kind.code kind lor (a lsl 4) lor (b lsl (4 + pid_bits)) lor (label lsl label_shift)
+let send_code = Kind.code Kind.Send
+let deliver_code = Kind.code Kind.Deliver
+let drop_code = Kind.code Kind.Drop
+
+let head code ~a ~b label = code lor (a lsl 4) lor (b lsl (4 + pid_bits)) lor (label lsl label_shift)
+
+let[@check.allow bulk
+     "amortized growth of the per-process clock row: doubles, so a run grows it \
+      O(log n) times and a steady-state run never takes this branch"]
+    grow_clocks t pid =
+  let capacity = Array.length t.clocks in
+  let capacity' = Stdlib.max 8 (Stdlib.max (pid + 1) (2 * capacity)) in
+  let clocks' = Array.make capacity' 0 in
+  Array.blit t.clocks 0 clocks' 0 capacity;
+  t.clocks <- clocks'
 
 let clock t pid = if pid < Array.length t.clocks then t.clocks.(pid) else 0
 
 let set_clock t pid v =
-  let capacity = Array.length t.clocks in
-  if pid >= capacity then begin
-    let capacity' = Stdlib.max 8 (Stdlib.max (pid + 1) (2 * capacity)) in
-    let clocks' = Array.make capacity' 0 in
-    Array.blit t.clocks 0 clocks' 0 capacity;
-    t.clocks <- clocks'
-  end;
+  if pid >= Array.length t.clocks then grow_clocks t pid;
   t.clocks.(pid) <- v
 
 let tick t pid =
@@ -203,77 +222,45 @@ let tick t pid =
   set_clock t pid c;
   c
 
-(* The clock rules (see trace.mli): Send ticks the sender and publishes
-   its stamp under the message id; Deliver joins the receiver's clock with
-   that stamp; Drop adopts the stamp without ticking anyone; every other
-   event ticks the process it happens at. *)
-let stamp t = function
-  | Send { src; msg; _ } ->
-    let c = tick t src in
-    if msg >= 0 then Int_tbl.replace t.send_lc msg c;
-    c
-  | Deliver { dst; msg; _ } ->
-    let sent =
-      match Int_tbl.find_opt t.send_lc msg with
-      | Some c ->
-        Int_tbl.remove t.send_lc msg;
-        c
-      | None -> 0
-    in
-    let c = Stdlib.max (clock t dst) sent + 1 in
-    set_clock t dst c;
-    c
-  | Drop { msg; _ } -> (
-    match Int_tbl.find_opt t.send_lc msg with
-    | Some c ->
-      Int_tbl.remove t.send_lc msg;
-      c
-    | None -> 0)
-  | Crash { pid; _ }
-  | Fd_view { pid; _ }
-  | Propose { pid; _ }
-  | Decide { pid; _ }
-  | Note { pid; _ }
-  | Span_begin { pid; _ }
-  | Span_end { pid; _ } -> tick t pid
-
-let new_chunk events : chunk =
-  Bigarray.Array1.create Bigarray.int Bigarray.c_layout (events * stride)
-
-(* The chunk event [i] is written to.  Chunk 0 starts at
+(* Make [cur] the chunk event [i] is written to.  Chunk 0 starts at
    [first_chunk_events] and doubles up to [chunk_events], so a short
    trace stays small; every later chunk is allocated full-size. *)
-let chunk_for_write t i =
+let advance_chunk t i =
   let ci = i lsr chunk_bits in
-  if ci < t.n_chunks then begin
-    let c = t.chunks.(ci) in
-    let capacity = Bigarray.Array1.dim c / stride in
-    if i land chunk_mask < capacity then c
-    else begin
+  let c =
+    if ci < t.n_chunks then begin
+      let c = t.chunks.(ci) in
+      let capacity = Bigarray.Array1.dim c / stride in
       let c' = new_chunk (Stdlib.min chunk_events (2 * capacity)) in
       Bigarray.Array1.blit c (Bigarray.Array1.sub c' 0 (Bigarray.Array1.dim c));
       t.chunks.(ci) <- c';
       c'
     end
-  end
-  else begin
-    let c = new_chunk (if ci = 0 then first_chunk_events else chunk_events) in
-    if ci = Array.length t.chunks then begin
-      let chunks = Array.make (Stdlib.max 8 (2 * ci)) c in
-      Array.blit t.chunks 0 chunks 0 ci;
-      t.chunks <- chunks
-    end;
-    t.chunks.(ci) <- c;
-    t.n_chunks <- ci + 1;
-    c
-  end
+    else begin
+      let c = new_chunk (if ci = 0 then first_chunk_events else chunk_events) in
+      if ci = Array.length t.chunks then begin
+        let chunks = Array.make (Stdlib.max 8 (2 * ci)) c in
+        Array.blit t.chunks 0 chunks 0 ci;
+        t.chunks <- chunks
+      end;
+      t.chunks.(ci) <- c;
+      t.n_chunks <- ci + 1;
+      c
+    end
+  in
+  t.cur <- c;
+  t.cur_limit <- (ci lsl chunk_bits) + (Bigarray.Array1.dim c / stride)
 
-(* Stamp and write one event.  Every range check has passed by now, so a
+(* Write one stamped event.  Every range check has passed by now, so a
    rejected event leaves the trace as it was. *)
-let append t body h ~at x =
-  let lc = stamp t body in
+let append t h ~at ~lc x =
   let i = t.count in
-  let c = chunk_for_write t i in
+  if i >= t.cur_limit then
+    (advance_chunk t i
+    [@check.allow extern
+        "amortized chunk growth: a new or doubled Bigarray chunk every 2^14 events \
+         at most, never on a steady-state write"]);
+  let c = t.cur in
   let o = (i land chunk_mask) * stride in
   Bigarray.Array1.unsafe_set c o h;
   Bigarray.Array1.unsafe_set c (o + 1) at;
@@ -281,24 +268,57 @@ let append t body h ~at x =
   Bigarray.Array1.unsafe_set c (o + 3) x;
   t.count <- i + 1
 
+(* The clock rules (see trace.mli), one writer per rule: Send ticks the
+   sender and returns its stamp; Deliver joins the receiver's clock with
+   the send's stamp; Drop adopts the stamp without ticking anyone; every
+   other event ticks the process it happens at. *)
+
 let message kind ~src ~dst label =
   check_pid "src" src;
   check_pid "dst" dst;
   head kind ~a:src ~b:dst label
 
-let at_pid kind pid ~b label =
+let[@alloc.zero] record_send t ~at ~src ~dst ~msg label =
+  let h = message send_code ~src ~dst label in
+  let lc = tick t src in
+  append t h ~at ~lc msg;
+  lc
+
+let[@alloc.zero] record_deliver t ~at ~src ~dst ~msg ~sent_lc label =
+  let h = message deliver_code ~src ~dst label in
+  let lc = Stdlib.max (clock t dst) sent_lc + 1 in
+  set_clock t dst lc;
+  append t h ~at ~lc msg
+
+let record_drop t ~at ~src ~dst ~msg ~sent_lc label =
+  append t (message drop_code ~src ~dst label) ~at ~lc:sent_lc msg
+
+(* An event at one process: ticks [pid]'s clock. *)
+let at_pid t kind pid ~b label ~at x =
   check_pid "pid" pid;
-  head kind ~a:pid ~b label
+  let h = head (Kind.code kind) ~a:pid ~b label in
+  append t h ~at ~lc:(tick t pid) x
+
+let record_span_begin t ~at ~pid ~span label = at_pid t Kind.Span_begin pid ~b:0 label ~at span
+let record_span_end t ~at ~pid ~span label = at_pid t Kind.Span_end pid ~b:0 label ~at span
+
+(* [record]'s own message stamps: a hand-built [Deliver] or [Drop] finds
+   its send's stamp here (0 if none was recorded), and consumes it only
+   once the event is written. *)
+let sent_stamp t msg = match Int_tbl.find_opt t.send_lc msg with Some c -> c | None -> 0
 
 let record t body =
   match body with
   | Send { at; src; dst; msg; component; tag } ->
-    append t body (message Kind.Send ~src ~dst (intern t component tag "")) ~at msg
+    let lc = record_send t ~at ~src ~dst ~msg (label t component tag "") in
+    if msg >= 0 then Int_tbl.replace t.send_lc msg lc
   | Deliver { at; src; dst; msg; component; tag } ->
-    append t body (message Kind.Deliver ~src ~dst (intern t component tag "")) ~at msg
+    record_deliver t ~at ~src ~dst ~msg ~sent_lc:(sent_stamp t msg) (label t component tag "");
+    Int_tbl.remove t.send_lc msg
   | Drop { at; src; dst; msg; component; tag; reason } ->
-    append t body (message Kind.Drop ~src ~dst (intern t component tag reason)) ~at msg
-  | Crash { at; pid } -> append t body (at_pid Kind.Crash pid ~b:0 0) ~at 0
+    record_drop t ~at ~src ~dst ~msg ~sent_lc:(sent_stamp t msg) (label t component tag reason);
+    Int_tbl.remove t.send_lc msg
+  | Crash { at; pid } -> at_pid t Kind.Crash pid ~b:0 0 ~at 0
   | Fd_view { at; pid; component; suspected; trusted } ->
     let b =
       match trusted with
@@ -307,21 +327,23 @@ let record t body =
         check_pid "trusted" q;
         q
     in
-    let h = at_pid Kind.Fd_view pid ~b (intern t component "" "") in
-    append t body h ~at (push t.sets suspected)
-  | Propose { at; pid; value } -> append t body (at_pid Kind.Propose pid ~b:0 0) ~at value
+    let l = label t component "" "" in
+    check_pid "pid" pid;
+    at_pid t Kind.Fd_view pid ~b l ~at (push t.sets suspected)
+  | Propose { at; pid; value } -> at_pid t Kind.Propose pid ~b:0 0 ~at value
   | Decide { at; pid; value; round } ->
-    let h = at_pid Kind.Decide pid ~b:0 0 in
+    check_pid "pid" pid;
     let i = push t.ints value in
     ignore (push t.ints round : int);
-    append t body h ~at i
+    at_pid t Kind.Decide pid ~b:0 0 ~at i
   | Note { at; pid; tag; detail } ->
-    let h = at_pid Kind.Note pid ~b:0 (intern t tag "" "") in
-    append t body h ~at (push t.texts detail)
+    let l = label t tag "" "" in
+    check_pid "pid" pid;
+    at_pid t Kind.Note pid ~b:0 l ~at (push t.texts detail)
   | Span_begin { at; pid; component; span; name } ->
-    append t body (at_pid Kind.Span_begin pid ~b:0 (intern t component name "")) ~at span
+    record_span_begin t ~at ~pid ~span (label t component name "")
   | Span_end { at; pid; component; span; name } ->
-    append t body (at_pid Kind.Span_end pid ~b:0 (intern t component name "")) ~at span
+    record_span_end t ~at ~pid ~span (label t component name "")
 
 let length t = t.count
 
@@ -388,8 +410,6 @@ let iter_kinds t kinds f =
   walk t (fun c o i ->
       if mask land (1 lsl head_kind (Bigarray.Array1.unsafe_get c o)) <> 0 then
         f (event_at t c o i))
-
-let send_code = Kind.code Kind.Send
 
 let iter_sends t f =
   walk t (fun c o _ ->

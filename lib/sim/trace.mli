@@ -1,7 +1,9 @@
 (** Run traces, causally stamped.
 
     The engine and the protocol components append events to a trace as the
-    simulation advances; the {!Spec} library evaluates the paper's
+    simulation advances — components through {!record}, the engine through
+    the scalar writers ({!record_send} and friends), which take the event's
+    fields as ints and an interned {!label} and build no [body]; the {!Spec} library evaluates the paper's
     completeness / accuracy / leader-election / consensus properties over
     the finished trace, and {!Trace_export} turns it into Chrome
     trace-event JSON or JSONL for offline tooling ([ecfd-trace]).
@@ -20,6 +22,9 @@
     by the engine), linking a delivery or a drop back to its send — the
     edge the ancestry query walks.  [Drop] is stamped with the send's
     clock and ticks nobody: a dropped message is observed by no process.
+    The engine keeps each in-flight message's send stamp itself, in its
+    event slab, and passes it back as [~sent_lc]; {!record} keeps its own
+    msg → stamp table for hand-built traces.
 
     [Span_begin]/[Span_end] bracket protocol phases (consensus rounds,
     leadership epochs, suspicion episodes) under an engine-allocated span
@@ -108,9 +113,53 @@ val create : unit -> t
 
 val record : t -> body -> unit
 (** Stamp ([seq], [lc]) and append.  The Lamport bookkeeping lives here,
-    so hand-built traces (tests) get consistent stamps too.
+    so hand-built traces (tests) get consistent stamps too: [record]
+    keeps the stamp of every [Send] it records under the message id, for
+    the matching [Deliver] or [Drop] (stamp 0 if there was none).  It is
+    a thin wrapper over the writers below; a trace written through them
+    and the same events re-recorded through [record] carry identical
+    stamps.
     @raise Invalid_argument if a pid or the label count is out of range
     (see "Representable ranges" above); the trace is then unchanged. *)
+
+(** {1 Scalar writers}
+
+    The engine records its own events without building a [body]: it
+    interns each event's strings once into a {!label}, and carries a
+    message's send stamp itself from {!record_send} to the
+    {!record_deliver} or {!record_drop} of the same message.  Each writer
+    appends exactly the event {!record} would for the corresponding
+    [body], and raises as it does on an out-of-range pid.
+    [record_send] and [record_deliver] allocate nothing once the label is
+    interned, apart from the occasional new chunk. *)
+
+type label = private int
+(** An interned string triple of one trace: (component, tag, reason) for
+    messages ([""] reason for sends and deliveries) and (component, name,
+    [""]) for spans.  Meaningful only to the trace that interned it. *)
+
+val label : t -> string -> string -> string -> label
+(** [label t a b c] interns the triple.  Repeated calls with the same
+    physical strings hit a small cache and do not hash.
+    @raise Invalid_argument past [max_labels] distinct triples. *)
+
+val record_send : t -> at:Sim_time.t -> src:Pid.t -> dst:Pid.t -> msg:int -> label -> int
+(** Append [Send]: tick [src]'s clock and return the new stamp, the
+    [sent_lc] of the message's later delivery or drop. *)
+
+val record_deliver :
+  t -> at:Sim_time.t -> src:Pid.t -> dst:Pid.t -> msg:int -> sent_lc:int -> label -> unit
+(** Append [Deliver]: [dst]'s clock becomes [max clock sent_lc + 1]. *)
+
+val record_drop :
+  t -> at:Sim_time.t -> src:Pid.t -> dst:Pid.t -> msg:int -> sent_lc:int -> label -> unit
+(** Append [Drop], stamped [sent_lc]; no clock ticks.  The label carries
+    the reason. *)
+
+val record_span_begin : t -> at:Sim_time.t -> pid:Pid.t -> span:int -> label -> unit
+val record_span_end : t -> at:Sim_time.t -> pid:Pid.t -> span:int -> label -> unit
+(** Append [Span_begin] / [Span_end] at [pid], ticking its clock; the
+    label is (component, name, [""]). *)
 
 val length : t -> int
 

@@ -17,8 +17,8 @@ let flatten_snapshot stats =
 let feed stats ops =
   List.iter
     (fun (component, tag) ->
-      Sim.Stats.on_send stats ~component ~tag;
-      Sim.Stats.on_deliver stats ~component ~tag)
+      Sim.Stats.count_send (Sim.Stats.cell stats ~component ~tag);
+      Sim.Stats.count_deliver (Sim.Stats.cell stats ~component ~tag))
     ops
 
 let ops =

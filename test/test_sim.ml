@@ -125,6 +125,29 @@ let rng_tests =
         let r = Sim.Rng.create ~seed:14 in
         Alcotest.check_raises "zero" (Invalid_argument "Rng.int: bound must be positive")
           (fun () -> ignore (Sim.Rng.int r ~bound:0)));
+    tc "draws keep their pinned stream and allocate nothing" (fun () ->
+        (* The first draws of two seeds, as the generator has always
+           produced them: a change of state representation must not
+           change the stream. *)
+        let first seed =
+          let r = Sim.Rng.create ~seed in
+          List.init 6 (fun _ -> Sim.Rng.int r ~bound:1000)
+        in
+        Alcotest.(check (list int)) "seed 1" [ 492; 673; 881; 251; 878; 897 ] (first 1);
+        Alcotest.(check (list int)) "seed 42" [ 570; 797; 285; 91; 889; 528 ] (first 42);
+        Alcotest.(check int64) "seed 1, raw" (-4616330145664149646L)
+          (Sim.Rng.next_int64 (Sim.Rng.create ~seed:1));
+        Alcotest.(check int64) "seed 42, raw" (-7450291807549245335L)
+          (Sim.Rng.next_int64 (Sim.Rng.create ~seed:42));
+        let r = Sim.Rng.create ~seed:15 in
+        let sum = ref 0 in
+        let before = Gc.minor_words () in
+        for _ = 1 to 10_000 do
+          sum := !sum + Sim.Rng.int r ~bound:1000
+        done;
+        let words = Gc.minor_words () -. before in
+        Alcotest.(check bool) "draws landed in range" true (!sum >= 0 && !sum < 10_000_000);
+        Alcotest.(check int) "minor words over 10k draws" 0 (int_of_float words));
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -805,6 +828,45 @@ let engine_tests =
           mid := !mid && holds ()
         done;
         !mid && holds ());
+    tc "a message costs at most 2 minor words, its Link.Deliver_at" (fun () ->
+        let n = 100 in
+        let e = Sim.Engine.create ~n ~link:(Sim.Link.reliable ()) () in
+        for p = 0 to n - 1 do
+          Sim.Engine.register e ~component:"sink" p (fun ~src:_ _ -> ())
+        done;
+        let round () =
+          for src = 0 to n - 1 do
+            Sim.Engine.send_to_all_others e ~component:"sink" ~tag:"blank" ~src Sim.Payload.Blank
+          done;
+          Sim.Engine.run_until e (Sim.Engine.now e + 10)
+        in
+        (* The first round interns the route and grows the event slab,
+           the wheel and the clock row to their steady size. *)
+        round ();
+        let rounds = 10 in
+        let events_before = Sim.Trace.length (Sim.Engine.trace e) in
+        let before = Gc.minor_words () in
+        for _ = 1 to rounds do
+          round ()
+        done;
+        let words = Gc.minor_words () -. before in
+        let messages = rounds * n * (n - 1) in
+        Alcotest.(check int) "all delivered" ((rounds + 1) * n * (n - 1))
+          (Sim.Stats.total (Sim.Engine.stats e)).Sim.Stats.delivered;
+        (* Beyond the messages, the trace takes a new 2^14-event Bigarray
+           chunk now and then: its few-word header is the only other
+           minor allocation, amortized over the chunk. *)
+        let events = Sim.Trace.length (Sim.Engine.trace e) - events_before in
+        let chunk_headers = 8 * (1 + (events / 16_384)) in
+        let excess = words -. float_of_int ((2 * messages) + chunk_headers) in
+        if excess > 0.0 then
+          Alcotest.failf "%.3f minor words per message (want <= 2 plus %d for trace chunks)"
+            (words /. float_of_int messages) chunk_headers);
+    tc "create rejects more processes than a packed pid can name" (fun () ->
+        let n = Sim.Trace.max_pid + 2 in
+        match Sim.Engine.create ~n ~link:(Sim.Link.synchronous ~delay:1) () with
+        | _ -> Alcotest.failf "accepted n = %d" n
+        | exception Invalid_argument _ -> ());
     tc "Shard remnant accepts only the sequential settings" (fun () ->
         Sim.Shard.set_default_shards 1;
         Sim.Shard.set_default_profile false;
@@ -824,10 +886,10 @@ let stats_tests =
   [
     tc "per-component and per-tag counts" (fun () ->
         let s = Sim.Stats.create (Obs.Registry.create ()) in
-        Sim.Stats.on_send s ~component:"a" ~tag:"x";
-        Sim.Stats.on_send s ~component:"a" ~tag:"y";
-        Sim.Stats.on_deliver s ~component:"a" ~tag:"x";
-        Sim.Stats.on_send s ~component:"b" ~tag:"x";
+        Sim.Stats.count_send (Sim.Stats.cell s ~component:"a" ~tag:"x");
+        Sim.Stats.count_send (Sim.Stats.cell s ~component:"a" ~tag:"y");
+        Sim.Stats.count_deliver (Sim.Stats.cell s ~component:"a" ~tag:"x");
+        Sim.Stats.count_send (Sim.Stats.cell s ~component:"b" ~tag:"x");
         let snap = Sim.Stats.snapshot s in
         Alcotest.(check int) "a sent" 2 (Sim.Stats.component_counts s ~component:"a").Sim.Stats.sent;
         Alcotest.(check (option int)) "a/x delivered" (Some 1)
@@ -842,10 +904,10 @@ let stats_tests =
           (List.sort_uniq String.compare (List.map (fun (c, _, _) -> c) snap)));
     tc "snapshots measure windows" (fun () ->
         let s = Sim.Stats.create (Obs.Registry.create ()) in
-        Sim.Stats.on_send s ~component:"a" ~tag:"x";
+        Sim.Stats.count_send (Sim.Stats.cell s ~component:"a" ~tag:"x");
         let snap = Sim.Stats.snapshot s in
-        Sim.Stats.on_send s ~component:"a" ~tag:"x";
-        Sim.Stats.on_send s ~component:"a" ~tag:"z";
+        Sim.Stats.count_send (Sim.Stats.cell s ~component:"a" ~tag:"x");
+        Sim.Stats.count_send (Sim.Stats.cell s ~component:"a" ~tag:"z");
         Alcotest.(check int) "window" 2 (Sim.Stats.sent_since s snap ~component:"a");
         Alcotest.(check int) "total window" 2
           ((Sim.Stats.total s).Sim.Stats.sent
@@ -1102,8 +1164,55 @@ let check_round_trip bodies =
         = views))
     [ "ec_to_p"; ""; "leader_s"; "absent" ]
 
+(* An engine run on a lossy link with a crash: every process sends to all
+   others each tick and opens a span per delivery, so the trace holds
+   sends, deliveries, both kinds of drop ("lossy" and "destination
+   crashed"), a crash and spans, all written by the engine's scalar
+   writers. *)
+type Sim.Payload.t += Hop
+
+let lossy_crash_run seed =
+  let n = 5 in
+  let link =
+    Sim.Link.fair_lossy ~drop_probability:0.3 ~underlying:(Sim.Link.reliable ~max_delay:4 ())
+  in
+  let e = Sim.Engine.create ~seed ~n ~link () in
+  for p = 0 to n - 1 do
+    Sim.Engine.register e ~component:"hop" p (fun ~src:_ _ ->
+        let span = Sim.Engine.open_span e p ~component:"hop" ~name:"got" in
+        Sim.Engine.close_span e p ~component:"hop" ~name:"got" ~span
+          ~opened_at:(Sim.Engine.now e));
+    ignore
+      (Sim.Engine.every e p ~period:3 (fun () ->
+           Sim.Engine.send_to_all_others e ~component:"hop" ~tag:"hop" ~src:p Hop)
+        : unit -> unit)
+  done;
+  Sim.Engine.schedule_crash e (seed mod n) ~at:(10 + (seed mod 17));
+  Sim.Engine.run_until e 60;
+  Sim.Engine.trace e
+
+let drop_reasons trace =
+  List.sort_uniq String.compare
+    (List.filter_map
+       (fun (ev : Sim.Trace.event) ->
+         match ev.body with Drop { reason; _ } -> Some reason | _ -> None)
+       (Sim.Trace.events trace))
+
 let packed_trace_tests =
   [
+    Test_util.qcheck ~count:40 ~name:"engine writers and Trace.record stamp identically"
+      Test_util.Gen.seed (fun seed ->
+        let trace = lossy_crash_run seed in
+        let evs = Sim.Trace.events trace in
+        let again = Sim.Trace.create () in
+        List.iter (fun (ev : Sim.Trace.event) -> Sim.Trace.record again ev.body) evs;
+        Alcotest.(check (list string)) "both drop reasons occur"
+          [ "destination crashed"; "lossy" ] (drop_reasons trace);
+        Alcotest.check (Alcotest.list event_t) "(seq, lc, body)" evs (Sim.Trace.events again);
+        Alcotest.(check string) "JSONL"
+          (Sim.Trace_export.jsonl_string trace)
+          (Sim.Trace_export.jsonl_string again);
+        true);
     Test_util.qcheck ~count:60 ~name:"every reader returns what was recorded"
       QCheck2.Gen.(pair (int_range 0 100_000) (int_range 0 600))
       (fun (seed, len) ->

@@ -53,6 +53,20 @@ let classify np =
       | "unsafe_blit" | "unsafe_fill" ) ] ->
     Safe
   | [ "String"; ("length" | "get" | "unsafe_get" | "equal" | "compare") ] -> Safe
+  (* 64-bit words in place: ocamlopt keeps an [int64] that is let-bound or
+     consumed at once in a register and boxes it only when it escapes (a
+     store into a field, the return of a function that is not inlined).
+     The roots that use these (Rng.int) inline their helpers, and a
+     dynamic test counts their minor words. *)
+  | [ "Int64";
+      ( "add" | "sub" | "mul" | "logand" | "logor" | "logxor" | "shift_left"
+      | "shift_right" | "shift_right_logical" | "to_int" | "of_int" | "equal"
+      | "compare" ) ] ->
+    Safe
+  | [ "Bytes"; ("get_int64_le" | "set_int64_le" | "get_int64_ne" | "set_int64_ne") ] -> Safe
+  (* In-place Bigarray access, compiled inline when the element kind is
+     known statically (the trace's int chunks). *)
+  | [ "Bigarray"; "Array1"; ("get" | "set" | "unsafe_get" | "unsafe_set" | "dim") ] -> Safe
   | [ "Hashtbl"; ("mem" | "length" | "find" | "hash") ] -> Safe
   | [ "List"; ("length" | "hd" | "tl" | "mem" | "memq" | "is_empty" | "nth") ] -> Safe
   | [ "Option"; ("is_some" | "is_none" | "value" | "get" | "equal" | "compare") ] -> Safe
