@@ -1,8 +1,9 @@
 (* Streaming Chen/Toueg-style QoS accounting over a detector run.
 
    The fold consumes an ordered stream of crash and view-change events
-   (adapted from Sim.Trace by Sim.Trace_qos, or parsed from exported
-   JSONL by the tracequery rollup) and maintains, per (observer, subject)
+   (adapted from Sim.Trace by Sim.Trace_qos, whether the trace was kept
+   by the run or imported from a JSONL export by ecfd-trace) and
+   maintains, per (observer, subject)
    pair, the interval bookkeeping behind the paper-standard metrics:
    detection time, mistake count/duration, query accuracy, and the
    correctness intervals the SLA rollups (availability, downtime,

@@ -2,8 +2,9 @@
 
     A streaming fold over the ordered crash / view-change events of one
     detector run.  The caller feeds events in trace order (the adapter
-    {!Sim.Trace_qos} walks [Sim.Trace.iter]; the tracequery [rollup]
-    subcommand parses exported JSONL) and closes the fold at the run's
+    {!Sim.Trace_qos} walks [Sim.Trace.iter], also for the tracequery
+    [rollup] subcommand over an imported JSONL export) and closes the
+    fold at the run's
     horizon; the report carries, per (observer, subject) pair, the raw
     interval totals that the standard QoS metrics and the SLA rollups
     ({!Rollup}) are derived from.

@@ -13,7 +13,11 @@
 
     - {b JSONL} ({!jsonl}): one flat JSON object per event, in seq order,
       carrying every field including the [seq]/[lc] stamps — the format
-      the [ecfd-trace] query tool (tools/tracequery) reads back.
+      the [ecfd-trace] query tool (tools/tracequery) reads back.  It is
+      lossless: [ecfd-trace] imports each line as a [Trace.body] and
+      re-stamps it through {!Trace.record}, rejecting a line whose
+      [seq]/[lc] differ from the stamps it gets, and exporting the
+      imported trace gives the input bytes back.
 
     Schemas for both live in [docs/schemas/] and are validated in CI. *)
 
@@ -24,5 +28,6 @@ val jsonl : Buffer.t -> Trace.t -> unit
 val jsonl_string : Trace.t -> string
 
 val jsonl_event : Buffer.t -> Trace.event -> unit
-(** One JSONL line including the trailing newline — exposed so filter-style
-    tools re-emit events in exactly the format they were read from. *)
+(** One JSONL line including the trailing newline.  [ecfd-trace filter] and
+    [ancestry --jsonl] print the events they select through it, so they
+    re-emit an imported event exactly as the exporter wrote it. *)

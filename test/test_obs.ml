@@ -1,7 +1,8 @@
 (* The observability layer: Obs.Registry semantics, the engine's
    delivery-latency histogram, the two trace exporters against checked-in
    golden files (byte-exact, seeded run), and the ecfd-trace query core
-   (ancestry, diff, filter, schema) on a crafted trace. *)
+   (strict import, ancestry, diff, filter, schema) on a crafted trace and
+   on generated runs. *)
 
 let tc name f = Alcotest.test_case name `Quick f
 
@@ -191,12 +192,10 @@ let golden_tests =
           (Test_util.read_file "golden/trace_small.chrome.json")
           (Sim.Trace_export.chrome_string (golden_trace ())));
     tc "golden JSONL parses line-by-line in the query core" (fun () ->
-        let events = Tracequery_core.Trace_file.load "golden/trace_small.jsonl" in
-        Alcotest.(check bool) "non-empty" true (events <> []);
-        List.iteri
-          (fun i (e : Tracequery_core.Trace_file.event) ->
-            Alcotest.(check int) "seq is dense" i e.seq)
-          events);
+        let text = Test_util.read_file "golden/trace_small.jsonl" in
+        let trace = Tracequery_core.Trace_import.load "golden/trace_small.jsonl" in
+        Alcotest.(check bool) "non-empty" true (Sim.Trace.length trace > 0);
+        Alcotest.(check string) "re-export is the file" text (Sim.Trace_export.jsonl_string trace));
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -204,24 +203,124 @@ let golden_tests =
 (* ------------------------------------------------------------------ *)
 
 (* Two processes exchange a request/ack around a decide, with an
-   unrelated note at p3 that must stay out of every cone. *)
+   unrelated note at p3 that must stay out of every cone.  The lines are
+   exporter output: the events go through Trace.record and
+   Trace_export.jsonl. *)
 let crafted_lines =
-  [
-    {|{"seq":0,"lc":1,"type":"propose","at":0,"pid":0,"component":"consensus.ec","value":7}|};
-    {|{"seq":1,"lc":2,"type":"send","at":1,"src":0,"dst":1,"msg":0,"component":"consensus.ec","tag":"round1"}|};
-    {|{"seq":2,"lc":1,"type":"note","at":1,"pid":2,"component":"fd.x","detail":"noise"}|};
-    {|{"seq":3,"lc":3,"type":"deliver","at":3,"src":0,"dst":1,"msg":0,"component":"consensus.ec","tag":"round1"}|};
-    {|{"seq":4,"lc":4,"type":"send","at":4,"src":1,"dst":0,"msg":1,"component":"consensus.ec","tag":"ack"}|};
-    {|{"seq":5,"lc":5,"type":"deliver","at":6,"src":1,"dst":0,"msg":1,"component":"consensus.ec","tag":"ack"}|};
-    {|{"seq":6,"lc":6,"type":"decide","at":7,"pid":0,"component":"consensus.ec","value":7,"round":1}|};
-  ]
+  let t = Sim.Trace.create () in
+  List.iter (Sim.Trace.record t)
+    [
+      Propose { at = 0; pid = 0; value = 7 };
+      Send { at = 1; src = 0; dst = 1; msg = 0; component = "consensus.ec"; tag = "round1" };
+      Note { at = 1; pid = 2; tag = "fd.x"; detail = "noise" };
+      Deliver { at = 3; src = 0; dst = 1; msg = 0; component = "consensus.ec"; tag = "round1" };
+      Send { at = 4; src = 1; dst = 0; msg = 1; component = "consensus.ec"; tag = "ack" };
+      Deliver { at = 6; src = 1; dst = 0; msg = 1; component = "consensus.ec"; tag = "ack" };
+      Decide { at = 7; pid = 0; value = 7; round = 1 };
+    ];
+  List.filter (fun l -> l <> "") (String.split_on_char '\n' (Sim.Trace_export.jsonl_string t))
 
-let crafted () =
-  List.mapi
-    (fun i line -> Tracequery_core.Trace_file.event_of_line ~lineno:(i + 1) line)
-    crafted_lines
+let crafted () = Tracequery_core.Trace_import.of_lines crafted_lines
 
-let seqs events = List.map (fun (e : Tracequery_core.Trace_file.event) -> e.seq) events
+let seqs events = List.map (fun (e : Sim.Trace.event) -> e.seq) events
+
+(* [crafted_lines] with line [line] (1-based) replaced by [by]: the
+   import must fail and name that line. *)
+let rejects ~line by =
+  let lines = List.mapi (fun i l -> if i + 1 = line then by else l) crafted_lines in
+  match Tracequery_core.Trace_import.of_lines lines with
+  | _ -> Alcotest.failf "line %d was accepted: %s" line by
+  | exception Tracequery_core.Trace_import.Bad_trace msg ->
+    let prefix = Printf.sprintf "line %d: " line in
+    Alcotest.(check string) "names the line" prefix
+      (String.sub msg 0 (min (String.length msg) (String.length prefix)))
+
+(* Typed event equality: pids compare with Pid.equal and suspected sets
+   with Pid.Set.equal, never with polymorphic (=). *)
+let event_equal (a : Sim.Trace.event) (b : Sim.Trace.event) =
+  let pid = Sim.Pid.equal and str = String.equal in
+  Int.equal a.seq b.seq && Int.equal a.lc b.lc
+  &&
+  match (a.body, b.body) with
+  | Send x, Send y ->
+    Int.equal x.at y.at && pid x.src y.src && pid x.dst y.dst && Int.equal x.msg y.msg
+    && str x.component y.component && str x.tag y.tag
+  | Deliver x, Deliver y ->
+    Int.equal x.at y.at && pid x.src y.src && pid x.dst y.dst && Int.equal x.msg y.msg
+    && str x.component y.component && str x.tag y.tag
+  | Drop x, Drop y ->
+    Int.equal x.at y.at && pid x.src y.src && pid x.dst y.dst && Int.equal x.msg y.msg
+    && str x.component y.component && str x.tag y.tag && str x.reason y.reason
+  | Crash x, Crash y -> Int.equal x.at y.at && pid x.pid y.pid
+  | Fd_view x, Fd_view y ->
+    Int.equal x.at y.at && pid x.pid y.pid && str x.component y.component
+    && Sim.Pid.Set.equal x.suspected y.suspected
+    && Option.equal pid x.trusted y.trusted
+  | Propose x, Propose y -> Int.equal x.at y.at && pid x.pid y.pid && Int.equal x.value y.value
+  | Decide x, Decide y ->
+    Int.equal x.at y.at && pid x.pid y.pid && Int.equal x.value y.value
+    && Int.equal x.round y.round
+  | Note x, Note y -> Int.equal x.at y.at && pid x.pid y.pid && str x.tag y.tag && str x.detail y.detail
+  | Span_begin x, Span_begin y ->
+    Int.equal x.at y.at && pid x.pid y.pid && str x.component y.component
+    && Int.equal x.span y.span && str x.name y.name
+  | Span_end x, Span_end y ->
+    Int.equal x.at y.at && pid x.pid y.pid && str x.component y.component
+    && Int.equal x.span y.span && str x.name y.name
+  | _ -> false
+
+(* The full stack of Scenario.run_consensus, but over a fair-lossy link
+   (a tenth of all messages dropped) on top of a partially synchronous
+   one, so the trace holds lossy drops besides the drops to crashed
+   processes. *)
+let lossy_horizon = 400
+
+let lossy_consensus_trace ~detector ~protocol ~n ~seed ~crashes =
+  let link =
+    Sim.Link.fair_lossy ~drop_probability:0.1
+      ~underlying:(Sim.Link.partially_synchronous ~pre_gst_max:40 ~gst:100 ~delta:8 ())
+  in
+  let eng = Sim.Engine.create ~seed ~n ~link () in
+  Sim.Fault.apply eng crashes;
+  let fd = Scenario.install_detector eng detector in
+  let rb = Broadcast.Reliable_broadcast.create eng in
+  let instance =
+    match protocol with
+    | Scenario.Ct -> Consensus.Ct_consensus.install eng ~fd ~rb ()
+    | Mr -> Consensus.Mr_consensus.install eng ~fd ~rb ()
+    | Hr -> Consensus.Hr_consensus.install eng ~fd ~rb ()
+    | Ec params -> Ecfd.Ec_consensus.install eng ~fd ~rb params
+  in
+  List.iter
+    (fun p ->
+      Sim.Engine.at eng 0 (fun () ->
+          if Sim.Engine.is_alive eng p then instance.Consensus.Instance.propose p (100 + p)))
+    (Sim.Pid.all ~n);
+  Sim.Engine.run_until eng lossy_horizon;
+  Sim.Engine.trace eng
+
+(* detector x protocol x n in [2, 9] x seed x one or two crashes. *)
+let lossy_run_gen =
+  let open QCheck2.Gen in
+  let* detector =
+    oneofl
+      Scenario.
+        [
+          Heartbeat_p; Ring_s; Ring_w; Leader_s; Stable_omega; Ec_from_leader; Ec_from_stable;
+          Ec_from_ring; Ec_from_omega_chu; Ec_from_heartbeat; Scripted_stable 0;
+        ]
+  in
+  let* protocol = oneofl Scenario.[ Ct; Mr; Hr; Ec Ecfd.Ec_consensus.default_params ] in
+  let* n = int_range 2 9 in
+  let* seed = Test_util.Gen.seed in
+  let* first = int_range 0 (n - 1) in
+  let* second = option (int_range 1 (n - 1)) in
+  let* times = pair (int_range 0 300) (int_range 0 300) in
+  let crashes =
+    (first, fst times)
+    :: Option.fold second ~none:[] ~some:(fun k -> [ ((first + k) mod n, snd times) ])
+  in
+  return (detector, protocol, n, seed, Sim.Fault.crashes crashes)
 
 let query_tests =
   [
@@ -269,6 +368,46 @@ let query_tests =
         Alcotest.(check bool) "missing seq flagged" true (check {|{"lc":1}|} <> []);
         Alcotest.(check bool) "wrong type flagged" true (check {|{"seq":"x"}|} <> []);
         Alcotest.(check bool) "negative flagged" true (check {|{"seq":-1}|} <> []));
+    tc "import rejects an unknown event type" (fun () ->
+        rejects ~line:3 {|{"seq":2,"lc":1,"type":"bogus","at":1,"pid":2}|});
+    tc "import rejects a line that lacks a required field" (fun () ->
+        rejects ~line:2
+          {|{"seq":1,"lc":2,"type":"send","at":1,"dst":1,"msg":0,"component":"consensus.ec","tag":"round1"}|});
+    tc "import rejects a seq that is not the line index" (fun () ->
+        rejects ~line:2
+          {|{"seq":7,"lc":2,"type":"send","at":1,"src":0,"dst":1,"msg":0,"component":"consensus.ec","tag":"round1"}|});
+    tc "import rejects an lc that differs from the recorded stamp" (fun () ->
+        rejects ~line:4
+          {|{"seq":3,"lc":9,"type":"deliver","at":3,"src":0,"dst":1,"msg":0,"component":"consensus.ec","tag":"round1"}|});
+    tc "import rejects a pid above Trace.max_pid" (fun () ->
+        rejects ~line:1
+          (Printf.sprintf {|{"seq":0,"lc":1,"type":"propose","at":0,"pid":%d,"value":7}|}
+             (Sim.Trace.max_pid + 1)));
+    Test_util.qcheck ~count:40 ~name:"export, import, export is the identity on lossy runs"
+      ~print:(fun (detector, protocol, n, seed, crashes) ->
+        Format.asprintf "%s/%s n=%d seed=%d crashes=%a" (Scenario.detector_name detector)
+          (Scenario.protocol_name protocol) n seed Sim.Fault.pp crashes)
+      lossy_run_gen
+      (fun (detector, protocol, n, seed, crashes) ->
+        let t = lossy_consensus_trace ~detector ~protocol ~n ~seed ~crashes in
+        let text = Sim.Trace_export.jsonl_string t in
+        let imported = Tracequery_core.Trace_import.of_lines (String.split_on_char '\n' text) in
+        let in_process c =
+          Obs.Rollup.to_json
+            [ { Obs.Rollup.name = c; component = c;
+                report = Sim.Trace_qos.report ~component:c ~n ~horizon:lossy_horizon t } ]
+        in
+        Test_util.bool_law "re-export is byte-identical"
+          (String.equal (Sim.Trace_export.jsonl_string imported) text)
+        && Test_util.bool_law "imported events equal the recorded ones"
+             (List.equal event_equal (Sim.Trace.events imported) (Sim.Trace.events t))
+        && List.for_all
+             (fun c ->
+               Test_util.bool_law ("rollup of " ^ c ^ " matches the in-process one")
+                 (String.equal
+                    (Tracequery_core.Query.rollup ~n ~horizon:lossy_horizon ~component:c imported)
+                    (in_process c)))
+             (Sim.Trace_qos.components t));
   ]
 
 let suites =

@@ -179,8 +179,8 @@ let rollup_tests =
        --crash 1@150 --crash 3@320 --horizon 500 -f jsonl -o TRACE_e4.jsonl
      ecfd-trace rollup TRACE_e4.jsonl > TRACE_e4.rollup.json
    after any intentional trace or rollup change, and review the diff.
-   A runtest rule in test/dune re-runs the first command and diffs its
-   output against the committed trace. *)
+   Runtest rules in test/dune re-run both commands and diff their output
+   against the committed files. *)
 
 let golden_rollup_tests =
   [
@@ -188,8 +188,8 @@ let golden_rollup_tests =
         Alcotest.(check string)
           "golden/TRACE_e4.rollup.json"
           (Test_util.read_file "golden/TRACE_e4.rollup.json")
-          (Tracequery_core.Qos_rollup.of_lines
-             (Tracequery_core.Trace_file.read_lines "golden/TRACE_e4.jsonl")));
+          (Tracequery_core.Query.rollup
+             (Tracequery_core.Trace_import.load "golden/TRACE_e4.jsonl")));
     tc "the golden rollup sees both crashes" (fun () ->
         let json = Test_util.read_file "golden/TRACE_e4.rollup.json" in
         let j = Tracequery_core.Json_min.parse json in

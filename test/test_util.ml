@@ -1,7 +1,7 @@
 (* Shared helpers and qcheck generators for the test suites. *)
 
-let qcheck ?(count = 50) ~name gen law =
-  QCheck_alcotest.to_alcotest (QCheck2.Test.make ~count ~name gen law)
+let qcheck ?(count = 50) ?print ~name gen law =
+  QCheck_alcotest.to_alcotest (QCheck2.Test.make ~count ?print ~name gen law)
 
 (* --- generators --- *)
 

@@ -14,20 +14,25 @@ open Tracequery_core
 let file_arg ~n ~doc = Arg.(required & pos n (some file) None & info [] ~docv:"FILE" ~doc)
 
 let load_or_die path =
-  try Trace_file.load path
-  with Trace_file.Bad_trace msg ->
+  try Trace_import.load path
+  with Trace_import.Bad_trace msg ->
     Printf.eprintf "ecfd-trace: %s: %s\n" path msg;
     exit 2
+
+(* Events as JSONL lines, exactly as the exporter writes them, or as
+   [Sim.Trace.pp_event] lines after [indent]. *)
+let print_events ~jsonl ?(indent = "") events =
+  let buf = Buffer.create 4096 in
+  if jsonl then List.iter (Sim.Trace_export.jsonl_event buf) events
+  else List.iter (Format.printf "%s%a@." indent Sim.Trace.pp_event) events;
+  Buffer.output_buffer stdout buf
 
 (* --- filter --- *)
 
 let filter_cmd =
   let run path component pid from_t to_t pretty =
-    let events = Query.filter ?component ?pid ?from_t ?to_t (load_or_die path) in
-    List.iter
-      (fun (e : Trace_file.event) ->
-        print_string (if pretty then Trace_file.render e ^ "\n" else e.raw ^ "\n"))
-      events
+    print_events ~jsonl:(not pretty)
+      (Query.filter ?component ?pid ?from_t ?to_t (load_or_die path))
   in
   let doc = "Select events by component, process, and time window (JSONL out)." in
   Cmd.v
@@ -56,30 +61,24 @@ let filter_cmd =
 
 let ancestry_cmd =
   let run path seq pid jsonl =
-    let events = load_or_die path in
-    let target =
+    let trace = load_or_die path in
+    let found, missing =
       match seq with
-      | Some s -> (
-        match Query.find_seq ~seq:s events with
-        | Some e -> e
-        | None ->
-          Printf.eprintf "ecfd-trace: no event with seq %d\n" s;
-          exit 2)
-      | None -> (
-        match Query.first ~typ:"decide" ?pid events with
-        | Some e -> e
-        | None ->
-          Printf.eprintf "ecfd-trace: no decide event in %s\n" path;
-          exit 2)
+      | Some s -> (Query.find_seq ~seq:s trace, Printf.sprintf "no event with seq %d" s)
+      | None -> (Query.first_decide ?pid trace, "no decide event in " ^ path)
     in
-    let cone = Query.ancestry events ~seq:target.Trace_file.seq in
+    let target =
+      match found with
+      | Some e -> e
+      | None ->
+        Printf.eprintf "ecfd-trace: %s\n" missing;
+        exit 2
+    in
+    let cone = Query.ancestry trace ~seq:target.Sim.Trace.seq in
     if not jsonl then
-      Printf.printf "happens-before cone of %s (%d of %d events):\n"
-        (Trace_file.render target) (List.length cone) (List.length events);
-    List.iter
-      (fun (e : Trace_file.event) ->
-        print_string (if jsonl then e.raw ^ "\n" else "  " ^ Trace_file.render e ^ "\n"))
-      cone
+      Format.printf "happens-before cone of %a (%d of %d events):@." Sim.Trace.pp_event target
+        (List.length cone) (Sim.Trace.length trace);
+    print_events ~jsonl ~indent:"  " cone
   in
   let doc =
     "Print the happens-before cone of an event (default: the first decide)."
@@ -103,7 +102,7 @@ let ancestry_cmd =
 
 let diff_cmd =
   let run a b =
-    match Query.diff_lines (Trace_file.read_lines a) (Trace_file.read_lines b) with
+    match Query.diff_lines (Trace_import.read_lines a) (Trace_import.read_lines b) with
     | None -> Printf.printf "identical (%s = %s)\n" a b
     | Some { line; left; right } ->
       Printf.printf "traces diverge at line %d:\n" line;
@@ -121,12 +120,7 @@ let diff_cmd =
 
 let validate_cmd =
   let run path schema_path jsonl =
-    let read_all p =
-      let ic = open_in_bin p in
-      Fun.protect
-        ~finally:(fun () -> close_in ic)
-        (fun () -> really_input_string ic (in_channel_length ic))
-    in
+    let read_all p = In_channel.with_open_bin p In_channel.input_all in
     let parse_or_die what text =
       try Json_min.parse text
       with Json_min.Parse_error msg ->
@@ -147,7 +141,7 @@ let validate_cmd =
         (fun i line ->
           if String.trim line <> "" then
             check (Printf.sprintf "%s:%d" path (i + 1)) (parse_or_die path line))
-        (Trace_file.read_lines path)
+        (Trace_import.read_lines path)
     else check path (parse_or_die path (read_all path));
     if !failures = 0 then Printf.printf "%s: valid\n" path else exit 1
   in
@@ -169,18 +163,10 @@ let validate_cmd =
 
 let rollup_cmd =
   let run path component n horizon output =
-    let json =
-      try Qos_rollup.of_lines ?n ?horizon ?component (Trace_file.read_lines path)
-      with Qos_rollup.Bad msg ->
-        Printf.eprintf "ecfd-trace: %s: %s\n" path msg;
-        exit 2
-    in
+    let json = Query.rollup ?n ?horizon ?component (load_or_die path) in
     match output with
     | None -> print_string json
-    | Some f ->
-      let oc = open_out f in
-      output_string oc json;
-      close_out oc
+    | Some f -> Out_channel.with_open_text f (fun oc -> output_string oc json)
   in
   let doc =
     "QoS / SLA rollup of a JSONL trace export (detection time, mistake rate, availability; \
