@@ -1225,7 +1225,7 @@ let e18 () =
       lc.Sim.Stats.timers_set,
       lc.Sim.Stats.timers_reclaimed,
       Sim.Engine.timer_residency engine,
-      Sim.Engine.timer_table_capacity engine,
+      lc.Sim.Stats.timer_residency_high_water,
       lc.Sim.Stats.queue_high_water )
   in
   let ns = [ 4; 8; 16 ] and horizons = [ 2_000; 20_000 ] in

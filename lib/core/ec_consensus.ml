@@ -348,12 +348,15 @@ let install ?(component = component) ?(transport = `Engine) engine ~fd ~rb param
         end
       in
       (* A jump inside the sweep can make previously future announcements
-         current; iterate to a fixpoint. *)
+         current; iterate to a fixpoint.  Handled announcements are dropped
+         after each pass, so a sweep walks only those still buffered, not
+         every announcement ever received. *)
       let rec loop () =
-        let before = List.length (List.filter (fun a -> a.handled) st.rev_announcements) in
         List.iter handle_one (List.rev st.rev_announcements);
-        let after = List.length (List.filter (fun a -> a.handled) st.rev_announcements) in
-        if after <> before then loop ()
+        let pending = List.filter (fun a -> not a.handled) st.rev_announcements in
+        let progressed = List.compare_lengths pending st.rev_announcements <> 0 in
+        st.rev_announcements <- pending;
+        if progressed then loop ()
       in
       loop ()
     end

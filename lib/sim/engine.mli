@@ -12,17 +12,16 @@
     Determinism: the engine owns a seeded {!Rng} used exclusively for link
     fates, and same-instant events fire in scheduling order, so a run is a
     pure function of (seed, configuration, component code).  Internally the
-    engine keeps two hierarchical {!Timer_wheel}s — one over the timer
-    registry, one over a slab of aperiodic events (messages, crashes,
-    harness callbacks) — merged by (time, scheduling sequence) from one
-    shared counter, with the timer wheel winning the (unreachable,
-    sequence numbers being unique) exact tie; the merged order is
-    identical to a single combined queue's (HACKING.md, "Engine
-    guarantees").
+    engine keeps one queue: every scheduled thing — message delivery,
+    crash, {!at} action, timer occurrence — holds one slot of an event
+    slab, and one hierarchical {!Timer_wheel} orders the pending slots by
+    (time, scheduling sequence) (HACKING.md, "Engine guarantees").
 
     An in-flight event holds no heap record of its own: its slab slot is
     four ints (a head packing kind, src, dst and route, then [sent_at],
-    the message id and the send's Lamport stamp) plus its payload.  A
+    the message id and the send's Lamport stamp) plus its payload; a
+    timer's payload is its handle block, allocated once per {!set_timer}
+    or {!every}.  A
     route is one (component, tag), interned on its first send with its
     trace labels, handler column and {!Stats} cell.  The engine records
     its messages and spans through {!Trace}'s scalar writers and hands
@@ -100,11 +99,12 @@ val send_to_all : t -> component:string -> tag:string -> src:Pid.t -> Payload.t 
 (** {1 Timers} *)
 
 type timer
-(** A (slot, generation) handle into the engine's timer registry.  The slot
-    is reclaimed — and the handle becomes permanently stale — the instant
-    the timer's scheduled event is popped, whether it fired, was cancelled,
-    or its owner had crashed.  Registry residency is therefore bounded by
-    the number of in-flight timer events, never by the cumulative number of
+(** A timer's handle: the block its event-slab slot carries as payload.
+    The slot is reclaimed — and the handle becomes permanently stale,
+    since no slot holds its block any more — the instant the timer's
+    event is popped, whether it fired, was cancelled, or its owner had
+    crashed.  Timer residency is therefore bounded by the number of
+    in-flight timer events, never by the cumulative number of
     cancellations. *)
 
 val set_timer : t -> Pid.t -> delay:int -> (unit -> unit) -> timer
@@ -123,20 +123,15 @@ val every : t -> Pid.t -> ?phase:int -> period:int -> (unit -> unit) -> unit -> 
     then exactly once per period.  Returns a stop function; stopping
     cancels the armed occurrence.  [phase] defaults to [period].
 
-    Re-arming is the engine's hot path: each occurrence re-inserts the
-    same registry cell into the timer wheel by mutating int arrays and a
-    shared control block — no closure, heap node or handle record is
-    allocated per occurrence (the sim-core bench asserts this via
-    [Gc.minor_words] deltas). *)
+    Re-arming is the engine's hot path: each occurrence puts the timer's
+    one block into a free slab slot and the wheel by mutating int arrays
+    and that block — no closure, heap node or handle record is allocated
+    per occurrence (the e20 bench asserts this via [Gc.minor_words]
+    deltas). *)
 
 val timer_residency : t -> int
-(** Registry slots currently occupied (armed timers plus cancelled timers
-    whose deadline has not yet passed).  O(1). *)
-
-val timer_table_capacity : t -> int
-(** Registry slots ever allocated — the table's high-water mark; bounded by
-    the peak number of simultaneously in-flight timers, not by run
-    length.  {!compact} lowers it to the live high-water. *)
+(** Slab slots currently held by timers (armed timers plus cancelled
+    timers whose deadline has not yet passed).  O(1). *)
 
 val timer_armed : t -> int
 (** Timers currently armed (set, not yet fired/cancelled/orphaned): the
@@ -201,29 +196,30 @@ val record_fd_view :
 (** {1 Execution} *)
 
 val step : t -> bool
-(** Process the next event; [false] if the queue is empty.  Merges the
-    timer wheel and the event wheel by (time, scheduling sequence); a
-    timer step allocates nothing on the minor heap. *)
+(** Process the next event; [false] if the queue is empty.  Pops the
+    wheel and dispatches on the slot's kind; a timer step allocates
+    nothing on the minor heap. *)
 
 val run_until : t -> Sim_time.t -> unit
 (** Process every event up to and including the given instant, then set the
     clock to it.  Raises [Invalid_argument] on a horizon in the past. *)
 
 val pending_events : t -> int
-(** Pending events plus pending timer cells — the logical queue depth
-    (the length one combined queue would have). *)
+(** Pending events, timers included (armed or cancelled): the queue
+    depth. *)
 
-val event_slab_capacity : t -> int
-(** Slots in the event slab.  Its free stack and the event wheel's
-    per-cell columns always have the same length.  Grows by doubling
-    with the peak number of in-flight events; {!compact} lowers it to
-    the live high-water. *)
+val slab_capacity : t -> int
+(** Event-slab slots ever handed out since creation or the last
+    {!compact} — the slab's high-water mark, bounded by the peak number
+    of simultaneously pending events (timers included), not by run
+    length.  The slab's columns, its free stack and the wheel's per-cell
+    columns are at least this long and grow by doubling. *)
 
 val compact : t -> unit
 (** Return backing-store slack to the GC after a scheduling burst; never
-    drops events or timers.  Shrinks the event slab (its free stack and
-    wheel with it) {i and} the timer table: registry columns, free stack
-    and wheel drop to the live high-water slot (pre-shrink handles into
-    the dropped region stay permanently stale via a generation floor).
+    drops events or timers.  Shrinks the event slab, its free stack and
+    the wheel's per-cell columns to one past the highest occupied slot,
+    and {!slab_capacity} with them.  A timer handle into the dropped
+    region stays stale: its slot never holds its block again.
     Long-lived engines (soaks, servers) can call this between load
     phases. *)

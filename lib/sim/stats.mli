@@ -27,14 +27,14 @@ type lifecycle = {
           (see [Engine.timer_armed]); before this counter existed, crash
           orphans were reclaimed but invisible in the lifecycle ledger. *)
   timers_reclaimed : int;
-      (** registry slots released when a timer's event was popped (fired,
-          cancelled, or owner crashed) — lags [timers_set] by exactly the
-          current registry residency *)
+      (** event-slab slots released when a timer's event was popped
+          (fired, cancelled, or owner crashed) — lags [timers_set] by
+          exactly the current timer residency *)
   queue_high_water : int;  (** max pending events ever in the queue *)
   timer_residency_high_water : int;
-      (** max timer-registry slots ever simultaneously occupied; tracked on
-          every [set_timer], so [Engine.timer_residency] can never exceed it
-          at any instant (the sim-core bench asserts exactly that) *)
+      (** max event-slab slots ever simultaneously held by timers; tracked
+          on every arm, so [Engine.timer_residency] can never exceed it at
+          any instant (the sim-core bench asserts exactly that) *)
 }
 (** Engine lifecycle counters: resource-accounting facts about one run,
     complementing the per-component message counters.  Soak tests assert
@@ -70,7 +70,7 @@ val note_queue_depth : t -> depth:int -> unit
 (** Record the current queue depth; retains the maximum seen. *)
 
 val note_timer_residency : t -> residency:int -> unit
-(** Record the current timer-registry residency; retains the maximum seen. *)
+(** Record the current timer residency; retains the maximum seen. *)
 
 val lifecycle : t -> lifecycle
 (** Current lifecycle counters, read back from the registry, as an

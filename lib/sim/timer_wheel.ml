@@ -1,8 +1,8 @@
-(* Hierarchical (hashed) timer wheel over dense integer timer cells.
+(* Hierarchical (hashed) timer wheel over dense integer cells.
 
-   The engine's timer registry and its event slab hand out dense slot
-   indices ("cells"); this module orders the pending cells by
-   (deadline, sequence) without a heap node or closure per occurrence.  Layout:
+   The engine's event slab hands out dense slot indices ("cells"); this
+   module orders the pending cells by (deadline, sequence) without a heap
+   node or closure per occurrence.  Layout:
 
    - [levels] levels of [1 lsl slot_bits] slots each.  Level [k] covers
      deltas (deadline - cur) in [32^k, 32^(k+1)) — level 0 covers [0, 32) —
@@ -29,8 +29,8 @@
    actually interleaved orders).  The pop path performs no minor-heap
    allocation: intrusive lists, int arrays, hole-free batch reuse.
 
-   Cancellation is the engine's business (a cancelled cell stays parked
-   until its deadline pops, matching the registry's reclaim-at-pop
+   Cancellation is the engine's business (a cancelled timer's cell stays
+   parked until its deadline pops, matching the engine's reclaim-at-pop
    accounting), so the wheel never unlinks mid-list — which is what lets
    the lists be singly linked. *)
 
@@ -41,7 +41,7 @@ let levels = 6
 let span = 1 lsl (slot_bits * levels)
 
 type t = {
-  (* Per-cell columns, indexed by the engine's dense timer slot. *)
+  (* Per-cell columns, indexed by the engine's dense slab slot. *)
   mutable cell_at : int array;  (* absolute deadline *)
   mutable cell_seq : int array;  (* engine-global scheduling sequence *)
   mutable cell_next : int array;  (* intrusive slot/overflow list link; -1 = end *)
@@ -55,10 +55,8 @@ type t = {
   mutable ovf_head : int;
   mutable ovf_tail : int;
   mutable ovf_min_at : int;  (* max_int when empty *)
-  mutable ovf_min_seq : int;
-  (* Cached earliest pending (deadline, seq); max_int/max_int when empty. *)
+  (* Cached earliest pending deadline; max_int when empty. *)
   mutable min_at : int;
-  mutable min_seq : int;
   (* Firing batch: cells sharing the minimum deadline, sorted by seq. *)
   mutable batch : int array;
   mutable batch_pos : int;
@@ -80,9 +78,7 @@ let create () =
     ovf_head = -1;
     ovf_tail = -1;
     ovf_min_at = max_int;
-    ovf_min_seq = max_int;
     min_at = max_int;
-    min_seq = max_int;
     batch = [||];
     batch_pos = 0;
     batch_len = 0;
@@ -151,12 +147,7 @@ let push_overflow t cell =
   if t.ovf_tail < 0 then t.ovf_head <- cell else t.cell_next.(t.ovf_tail) <- cell;
   t.ovf_tail <- cell;
   let d = t.cell_at.(cell) in
-  (* Strict [<]: list order is insertion order, so on an equal deadline the
-     incumbent has the smaller sequence number and stays the minimum. *)
-  if d < t.ovf_min_at then begin
-    t.ovf_min_at <- d;
-    t.ovf_min_seq <- t.cell_seq.(cell)
-  end
+  if d < t.ovf_min_at then t.ovf_min_at <- d
 
 (* Park [cell] according to its current delta from the cursor. *)
 let place t cell =
@@ -176,8 +167,7 @@ let rec place_list t cell =
   end
 
 (* Re-thread the overflow list, migrating into the wheel every cell whose
-   delta has shrunk below [span].  Relative order is preserved, so the
-   retained minimum keeps first-inserted = smallest-seq on ties. *)
+   delta has shrunk below [span].  Relative order is preserved. *)
 let rec migrate_overflow_list t cell =
   if cell >= 0 then begin
     let next = t.cell_next.(cell) in
@@ -187,10 +177,7 @@ let rec migrate_overflow_list t cell =
       t.cell_next.(cell) <- -1;
       if t.ovf_tail < 0 then t.ovf_head <- cell else t.cell_next.(t.ovf_tail) <- cell;
       t.ovf_tail <- cell;
-      if d < t.ovf_min_at then begin
-        t.ovf_min_at <- d;
-        t.ovf_min_seq <- t.cell_seq.(cell)
-      end
+      if d < t.ovf_min_at then t.ovf_min_at <- d
     end;
     migrate_overflow_list t next
   end
@@ -200,7 +187,6 @@ let migrate_overflow t =
   t.ovf_head <- -1;
   t.ovf_tail <- -1;
   t.ovf_min_at <- max_int;
-  t.ovf_min_seq <- max_int;
   migrate_overflow_list t head
 
 (* Advance the cursor to [target] (the exact minimum pending deadline) and
@@ -283,18 +269,13 @@ let build_batch t =
   t.batch_at <- target;
   t.batch_active <- true
 
-(* Walk one slot list accumulating the lexicographic minimum of
-   (deadline, seq); used by the post-batch rescan. *)
-let rec slot_min t cell best_at best_seq =
-  if cell < 0 then begin
-    t.min_at <- best_at;
-    t.min_seq <- best_seq
-  end
-  else begin
+(* Walk one slot list lowering the cached minimum deadline; used by the
+   post-batch rescan. *)
+let rec slot_min t cell =
+  if cell >= 0 then begin
     let d = t.cell_at.(cell) in
-    let s = t.cell_seq.(cell) in
-    if d < best_at || (d = best_at && s < best_seq) then slot_min t t.cell_next.(cell) d s
-    else slot_min t t.cell_next.(cell) best_at best_seq
+    if d < t.min_at then t.min_at <- d;
+    slot_min t t.cell_next.(cell)
   end
 
 (* Scan one run of occupied slots (a bitmap whose bits all share the same
@@ -310,7 +291,7 @@ let rec scan_run t k width m base =
     let start = base + (i * width) in
     if start > t.min_at then false
     else begin
-      slot_min t t.heads.((k lsl slot_bits) lor i) t.min_at t.min_seq;
+      slot_min t t.heads.((k lsl slot_bits) lor i);
       scan_run t k width (m land lnot (1 lsl i)) base
     end
   end
@@ -338,18 +319,13 @@ let scan_level t k =
    far-future slot into itself forever. *)
 let rescan t =
   t.min_at <- max_int;
-  t.min_seq <- max_int;
   if t.cardinal > 0 then begin
     for k = 0 to levels - 1 do
       scan_level t k
     done;
     (* Overflow deadlines are >= cur + span, so they only matter when the
-       wheel proper is empty — and then [ovf_min] is exact (ties keep the
-       first-inserted, smallest-seq cell). *)
-    if t.ovf_min_at < t.min_at then begin
-      t.min_at <- t.ovf_min_at;
-      t.min_seq <- t.ovf_min_seq
-    end
+       wheel proper is empty — and then [ovf_min_at] is exact. *)
+    if t.ovf_min_at < t.min_at then t.min_at <- t.ovf_min_at
   end
 
 let[@alloc.zero] add t ~cell ~deadline ~seq =
@@ -359,19 +335,11 @@ let[@alloc.zero] add t ~cell ~deadline ~seq =
   t.cell_seq.(cell) <- seq;
   t.cardinal <- t.cardinal + 1;
   if t.batch_active && deadline = t.batch_at then push_batch t cell else place t cell;
-  (* Strict [<]: an equal deadline arrived later, so it has the larger seq. *)
-  if deadline < t.min_at then begin
-    t.min_at <- deadline;
-    t.min_seq <- seq
-  end
+  if deadline < t.min_at then t.min_at <- deadline
 
 let next_at t =
   if t.cardinal = 0 then invalid_arg "Timer_wheel.next_at: empty wheel";
   t.min_at
-
-let next_seq t =
-  if t.cardinal = 0 then invalid_arg "Timer_wheel.next_seq: empty wheel";
-  t.min_seq
 
 let[@alloc.zero] pop t =
   if t.cardinal = 0 then invalid_arg "Timer_wheel.pop: empty wheel";
@@ -384,9 +352,5 @@ let[@alloc.zero] pop t =
     t.batch_pos <- 0;
     t.batch_len <- 0;
     rescan t
-  end
-  else begin
-    t.min_at <- t.batch_at;
-    t.min_seq <- t.cell_seq.(t.batch.(t.batch_pos))
   end;
   cell

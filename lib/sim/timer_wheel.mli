@@ -3,11 +3,9 @@
     Orders dense integer cells by (deadline, scheduling sequence) with
     O(1) amortised insert and pop and {b no minor-heap allocation} on the
     steady-state path — no heap node, no closure, no boxed entry per
-    occurrence.  The engine runs two instances: one over its timer
-    registry, one over its slab of aperiodic events (messages, crashes,
-    harness callbacks).  It merges them by (time, sequence); both draw
-    sequence numbers from the engine's single counter, so the merged order
-    is exactly the order a single combined queue would have produced
+    occurrence.  The engine runs one instance over its event slab, whose
+    slots hold every scheduled thing — messages, crashes, harness actions
+    and timers — so the wheel's order is the engine's whole event order
     (HACKING.md, "Engine guarantees").
 
     Layout: {!levels} levels of {!slots_per_level} power-of-two buckets
@@ -18,9 +16,9 @@
     cached minimum deadline, re-placing just the slot containing the new
     cursor position at each level.
 
-    The wheel never removes a cell before its deadline: cancellation marks
-    the cell in the engine's registry and the cell still pops on time (and
-    is reclaimed there), which matches the registry's reclaim-at-pop
+    The wheel never removes a cell before its deadline: cancelling a
+    timer marks its slab slot and the cell still pops on time (and is
+    reclaimed there), which matches the engine's reclaim-at-pop
     accounting and keeps the slot lists singly linked. *)
 
 type t
@@ -51,8 +49,8 @@ val ensure_capacity : t -> int -> unit
 val shrink_capacity : t -> int -> unit
 (** Drop the per-cell columns down to the argument.  The caller guarantees
     no cell at or above it is pending ({!Engine.compact} shrinks to the
-    registry's and the event slab's live high-water, and a pending cell
-    is never in a free slot). *)
+    event slab's live high-water, and a pending cell is never in a free
+    slot). *)
 
 val add : t -> cell:int -> deadline:Sim_time.t -> seq:int -> unit
 (** Insert [cell] to pop at [deadline], ordered among equal deadlines by
@@ -64,10 +62,6 @@ val add : t -> cell:int -> deadline:Sim_time.t -> seq:int -> unit
 val next_at : t -> Sim_time.t
 (** Earliest pending deadline (exact, O(1) — maintained cache).  Raises
     [Invalid_argument] when empty; guard with {!is_empty}. *)
-
-val next_seq : t -> int
-(** Sequence number of the earliest pending cell — the merge tie-break
-    key.  Raises [Invalid_argument] when empty. *)
 
 val pop : t -> int
 (** Remove and return the cell with the least (deadline, seq).  Raises

@@ -253,6 +253,32 @@ let run_ec ?net ?crashes ?proposals ?propose_at ?horizon ?(params = ec_params) ?
   Scenario.run_consensus ?net ?crashes ?proposals ?propose_at ?horizon ~n ~detector
     ~protocol:(Scenario.Ec params) ()
 
+(* E15's noise scenario at q = 0.5, seed 3, under the strict wait: p1
+   leads, stable and accurate, while the processes drawn as NACKers
+   suspect it forever, so no round ever decides. *)
+let noisy_strict_trace ~horizon =
+  let n = 9 and seed = 3 in
+  let rng = Sim.Rng.create ~seed in
+  let nackers =
+    List.filter (fun p -> not (Sim.Pid.equal p 0) && Sim.Rng.bool rng ~p:0.5) (Sim.Pid.all ~n)
+  in
+  let engine = Scenario.engine ~net:{ Scenario.default_net with seed } ~n () in
+  let accurate = Fd.Scripted.accurate_stable ~leader:0 ~crashed:Sim.Pid.Set.empty in
+  let nacker_view = Fd.Fd_view.make ~trusted:0 ~suspected:(Sim.Pid.set_of_list [ 0 ]) () in
+  let fd =
+    Fd.Scripted.install engine
+      ~initial:(fun p -> if List.mem p nackers then nacker_view else accurate p)
+      ~steps:[] ()
+  in
+  let rb = Broadcast.Reliable_broadcast.create engine in
+  let params =
+    { ec_params with Ecfd.Ec_consensus.wait_mode = Strict_majority; max_rounds = 2000 }
+  in
+  let inst = Ecfd.Ec_consensus.install engine ~fd ~rb params in
+  List.iter (fun p -> inst.Consensus.Instance.propose p (100 + p)) (Sim.Pid.all ~n);
+  Sim.Engine.run_until engine horizon;
+  Sim.Engine.trace engine
+
 let ec_consensus_tests =
   [
     tc "failure-free: one round, everyone decides the same value" (fun () ->
@@ -537,6 +563,27 @@ let ec_consensus_tests =
           + lc.Sim.Stats.timers_orphaned + Sim.Engine.timer_armed e);
         Alcotest.(check int) "no leaked registry slots" lc.Sim.Stats.timers_set
           (lc.Sim.Stats.timers_reclaimed + Sim.Engine.timer_residency e));
+    tc "undecided noisy run: flat words per trace event, same JSONL" (fun () ->
+        (* E15's undecided run (n = 9, q = 0.5, seed 3, strict wait): the
+           coordinator announcements pile up round after round.  Sweeping
+           every announcement ever received made the cost per trace event
+           grow with the horizon (684 → 2578 minor words from 4000 to
+           16000); dropping handled ones keeps it flat.  The digests are
+           the exports of the code before the prune. *)
+        let run horizon =
+          let w0 = Gc.minor_words () in
+          let trace = noisy_strict_trace ~horizon in
+          let words = Gc.minor_words () -. w0 in
+          (words /. float_of_int (Sim.Trace.length trace), trace)
+        in
+        let short, short_trace = run 4000 and long, long_trace = run 16000 in
+        Alcotest.(check bool) "no round decides" true
+          (Option.is_none (Spec.Consensus_props.decision_round long_trace));
+        let digest t = Digest.to_hex (Digest.string (Sim.Trace_export.jsonl_string t)) in
+        Alcotest.(check string) "export at 4000" "6a3e123a7d51ad39bf9a6eefc08d2747" (digest short_trace);
+        Alcotest.(check string) "export at 16000" "2b543a34488748d2d4291d64741ee341" (digest long_trace);
+        if long > 1.5 *. short then
+          Alcotest.failf "%.0f minor words per trace event at 16000, %.0f at 4000" long short);
   ]
 
 (* ------------------------------------------------------------------ *)

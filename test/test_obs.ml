@@ -383,6 +383,16 @@ let query_tests =
         rejects ~line:1
           (Printf.sprintf {|{"seq":0,"lc":1,"type":"propose","at":0,"pid":%d,"value":7}|}
              (Sim.Trace.max_pid + 1)));
+    tc "rollup rejects a component that records no views, naming the detectors" (fun () ->
+        (* In the e4 trace only the heartbeat detector records fd_view
+           events; consensus.ec sends and delivers but is no detector. *)
+        let trace = Tracequery_core.Trace_import.load "golden/TRACE_e4.jsonl" in
+        match Tracequery_core.Query.rollup ~component:"consensus.ec" trace with
+        | _ -> Alcotest.fail "consensus.ec was rolled up"
+        | exception Tracequery_core.Query.Not_a_detector msg ->
+          Alcotest.(check string) "message"
+            {|component "consensus.ec" records no fd_view; detector components in this trace: fd.heartbeat-p|}
+            msg);
     Test_util.qcheck ~count:40 ~name:"export, import, export is the identity on lossy runs"
       ~print:(fun (detector, protocol, n, seed, crashes) ->
         Format.asprintf "%s/%s n=%d seed=%d crashes=%a" (Scenario.detector_name detector)

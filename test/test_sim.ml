@@ -251,7 +251,6 @@ let timer_wheel_tests =
         let w = Sim.Timer_wheel.create () in
         Sim.Timer_wheel.add w ~cell:0 ~deadline:17 ~seq:3;
         Alcotest.(check int) "next_at" 17 (Sim.Timer_wheel.next_at w);
-        Alcotest.(check int) "next_seq" 3 (Sim.Timer_wheel.next_seq w);
         Alcotest.(check int) "pop" 0 (Sim.Timer_wheel.pop w);
         Alcotest.(check bool) "empty" true (Sim.Timer_wheel.is_empty w));
     tc "equal deadlines pop in seq order regardless of insertion order" (fun () ->
@@ -680,7 +679,7 @@ let engine_tests =
         Sim.Engine.run_until e 1001;
         let lc = Sim.Stats.lifecycle (Sim.Engine.stats e) in
         Alcotest.(check int) "all 1000 set" 1000 lc.Sim.Stats.timers_set;
-        Alcotest.(check bool) "capacity stays tiny" true (Sim.Engine.timer_table_capacity e <= 16));
+        Alcotest.(check bool) "capacity stays tiny" true (Sim.Engine.slab_capacity e <= 16));
     tc "same-instant timers and harness events interleave in scheduling order" (fun () ->
         (* Timers live in the timer wheel and harness actions in the event
            wheel; the merge must reproduce global scheduling order, never
@@ -736,11 +735,11 @@ let engine_tests =
         done;
         Alcotest.(check int) "in flight" 100_001 (Sim.Engine.pending_events e);
         Alcotest.(check bool) "burst grew the slab" true
-          (Sim.Engine.event_slab_capacity e >= 100_001);
+          (Sim.Engine.slab_capacity e >= 100_001);
         Sim.Engine.run_until e 3;
         Alcotest.(check int) "burst delivered" 100_000 !got;
         Sim.Engine.compact e;
-        Alcotest.(check int) "shrunk to the live high-water" 1 (Sim.Engine.event_slab_capacity e);
+        Alcotest.(check int) "shrunk to the live high-water" 1 (Sim.Engine.slab_capacity e);
         (* Messages in flight across a compact are still delivered, and
            the slab regrows on demand. *)
         for k = 1 to 40 do
@@ -748,13 +747,13 @@ let engine_tests =
         done;
         Sim.Engine.compact e;
         Alcotest.(check bool) "compact keeps pending slots" true
-          (Sim.Engine.event_slab_capacity e >= 41);
+          (Sim.Engine.slab_capacity e >= 41);
         Sim.Engine.run_until e 100;
         Alcotest.(check int) "in-flight messages survived compaction" 100_040 !got;
         Alcotest.(check bool) "straggler survived compaction" true !straggler;
         Alcotest.(check int) "nothing pending" 0 (Sim.Engine.pending_events e);
         Sim.Engine.compact e;
-        Alcotest.(check int) "drained slab is empty" 0 (Sim.Engine.event_slab_capacity e));
+        Alcotest.(check int) "drained slab is empty" 0 (Sim.Engine.slab_capacity e));
     tc "compact shrinks the timer table to live residency" (fun () ->
         let e = mk_engine () in
         (* The straggler is armed first, so it holds slot 0 — the table's
@@ -766,11 +765,9 @@ let engine_tests =
           ignore (Sim.Engine.set_timer e 0 ~delay:(1 + (i mod 50)) (fun () -> ()) : Sim.Engine.timer)
         done;
         Sim.Engine.run_until e 60;
-        Alcotest.(check bool) "burst grew the table" true
-          (Sim.Engine.timer_table_capacity e >= 1000);
+        Alcotest.(check bool) "burst grew the slab" true (Sim.Engine.slab_capacity e >= 1000);
         Sim.Engine.compact e;
-        Alcotest.(check bool) "shrunk to live residency" true
-          (Sim.Engine.timer_table_capacity e <= 16);
+        Alcotest.(check bool) "shrunk to live residency" true (Sim.Engine.slab_capacity e <= 16);
         Sim.Engine.run_until e 250;
         Alcotest.(check bool) "straggler survived compaction" true !fired);
     tc "handles from before compact stay stale after the table regrows" (fun () ->
@@ -781,7 +778,7 @@ let engine_tests =
         done;
         Sim.Engine.run_until e 2;
         Sim.Engine.compact e;
-        Alcotest.(check int) "table emptied" 0 (Sim.Engine.timer_table_capacity e);
+        Alcotest.(check int) "slab emptied" 0 (Sim.Engine.slab_capacity e);
         (* Regrow the dropped region with fresh timers; the pre-compact
            handles must not be able to cancel any of them. *)
         let fired = ref 0 in
@@ -791,6 +788,72 @@ let engine_tests =
         List.iter (Sim.Engine.cancel_timer e) !doomed;
         Sim.Engine.run_until e 10;
         Alcotest.(check int) "stale cancels were no-ops" 100 !fired);
+    tc "stale timer handles cancel nothing in a slot reused by a message, an action, a timer"
+      (fun () ->
+        (* At most one event is ever pending, so the slab never grows past
+           one slot: the message, the action and the second timer all
+           reuse the stale handle's slot, and each cancel through that
+           handle must leave the new occupant alone. *)
+        List.iter
+          (fun cancelled ->
+            let e = mk_engine ~n:2 ~delay:1 () in
+            let log = ref [] in
+            let push tag () = log := tag :: !log in
+            Sim.Engine.register e ~component:"t" 1 (fun ~src:_ _ -> push "message" ());
+            let stale = Sim.Engine.set_timer e 0 ~delay:1 (push "first timer") in
+            if cancelled then Sim.Engine.cancel_timer e stale;
+            Sim.Engine.run_until e 1;
+            let reuse schedule ~until =
+              schedule ();
+              Alcotest.(check int) "one slot, reused" 1 (Sim.Engine.slab_capacity e);
+              Sim.Engine.cancel_timer e stale;
+              Sim.Engine.run_until e until
+            in
+            reuse ~until:2 (fun () ->
+                Sim.Engine.send e ~component:"t" ~tag:"m" ~src:0 ~dst:1 (Ping 0));
+            reuse ~until:3 (fun () -> Sim.Engine.at e 3 (push "action"));
+            reuse ~until:4 (fun () ->
+                ignore (Sim.Engine.set_timer e 0 ~delay:1 (push "second timer") : Sim.Engine.timer));
+            Alcotest.(check (list string)) "every reuser ran"
+              ((if cancelled then [] else [ "first timer" ]) @ [ "message"; "action"; "second timer" ])
+              (List.rev !log);
+            let lc = Sim.Stats.lifecycle (Sim.Engine.stats e) in
+            Alcotest.(check int) "cancels counted" (if cancelled then 1 else 0)
+              lc.Sim.Stats.timers_cancelled;
+            Alcotest.(check int) "set = fired + cancelled + orphaned + armed" lc.Sim.Stats.timers_set
+              (lc.Sim.Stats.timers_fired + lc.Sim.Stats.timers_cancelled
+             + lc.Sim.Stats.timers_orphaned + Sim.Engine.timer_armed e);
+            Alcotest.(check int) "set = reclaimed + resident" lc.Sim.Stats.timers_set
+              (lc.Sim.Stats.timers_reclaimed + Sim.Engine.timer_residency e))
+          [ false; true ]);
+    tc "stopping 'every' after its slot was reused cancels nothing" (fun () ->
+        let e = mk_engine ~n:2 () in
+        let stop = Sim.Engine.every e 0 ~phase:1 ~period:1 (fun () -> ()) in
+        Sim.Engine.schedule_crash e 0 ~at:1;
+        Sim.Engine.run_until e 1;
+        (* p0's next occurrence holds one slot; this action takes the
+           other, which the crash freed. *)
+        let kept = ref false in
+        Sim.Engine.at e 50 (fun () -> kept := true);
+        Sim.Engine.run_until e 2;
+        (* The occurrence popped orphaned and freed its slot: with the
+           action still pending and the slab still two slots, this timer
+           sits in the slot the periodic timer last held. *)
+        let fired = ref false in
+        ignore (Sim.Engine.set_timer e 1 ~delay:1 (fun () -> fired := true) : Sim.Engine.timer);
+        Alcotest.(check int) "two slots, one reused" 2 (Sim.Engine.slab_capacity e);
+        stop ();
+        Sim.Engine.run_until e 50;
+        Alcotest.(check bool) "the reusing timer fired" true !fired;
+        Alcotest.(check bool) "the action ran" true !kept;
+        let lc = Sim.Stats.lifecycle (Sim.Engine.stats e) in
+        Alcotest.(check int) "nothing cancelled" 0 lc.Sim.Stats.timers_cancelled;
+        Alcotest.(check int) "one occurrence orphaned" 1 lc.Sim.Stats.timers_orphaned;
+        Alcotest.(check int) "set = fired + cancelled + orphaned + armed" lc.Sim.Stats.timers_set
+          (lc.Sim.Stats.timers_fired + lc.Sim.Stats.timers_cancelled
+         + lc.Sim.Stats.timers_orphaned + Sim.Engine.timer_armed e);
+        Alcotest.(check int) "set = reclaimed + resident" lc.Sim.Stats.timers_set
+          (lc.Sim.Stats.timers_reclaimed + Sim.Engine.timer_residency e));
     Test_util.qcheck ~count:80 ~name:"random timer workloads conserve the lifecycle ledger"
       QCheck2.Gen.(tup2 (int_range 0 10_000) (int_range 1 6))
       (fun (seed, n) ->

@@ -129,10 +129,10 @@ let soak_tests =
           (Printf.sprintf "timer-table residency bounded (max %d <= %d)" !max_residency bound)
           true (!max_residency <= bound);
         Alcotest.(check bool)
-          (Printf.sprintf "slot reuse keeps the table small (capacity %d)"
-             (Sim.Engine.timer_table_capacity engine))
+          (Printf.sprintf "slot reuse keeps the slab small (capacity %d)"
+             (Sim.Engine.slab_capacity engine))
           true
-          (Sim.Engine.timer_table_capacity engine <= bound);
+          (Sim.Engine.slab_capacity engine <= bound);
         (* Conservation: every set timer was reclaimed or is still pending. *)
         Alcotest.(check int) "set = reclaimed + resident" lc.Sim.Stats.timers_set
           (lc.Sim.Stats.timers_reclaimed + Sim.Engine.timer_residency engine);
@@ -145,8 +145,8 @@ let soak_tests =
            stays within the old bound and covers everything resident. *)
         Sim.Engine.compact engine;
         Alcotest.(check bool) "mid-flight compact keeps capacity within the bound" true
-          (Sim.Engine.timer_table_capacity engine <= bound
-          && Sim.Engine.timer_table_capacity engine >= Sim.Engine.timer_residency engine);
+          (Sim.Engine.slab_capacity engine <= bound
+          && Sim.Engine.slab_capacity engine >= Sim.Engine.timer_residency engine);
         let before = (Sim.Stats.lifecycle (Sim.Engine.stats engine)).Sim.Stats.timers_fired in
         let resumed = ref 0 in
         while !resumed < 10_000 && Sim.Engine.step engine do
@@ -177,8 +177,8 @@ let soak_tests =
           (lc.Sim.Stats.timers_fired + lc.Sim.Stats.timers_cancelled + lc.Sim.Stats.timers_orphaned);
         Alcotest.(check int) "registry fully drained" 0 (Sim.Engine.timer_residency engine);
         Sim.Engine.compact engine;
-        Alcotest.(check int) "compact shrank the drained table to live residency" 0
-          (Sim.Engine.timer_table_capacity engine));
+        Alcotest.(check int) "compact shrank the drained slab to live residency" 0
+          (Sim.Engine.slab_capacity engine));
   ]
 
 let suites = [ ("soak", soak_tests) ]

@@ -163,7 +163,12 @@ let validate_cmd =
 
 let rollup_cmd =
   let run path component n horizon output =
-    let json = Query.rollup ?n ?horizon ?component (load_or_die path) in
+    let json =
+      try Query.rollup ?n ?horizon ?component (load_or_die path)
+      with Query.Not_a_detector msg ->
+        Printf.eprintf "ecfd-trace: %s: %s\n" path msg;
+        exit 2
+    in
     match output with
     | None -> print_string json
     | Some f -> Out_channel.with_open_text f (fun oc -> output_string oc json)
@@ -181,7 +186,8 @@ let rollup_cmd =
           value
           & opt (some string) None
           & info [ "component"; "c" ] ~docv:"NAME"
-              ~doc:"Roll up only this detector component (default: every component seen).")
+              ~doc:"Roll up only this detector component (default: every component seen); \
+                    exit 2 if it records no view change.")
       $ Arg.(
           value
           & opt (some int) None

@@ -73,11 +73,16 @@ let ancestry trace ~seq:target =
   visit target;
   List.filter (fun (e : Trace.event) -> in_cone.(e.seq)) (Array.to_list events)
 
+(* Raised by [rollup ~component] when [component] records no view
+   change in the trace; the message names the components that do. *)
+exception Not_a_detector of string
+
 (* The QoS rollup `ecfd qos` prints, over an imported trace: one scenario
-   per failure-detector component (or just [component]), named after the
-   component.  n defaults to the largest pid the trace mentions + 1 and
-   the horizon to its last event time; with the run's own n and horizon
-   the result is byte-identical to the in-process rollup. *)
+   per failure-detector component (or just [component], which must be
+   one of them), named after the component.  n defaults to the largest
+   pid the trace mentions + 1 and the horizon to its last event time;
+   with the run's own n and horizon the result is byte-identical to the
+   in-process rollup. *)
 let rollup ?n ?horizon ?component trace =
   let max_pid = ref (-1) and last_at = ref 0 in
   let see p = max_pid := max !max_pid p in
@@ -91,8 +96,17 @@ let rollup ?n ?horizon ?component trace =
       | _ -> ());
   let n = max 1 (Option.value n ~default:(!max_pid + 1)) in
   let horizon = Option.value horizon ~default:!last_at in
+  let detectors = Sim.Trace_qos.components trace in
   let components =
-    match component with Some c -> [ c ] | None -> Sim.Trace_qos.components trace
+    match component with
+    | None -> detectors
+    | Some c when List.mem c detectors -> [ c ]
+    | Some c ->
+      raise
+        (Not_a_detector
+           (Printf.sprintf "component %S records no fd_view; detector components in this trace: %s"
+              c
+              (match detectors with [] -> "none" | ds -> String.concat ", " ds)))
   in
   Obs.Rollup.to_json
     (List.map
