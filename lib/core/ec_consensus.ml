@@ -379,7 +379,9 @@ let install ?(component = component) ?(transport = `Engine) engine ~fd ~rb param
         (* Adopt and ACK a non-null proposition from any coordinator,
            including our own service's. *)
         st.est <- v;
-        st.ts <- st.round;
+        (* The 1-based round: an adopted value must outrank every initial
+           estimate, whose ts is 0. *)
+        st.ts <- st.round + 1;
         send_one
           ~tag:(Printf.sprintf "ack.r%d" (st.round + 1))
           ~src:p ~dst:from (Ack { round = st.round });

@@ -8,18 +8,12 @@ type t = {
      [opened_at.(p).(q)] its opening instant.  The span closes when the
      suspicion is rescinded, and stays open when q really crashed.
      Invariant: [span_ids.(p).(q) >= 0] exactly when q is in
-     [views.(p).suspected], so [set] reads the row as its membership
-     test for the old view.  Both rows are [[||]] until p first suspects someone: a module that
-     never suspects costs no row.  Every detector built on a handle gets
-     complete suspicion spans this way, whatever its mechanism. *)
+     [views.(p).suspected].  Both rows are [[||]] until p first suspects
+     someone: a module that never suspects costs no row.  Every detector
+     built on a handle gets complete suspicion spans this way, whatever
+     its mechanism. *)
   span_ids : int array array;
   opened_at : Sim.Sim_time.t array array;
-  sizes : int array;  (* [sizes.(p)]: cardinal of [views.(p).suspected]. *)
-  (* [stamp.(q) = gen] while [set] runs: q is in the view being set.
-     One array per handle serves every p: [set] finishes its diff
-     before it calls out to subscribers. *)
-  stamp : int array;
-  mutable gen : int;
 }
 
 let record t p =
@@ -37,9 +31,6 @@ let make engine ~component =
       changes = Sim.Signal.create ();
       span_ids = Array.make n [||];
       opened_at = Array.make n [||];
-      sizes = Array.make n 0;
-      stamp = Array.make n 0;
-      gen = 0;
     }
   in
   List.iter (fun p -> record t p) (Sim.Pid.all ~n);
@@ -56,14 +47,13 @@ let subscribe t f = Sim.Signal.subscribe t.changes (fun (p, v) -> f p v)
 (* The suspected-set half of [set], for two sets that are not
    physically equal, so at least one is non-empty: p's row is allocated
    here on its first suspicion (an empty new set implies a non-empty old
-   one, hence a row).  One walk over the new set stamps each member and
-   opens a span for each one whose row entry is -1: these are the fresh
-   suspicions, in ascending order.  Span bookkeeping comes before the
-   view record, so a suspicion episode reads Span_begin -> Fd_view in
-   the trace (and Span_end -> Fd_view on rescind).  Only when fewer old
-   members were kept than the old view held does a second walk, over the
-   old set, close the spans of the unstamped ones.  Returns whether the
-   set changed. *)
+   one, hence a row).  One [iter_diff] over new \ old opens a span for
+   each fresh suspicion, then one over old \ new closes the rescinded
+   ones, each in ascending order.  Both skip the subtrees the two sets
+   share, so a view derived from the last one costs what changed.  Span
+   bookkeeping comes before the view record, so a suspicion episode
+   reads Span_begin -> Fd_view in the trace (and Span_end -> Fd_view on
+   rescind).  Returns whether the set changed. *)
 let diff_suspected t p ~old_set ~new_set =
   if Array.length t.span_ids.(p) = 0 then begin
     let n = Array.length t.views in
@@ -71,31 +61,21 @@ let diff_suspected t p ~old_set ~new_set =
     t.opened_at.(p) <- Array.make n Sim.Sim_time.zero
   end;
   let ids = t.span_ids.(p) and opened_at = t.opened_at.(p) in
-  t.gen <- t.gen + 1;
-  let gen = t.gen in
-  let size = ref 0 and fresh = ref 0 in
-  Sim.Pid.Set.iter
+  let changed = ref false in
+  Sim.Pid.Set.iter_diff
     (fun q ->
-      t.stamp.(q) <- gen;
-      incr size;
-      if ids.(q) < 0 then begin
-        incr fresh;
-        ids.(q) <- Sim.Engine.open_span t.engine p ~component:t.component ~name:"suspicion";
-        opened_at.(q) <- Sim.Engine.now t.engine
-      end)
-    new_set;
-  let rescinded = !size - !fresh < t.sizes.(p) in
-  if rescinded then
-    Sim.Pid.Set.iter
-      (fun q ->
-        if t.stamp.(q) <> gen && ids.(q) >= 0 then begin
-          Sim.Engine.close_span t.engine p ~component:t.component ~name:"suspicion" ~span:ids.(q)
-            ~opened_at:opened_at.(q);
-          ids.(q) <- -1
-        end)
-      old_set;
-  t.sizes.(p) <- !size;
-  !fresh > 0 || rescinded
+      changed := true;
+      ids.(q) <- Sim.Engine.open_span t.engine p ~component:t.component ~name:"suspicion";
+      opened_at.(q) <- Sim.Engine.now t.engine)
+    new_set old_set;
+  Sim.Pid.Set.iter_diff
+    (fun q ->
+      changed := true;
+      Sim.Engine.close_span t.engine p ~component:t.component ~name:"suspicion" ~span:ids.(q)
+        ~opened_at:opened_at.(q);
+      ids.(q) <- -1)
+    old_set new_set;
+  !changed
 
 let set t p v =
   let old = t.views.(p) in
@@ -105,7 +85,7 @@ let set t p v =
     ((old.Fd_view.suspected != v.Fd_view.suspected)
     [@check.allow polycmp_t
       "physical identity, not set equality: a hit proves the sets equal, \
-       a miss falls through to the span-row diff"])
+       a miss falls through to the diff"])
     && diff_suspected t p ~old_set:old.Fd_view.suspected ~new_set:v.Fd_view.suspected
   in
   if suspected_changed || not (Option.equal Sim.Pid.equal old.Fd_view.trusted v.Fd_view.trusted)

@@ -45,8 +45,8 @@ val set : t -> Sim.Pid.t -> Fd_view.t -> unit
 
     Invariant: p's row entry for q holds a span id (it is not -1)
     exactly when q is in p's current suspected set, and that id is the
-    open suspicion span p holds on q.  [set] uses the row as its
-    membership test for the old view, so it never searches the old set.
+    open suspicion span p holds on q.  [set] reads the row only to close
+    the spans of rescinded suspicions.
 
     Memory: two ints per peer — the span id and its opening instant — in
     two rows per observing process, allocated on that process's first
@@ -57,9 +57,13 @@ val set : t -> Sim.Pid.t -> Fd_view.t -> unit
 
     Cost: when the new suspected set is physically the old one (two
     empty sets always are), [set] compares [trusted] and nothing else:
-    O(1), no allocation.  Otherwise it walks the new set once, O(|new
-    view|), and only when a suspicion was rescinded walks the old set
-    too, O(|old view|).  An unchanged view costs its walk and records
+    O(1), no allocation.  Otherwise it finds the fresh and the rescinded
+    suspicions with two {!Sim.Pid.Set.iter_diff} walks, which skip every
+    subtree the two sets share.  A view derived from the previous one by
+    k adds and removes ([Leader_s] moving to its next candidate: one of
+    each) costs O(k log n) plus the k spans it opens or closes.
+    Unrelated sets cost at worst O(|old view| + |new view|).  An equal
+    view that is not physically the old one costs its walks and records
     nothing. *)
 
 val update : t -> Sim.Pid.t -> (Fd_view.t -> Fd_view.t) -> unit

@@ -30,7 +30,51 @@ val prev_in_ring : n:int -> t -> t
 
 val is_valid : n:int -> t -> bool
 
-module Set : Set.S with type elt = t
+(** Sets of processes, as big-endian Patricia trees (Okasaki & Gill,
+    "Fast Mergeable Integer Maps", 1998).
+
+    Elements must be non-negative: [add] raises [Invalid_argument] on a
+    negative one.  A set's shape is a function of its elements alone, so
+    [add] and [remove] rebuild only the path to the element, O(log n) for
+    pids below n, and return the argument itself when nothing changes.
+    Sets derived from a common base by [add], [remove], [union], [inter]
+    or [diff] therefore share every subtree the operation did not touch,
+    physically, and [equal], [compare] and [iter_diff] skip shared
+    subtrees without walking them.
+
+    Iteration, [fold] and [elements] are in ascending order; [compare] is
+    the lexicographic order of the ascending sequences, as
+    {!Stdlib.Set.S.compare}.  [cardinal] walks the set. *)
+module Set : sig
+  type elt = t
+  type t
+
+  val empty : t
+  val is_empty : t -> bool
+  val mem : elt -> t -> bool
+  val add : elt -> t -> t
+  val remove : elt -> t -> t
+  val union : t -> t -> t
+  val inter : t -> t -> t
+  val diff : t -> t -> t
+  val equal : t -> t -> bool
+  val compare : t -> t -> int
+  val iter : (elt -> unit) -> t -> unit
+  val fold : (elt -> 'a -> 'a) -> t -> 'a -> 'a
+  val cardinal : t -> int
+  val elements : t -> elt list
+  val min_elt_opt : t -> elt option
+  val of_list : elt list -> t
+
+  val iter_diff : (elt -> unit) -> t -> t -> unit
+  (** [iter_diff f a b] applies [f] to the members of [a] that are not in
+      [b], in ascending order.  Subtrees that [a] and [b] share
+      physically are skipped without a walk, so for [b] derived from [a]
+      (or [a] from [b]) by k adds and removes the call costs
+      O(k log n); for unrelated sets it costs at worst
+      O(|a| + |b|). *)
+end
+
 module Map : Map.S with type key = t
 
 val set_of_list : t list -> Set.t

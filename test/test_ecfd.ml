@@ -584,6 +584,19 @@ let ec_consensus_tests =
         Alcotest.(check string) "export at 16000" "2b543a34488748d2d4291d64741ee341" (digest long_trace);
         if long > 1.5 *. short then
           Alcotest.failf "%.0f minor words per trace event at 16000, %.0f at 4000" long short);
+    tc "an adopted estimate outranks initial ones (seed 3173 decides one value)" (fun () ->
+        (* The run of `ecfd consensus -n 3 --seed 3173 --gst 150 --horizon
+           15000`.  p1 coordinates rounds 1 and 2; in round 1 it proposes
+           102 and adopts it.  Round 2's estimate pool then holds that 102
+           beside p2's initial 101: stamped with the 0-based round, the
+           adopted 102 carried ts 0 like an initial estimate, the tie went
+           to 101, and round 2 decided it after round 1 had decided 102. *)
+        let n = 3 in
+        let net = { (Scenario.chaotic_net ~seed:3173 ~gst:150 ()) with delta = 8 } in
+        let r = run_ec ~n ~net ~horizon:15_000 () in
+        let values = List.map (fun (_, v, _, _) -> v) (Sim.Trace.decisions r.trace) in
+        Alcotest.(check (list int)) "every process decides 102" [ 102; 102; 102 ] values;
+        Test_util.check_no_violations "seed 3173" r.trace ~n);
   ]
 
 (* ------------------------------------------------------------------ *)

@@ -58,8 +58,8 @@ end
 let ref_component = "x"
 
 (* The plain view diff: [Set.equal] to detect a change, then [Set.mem]
-   both ways.  The reference [Fd_handle.set] must match event for event,
-   though the handle tests membership through its open spans. *)
+   both ways.  [Fd_handle.set] must match this reference event for
+   event, though it walks only where the two sets differ. *)
 module Set_diff_handle = struct
   type t = {
     engine : Sim.Engine.t;
@@ -116,8 +116,8 @@ end
 
 (* The span row as a row of records: one [Engine.span] per open
    suspicion in a dense [span option] row per observer, opened with
-   [begin_span] and closed with [end_span], under the same stamp-and-size
-   diff as [Fd_handle.set].  [Fd_handle] keeps the same spans as two int
+   [begin_span] and closed with [end_span], under a stamp-and-size diff
+   that walks whole views.  [Fd_handle] keeps the same spans as two int
    rows allocated on first suspicion; it must match this event for event
    and in the [engine.span_duration] histogram. *)
 module Record_row_handle = struct
@@ -207,6 +207,8 @@ type view_op =
   | Empty of int
   | Full of int  (** everybody, p itself included *)
   | Move of int * int  (** rescind one suspicion of p and add one, chosen by the seed *)
+  | Suspect_one of int * int  (** p's current set plus one non-member, chosen by the seed *)
+  | Rescind_one of int * int  (** p's current set less one member, chosen by the seed *)
 
 let view_op_gen =
   let open QCheck2.Gen in
@@ -220,6 +222,8 @@ let view_op_gen =
       (1, map (fun p -> Empty p) pid);
       (1, map (fun p -> Full p) pid);
       (3, map2 (fun p r -> Move (p, r)) pid (int_bound 1_000));
+      (2, map2 (fun p r -> Suspect_one (p, r)) pid (int_bound 1_000));
+      (2, map2 (fun p r -> Rescind_one (p, r)) pid (int_bound 1_000));
     ]
 
 let pp_view_op = function
@@ -231,6 +235,8 @@ let pp_view_op = function
   | Empty p -> Printf.sprintf "Empty %d" p
   | Full p -> Printf.sprintf "Full %d" p
   | Move (p, r) -> Printf.sprintf "Move(%d,%d)" p r
+  | Suspect_one (p, r) -> Printf.sprintf "Suspect_one(%d,%d)" p r
+  | Rescind_one (p, r) -> Printf.sprintf "Rescind_one(%d,%d)" p r
 
 (* The view [op] publishes, given the current view of its process. *)
 let view_of_op ~n ~current op =
@@ -250,14 +256,16 @@ let view_of_op ~n ~current op =
     (pid p, { v with Fd.Fd_view.trusted = trusted tr })
   | Empty p -> (pid p, Fd.Fd_view.empty)
   | Full p -> (pid p, Fd.Fd_view.make ~suspected:(Sim.Pid.set_of_list all) ())
-  | Move (p, r) ->
+  | Move (p, r) | Suspect_one (p, r) | Rescind_one (p, r) ->
     let v = current (pid p) in
     let s = v.Fd.Fd_view.suspected in
     let members = Sim.Pid.Set.elements s in
     let others = List.filter (fun q -> not (Sim.Pid.Set.mem q s)) all in
     let pick l = match l with [] -> None | _ -> Some (List.nth l (r mod List.length l)) in
-    let s = match pick members with Some q -> Sim.Pid.Set.remove q s | None -> s in
-    let s = match pick others with Some q -> Sim.Pid.Set.add q s | None -> s in
+    let rescind = (match op with Suspect_one _ -> false | _ -> true)
+    and suspect = (match op with Rescind_one _ -> false | _ -> true) in
+    let s = match pick members with Some q when rescind -> Sim.Pid.Set.remove q s | _ -> s in
+    let s = match pick others with Some q when suspect -> Sim.Pid.Set.add q s | _ -> s in
     (pid p, { v with Fd.Fd_view.suspected = s })
 
 let event_equal (a : Sim.Trace.event) (b : Sim.Trace.event) =
@@ -303,7 +311,28 @@ let replay_views (module R : REFERENCE) ~n ops =
         ([], []) added
     in
     let opened = List.rev opened and closed = List.rev closed in
-    if List.length opened <> List.length fresh then
+    (* One change reads: its Span_begins, then its Span_ends, then the
+       Fd_view; an unchanged view records nothing. *)
+    let kinds =
+      List.map
+        (fun (ev : Sim.Trace.event) ->
+          match ev.body with
+          | Span_begin _ -> "begin"
+          | Span_end _ -> "end"
+          | Fd_view _ -> "view"
+          | _ -> "other")
+        added
+    in
+    let expected_kinds =
+      List.map (fun _ -> "begin") fresh
+      @ List.map (fun _ -> "end") gone
+      @ if Fd.Fd_view.equal old now then [] else [ "view" ]
+    in
+    if kinds <> expected_kinds then
+      Error
+        (Printf.sprintf "step %d: trace reads [%s], expected [%s]" step (String.concat " " kinds)
+           (String.concat " " expected_kinds))
+    else if List.length opened <> List.length fresh then
       Error (Printf.sprintf "step %d: wrong span opens" step)
     else begin
       List.iter2 (fun q s -> open_.(p).(q) <- Some s) fresh opened;
@@ -362,12 +391,11 @@ let view_sequences_law reference (n, ops) =
   | Error msg -> QCheck2.Test.fail_report msg
 
 let view_sequences_test ~name reference =
-  QCheck_alcotest.to_alcotest
-    (QCheck2.Test.make ~count:300 ~name
-       ~print:(fun (n, ops) ->
-         Printf.sprintf "n=%d [%s]" n (String.concat "; " (List.map pp_view_op ops)))
-       QCheck2.Gen.(pair (int_range 1 12) (list_size (int_range 0 40) view_op_gen))
-       (view_sequences_law reference))
+  Test_util.qcheck ~count:300 ~name
+    ~print:(fun (n, ops) ->
+      Printf.sprintf "n=%d [%s]" n (String.concat "; " (List.map pp_view_op ops)))
+    QCheck2.Gen.(pair (int_range 1 12) (list_size (int_range 0 40) view_op_gen))
+    (view_sequences_law reference)
 
 let handle_diff_tests =
   [

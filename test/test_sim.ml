@@ -28,6 +28,150 @@ let pid_tests =
         Alcotest.(check bool) "-1 bad" false (Sim.Pid.is_valid ~n:3 (-1)));
   ]
 
+(* Pid.Set against Stdlib.Set.Make (Int).  A program builds a list of
+   registers, each holding a set of both kinds: a base set, sets derived
+   from earlier registers (which share their untouched subtrees with
+   them) and fresh unrelated sets.  Every register and every pair of
+   registers is then compared with the reference. *)
+module Ref_set = Set.Make (Int)
+
+type set_op =
+  | Fresh of int list
+  | Add of int * int  (** register, element *)
+  | Remove of int * int
+  | Union of int * int
+  | Inter of int * int
+  | Diff of int * int
+
+let pp_set_op = function
+  | Fresh l -> Printf.sprintf "Fresh [%s]" (String.concat ";" (List.map string_of_int l))
+  | Add (r, k) -> Printf.sprintf "Add(r%d,%d)" r k
+  | Remove (r, k) -> Printf.sprintf "Remove(r%d,%d)" r k
+  | Union (a, b) -> Printf.sprintf "Union(r%d,r%d)" a b
+  | Inter (a, b) -> Printf.sprintf "Inter(r%d,r%d)" a b
+  | Diff (a, b) -> Printf.sprintf "Diff(r%d,r%d)" a b
+
+let set_program_gen =
+  let open QCheck2.Gen in
+  (* Mostly small pids, some far apart, a few near the top of the range:
+     the tree's prefixes then differ at every height. *)
+  let elt = frequency [ (6, int_range 0 63); (3, int_range 0 (1 lsl 21)); (1, int_range 0 max_int) ] in
+  let elts = list_size (int_range 0 40) elt in
+  let reg = int_bound 1_000 in
+  let op =
+    frequency
+      [
+        (1, map (fun l -> Fresh l) elts);
+        (4, map2 (fun r k -> Add (r, k)) reg elt);
+        (4, map2 (fun r k -> Remove (r, k)) reg elt);
+        (2, map2 (fun a b -> Union (a, b)) reg reg);
+        (2, map2 (fun a b -> Inter (a, b)) reg reg);
+        (2, map2 (fun a b -> Diff (a, b)) reg reg);
+      ]
+  in
+  pair elts (list_size (int_range 0 30) op)
+
+(* The registers of a program, oldest first; a register operand is taken
+   modulo the number of registers built so far. *)
+let run_set_program (base, ops) =
+  let regs = ref [| (Sim.Pid.Set.of_list base, Ref_set.of_list base) |] in
+  List.iter
+    (fun op ->
+      let r i = !regs.(i mod Array.length !regs) in
+      let next =
+        match op with
+        | Fresh l -> (Sim.Pid.Set.of_list l, Ref_set.of_list l)
+        | Add (i, k) ->
+          let s, m = r i in
+          (Sim.Pid.Set.add k s, Ref_set.add k m)
+        | Remove (i, k) ->
+          let s, m = r i in
+          (Sim.Pid.Set.remove k s, Ref_set.remove k m)
+        | Union (i, j) ->
+          let (s, m), (t, n) = (r i, r j) in
+          (Sim.Pid.Set.union s t, Ref_set.union m n)
+        | Inter (i, j) ->
+          let (s, m), (t, n) = (r i, r j) in
+          (Sim.Pid.Set.inter s t, Ref_set.inter m n)
+        | Diff (i, j) ->
+          let (s, m), (t, n) = (r i, r j) in
+          (Sim.Pid.Set.diff s t, Ref_set.diff m n)
+      in
+      regs := Array.append !regs [| next |])
+    ops;
+  !regs
+
+let set_model_law program =
+  let regs = run_set_program program in
+  let fail fmt = QCheck2.Test.fail_reportf fmt in
+  let ints l = String.concat ";" (List.map string_of_int l) in
+  let probes =
+    Array.fold_left (fun acc (_, m) -> Ref_set.union acc m) Ref_set.empty regs
+    |> Ref_set.elements
+    |> List.concat_map (fun k -> [ k; k + 1; max 0 (k - 1) ])
+  in
+  Array.iteri
+    (fun i (s, m) ->
+      let elements = Ref_set.elements m in
+      if Sim.Pid.Set.elements s <> elements then
+        fail "r%d: elements [%s], expected [%s]" i (ints (Sim.Pid.Set.elements s)) (ints elements);
+      let iterated = ref [] in
+      Sim.Pid.Set.iter (fun k -> iterated := k :: !iterated) s;
+      if List.rev !iterated <> elements then fail "r%d: iter order" i;
+      if Sim.Pid.Set.fold (fun k acc -> k :: acc) s [] <> List.rev elements then
+        fail "r%d: fold order" i;
+      if Sim.Pid.Set.cardinal s <> Ref_set.cardinal m then fail "r%d: cardinal" i;
+      if Sim.Pid.Set.is_empty s <> Ref_set.is_empty m then fail "r%d: is_empty" i;
+      if Sim.Pid.Set.min_elt_opt s <> Ref_set.min_elt_opt m then fail "r%d: min_elt_opt" i;
+      List.iter
+        (fun k -> if Sim.Pid.Set.mem k s <> Ref_set.mem k m then fail "r%d: mem %d" i k)
+        probes;
+      (* Other histories of the same set: built backwards, and rebuilt
+         from the empty set one element at a time. *)
+      let backwards = Sim.Pid.Set.of_list (List.rev elements) in
+      let refolded = Sim.Pid.Set.fold Sim.Pid.Set.add s Sim.Pid.Set.empty in
+      if not (Sim.Pid.Set.equal s backwards && Sim.Pid.Set.equal refolded s) then
+        fail "r%d: an equal set built another way is not equal" i;
+      if Sim.Pid.Set.compare s backwards <> 0 then fail "r%d: compare with its rebuild" i;
+      Array.iteri
+        (fun j (t, n) ->
+          if Sim.Pid.Set.equal s t <> Ref_set.equal m n then fail "r%d r%d: equal" i j;
+          let sign x = Int.compare x 0 in
+          if sign (Sim.Pid.Set.compare s t) <> sign (Ref_set.compare m n) then
+            fail "r%d r%d: compare" i j;
+          let visited = ref [] in
+          Sim.Pid.Set.iter_diff (fun k -> visited := k :: !visited) s t;
+          let expected = Ref_set.elements (Ref_set.diff m n) in
+          if List.rev !visited <> expected then
+            fail "r%d r%d: iter_diff [%s], expected [%s]" i j (ints (List.rev !visited))
+              (ints expected);
+          if Sim.Pid.Set.elements (Sim.Pid.Set.diff s t) <> expected then
+            fail "r%d r%d: diff" i j)
+        regs)
+    regs;
+  true
+
+let pid_set_tests =
+  [
+    Test_util.qcheck ~count:300 ~name:"Pid.Set matches Stdlib.Set over shared and fresh sets"
+      ~print:(fun (base, ops) ->
+        Printf.sprintf "base [%s]; %s"
+          (String.concat ";" (List.map string_of_int base))
+          (String.concat "; " (List.map pp_set_op ops)))
+      set_program_gen set_model_law;
+    tc "add rejects a negative element" (fun () ->
+        Alcotest.check_raises "add" (Invalid_argument "Pid.Set.add: negative element") (fun () ->
+            ignore (Sim.Pid.Set.add (-1) (Sim.Pid.set_of_list [ 0; 1 ])));
+        Alcotest.check_raises "of_list" (Invalid_argument "Pid.Set.add: negative element")
+          (fun () -> ignore (Sim.Pid.Set.of_list [ 3; -2 ])));
+    tc "an add or remove that changes nothing returns its argument" (fun () ->
+        let s = Sim.Pid.set_of_list (Sim.Pid.all ~n:100) in
+        Alcotest.(check bool) "add a member" true (Sim.Pid.Set.add 42 s == s);
+        Alcotest.(check bool) "remove a non-member" true (Sim.Pid.Set.remove 100 s == s);
+        Alcotest.(check bool) "remove from empty" true
+          (Sim.Pid.Set.remove 0 Sim.Pid.Set.empty == Sim.Pid.Set.empty));
+  ]
+
 (* ------------------------------------------------------------------ *)
 (* Rng                                                                *)
 (* ------------------------------------------------------------------ *)
@@ -1346,6 +1490,7 @@ let packed_trace_tests =
 let suites =
   [
     ("sim.pid", pid_tests);
+    ("sim.pid.set", pid_set_tests);
     ("sim.rng", rng_tests);
     ("sim.event_queue", event_queue_tests);
     ("sim.timer_wheel", timer_wheel_tests);

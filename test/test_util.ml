@@ -1,7 +1,25 @@
 (* Shared helpers and qcheck generators for the test suites. *)
 
+(* Every qcheck test draws from its own generator state, seeded from
+   QCHECK_SEED when it is set and from a fixed constant otherwise, so a
+   plain run of the suite is deterministic and a failure replays from
+   the seed printed at the start of the run, whichever tests run. *)
+let qcheck_seed =
+  lazy
+    (let seed =
+       match Sys.getenv_opt "QCHECK_SEED" with
+       | Some s -> (
+         match int_of_string_opt (String.trim s) with
+         | Some seed -> seed
+         | None -> failwith ("QCHECK_SEED is not an integer: " ^ s))
+       | None -> 0xecfd
+     in
+     Printf.printf "qcheck seed: %d\n%!" seed;
+     seed)
+
 let qcheck ?(count = 50) ?print ~name gen law =
-  QCheck_alcotest.to_alcotest (QCheck2.Test.make ~count ?print ~name gen law)
+  let rand = Random.State.make [| Lazy.force qcheck_seed |] in
+  QCheck_alcotest.to_alcotest ~rand (QCheck2.Test.make ~count ?print ~name gen law)
 
 (* --- generators --- *)
 
