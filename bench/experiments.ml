@@ -275,12 +275,6 @@ let stable_round_run ~n ~protocol =
   Scenario.run_consensus ~net:{ Scenario.default_net with seed = 2 } ~n
     ~detector:(Scenario.Scripted_stable 0) ~protocol ()
 
-let protocol_component = function
-  | Scenario.Ec _ -> Ecfd.Ec_consensus.component
-  | Scenario.Ct -> Consensus.Ct_consensus.component
-  | Scenario.Mr -> Consensus.Mr_consensus.component
-  | Scenario.Hr -> Consensus.Hr_consensus.component
-
 (* Canonical-run trace export (the CI artifact).  The e4 cell EXPERIMENTS.md
    documents as the Perfetto example — n = 8, <>C consensus, stable scripted
    detector — rendered through both exporters.  The render runs as a pool
@@ -335,7 +329,7 @@ let e4 () =
         let r = stable_round_run ~n ~protocol in
         ( r.Scenario.instance.Consensus.Instance.phases_per_round,
           Spec.Round_metrics.sends_in_round r.Scenario.trace
-            ~component:(protocol_component protocol) ~round:1,
+            ~component:(Scenario.protocol_component protocol) ~round:1,
           Spec.Consensus_props.decision_round r.Scenario.trace ))
   in
   let rows =

@@ -219,12 +219,7 @@ let consensus_cmd =
     List.iter
       (fun (round, sends) -> Format.printf "  round %d: %d@." round sends)
       (Spec.Round_metrics.sends_by_round r.Scenario.trace
-         ~component:
-           (match protocol with
-           | Scenario.Ec _ -> Ecfd.Ec_consensus.component
-           | Scenario.Ct -> Consensus.Ct_consensus.component
-           | Scenario.Mr -> Consensus.Mr_consensus.component
-           | Scenario.Hr -> Consensus.Hr_consensus.component))
+         ~component:(Scenario.protocol_component protocol))
   in
   let doc = "Solve one instance of Uniform Consensus and check its properties." in
   Cmd.v

@@ -18,59 +18,38 @@ type phase =
 type replies = { mutable acks : int; mutable nacks : int }
 
 type pstate = {
-  mutable round : int;  (** 0-based internally; reported 1-based. *)
+  mutable round : int;  (** 0 until the first round is entered. *)
   mutable est : Value.t;
   mutable ts : int;
   mutable phase : phase;
   mutable decided : Instance.decision option;
-  mutable round_span : Sim.Engine.span option;  (** Open while participating in a round. *)
   estimates : (int, (Value.t * int) list ref) Hashtbl.t;
   proposals : (int, Value.t) Hashtbl.t;
   replies : (int, replies) Hashtbl.t;
 }
 
+let estimates_of st r = Instance.entry st.estimates r (fun () -> ref [])
+let replies_of st r = Instance.entry st.replies r (fun () -> { acks = 0; nacks = 0 })
+
 let install ?(component = component) ?(max_rounds = 100_000) engine ~fd ~rb () =
   let n = Sim.Engine.n engine in
   let majority = (n / 2) + 1 in
   let m_rounds = Obs.Registry.counter (Sim.Engine.obs engine) ~name:"consensus.ct.rounds" in
+  let book = Instance.book engine ~component ~who:"Ct_consensus" in
   let states =
     Array.init n (fun _ ->
         {
-          round = -1;
+          round = 0;
           est = Value.null;
           ts = 0;
           phase = Idle;
           decided = None;
-          round_span = None;
           estimates = Hashtbl.create 16;
           proposals = Hashtbl.create 16;
           replies = Hashtbl.create 16;
         })
   in
-  let close_round_span st =
-    match st.round_span with
-    | Some s ->
-      Sim.Engine.end_span engine s;
-      st.round_span <- None
-    | None -> ()
-  in
-  let coordinator r = r mod n in
-  let estimates_of st r =
-    match Hashtbl.find_opt st.estimates r with
-    | Some l -> l
-    | None ->
-      let l = ref [] in
-      Hashtbl.add st.estimates r l;
-      l
-  in
-  let replies_of st r =
-    match Hashtbl.find_opt st.replies r with
-    | Some c -> c
-    | None ->
-      let c = { acks = 0; nacks = 0 } in
-      Hashtbl.add st.replies r c;
-      c
-  in
+  let coordinator r = (r - 1) mod n in
   let best_estimate received =
     (* An estimate with the largest timestamp (Phase 2). *)
     match received with
@@ -81,53 +60,37 @@ let install ?(component = component) ?(max_rounds = 100_000) engine ~fd ~rb () =
   in
   let decide p ~round ~value =
     let st = states.(p) in
-    if st.decided = None && st.phase <> Halted then begin
-      let d = { Instance.value; round = round + 1; at = Sim.Engine.now engine } in
-      st.decided <- Some d;
+    if st.phase <> Halted then begin
       st.phase <- Halted;
-      close_round_span st;
-      Sim.Trace.record (Sim.Engine.trace engine)
-        (Sim.Trace.Decide { at = Sim.Engine.now engine; pid = p; value; round = round + 1 })
+      st.decided <- Some (Instance.decide book p ~round value)
     end
   in
+  let advancing p = states.(p).phase = Advancing in
   let rec advance_round p =
-    (* Deferred by one engine event: a synchronous chain of self-completing
-       rounds (tiny systems) would otherwise outrun its own decision. *)
+    states.(p).phase <- Advancing;
+    Instance.defer book p ~advancing next_round
+  and next_round p = enter_round p (states.(p).round + 1)
+  and enter_round p r =
     let st = states.(p) in
-    st.phase <- Advancing;
-    ignore
-      (Sim.Engine.set_timer engine p ~delay:0 (fun () ->
-           if states.(p).phase = Advancing then really_advance p)
-        : Sim.Engine.timer)
-  and really_advance p =
-    let st = states.(p) in
-    if st.round + 1 >= max_rounds then begin
-      (* Safety valve: a detector violating ◇S could make a process burn
-         through rounds forever within one simulation instant. *)
-      st.phase <- Halted;
-      close_round_span st
-    end
+    if not (Instance.enter book ~counter:m_rounds ~max_rounds p r) then st.phase <- Halted
     else begin
-    st.round <- st.round + 1;
-    close_round_span st;
-    Obs.Registry.incr m_rounds;
-    st.round_span <- Some (Sim.Engine.begin_span engine p ~component ~name:"round");
-    let c = coordinator st.round in
-    if Sim.Pid.equal c p then begin
-      (* Phase 1, self: the coordinator's own estimate joins the pool
-         directly (a self-send in the paper's formulation). *)
-      let pool = estimates_of st st.round in
-      pool := (st.est, st.ts) :: !pool;
-      st.phase <- Coord_wait_estimates
-    end
-    else begin
-      Sim.Engine.send engine ~component
-        ~tag:(Printf.sprintf "estimate.r%d" (st.round + 1))
-        ~src:p ~dst:c
-        (Estimate { round = st.round; est = st.est; ts = st.ts });
-      st.phase <- Wait_proposal
-    end;
-    step p
+      st.round <- r;
+      let c = coordinator r in
+      if Sim.Pid.equal c p then begin
+        (* Phase 1, self: the coordinator's own estimate joins the pool
+           directly (a self-send in the paper's formulation). *)
+        let pool = estimates_of st st.round in
+        pool := (st.est, st.ts) :: !pool;
+        st.phase <- Coord_wait_estimates
+      end
+      else begin
+        Sim.Engine.send engine ~component
+          ~tag:(Printf.sprintf "estimate.r%d" st.round)
+          ~src:p ~dst:c
+          (Estimate { round = st.round; est = st.est; ts = st.ts });
+        st.phase <- Wait_proposal
+      end;
+      step p
     end
   and step p =
     let st = states.(p) in
@@ -139,12 +102,12 @@ let install ?(component = component) ?(max_rounds = 100_000) engine ~fd ~rb () =
         let v = best_estimate pool in
         st.est <- v;
         Sim.Engine.send_to_all_others engine ~component
-          ~tag:(Printf.sprintf "propose.r%d" (st.round + 1))
+          ~tag:(Printf.sprintf "propose.r%d" st.round)
           ~src:p
           (Propose { round = st.round; est = v });
         (* The coordinator is also a participant: it adopts its own proposal
            and ACKs it (locally). *)
-        st.ts <- st.round + 1;
+        st.ts <- st.round;
         let c = replies_of st st.round in
         c.acks <- c.acks + 1;
         st.phase <- Coord_wait_replies;
@@ -155,15 +118,15 @@ let install ?(component = component) ?(max_rounds = 100_000) engine ~fd ~rb () =
       match Hashtbl.find_opt st.proposals st.round with
       | Some v ->
         st.est <- v;
-        st.ts <- st.round + 1;
+        st.ts <- st.round;
         Sim.Engine.send engine ~component
-          ~tag:(Printf.sprintf "ack.r%d" (st.round + 1))
+          ~tag:(Printf.sprintf "ack.r%d" st.round)
           ~src:p ~dst:c (Ack { round = st.round });
         advance_round p
       | None ->
         if Sim.Pid.Set.mem c (Fd.Fd_handle.suspected fd p) then begin
           Sim.Engine.send engine ~component
-            ~tag:(Printf.sprintf "nack.r%d" (st.round + 1))
+            ~tag:(Printf.sprintf "nack.r%d" st.round)
             ~src:p ~dst:c (Nack { round = st.round });
           advance_round p
         end
@@ -209,25 +172,13 @@ let install ?(component = component) ?(max_rounds = 100_000) engine ~fd ~rb () =
     (Sim.Pid.all ~n);
   Fd.Fd_handle.subscribe fd (fun p _view ->
       if Sim.Engine.is_alive engine p && states.(p).phase = Wait_proposal then step p);
-  let proposed = Array.make n false in
   let propose p v =
-    if not (Value.valid_proposal v) then invalid_arg "Ct_consensus.propose: invalid value";
-    if proposed.(p) then invalid_arg "Ct_consensus.propose: already proposed";
-    proposed.(p) <- true;
-    Sim.Trace.record (Sim.Engine.trace engine)
-      (Sim.Trace.Propose { at = Sim.Engine.now engine; pid = p; value = v });
+    Instance.propose book p v;
     let st = states.(p) in
     (* The decision may already have been R-delivered (a late proposer). *)
     if st.phase = Idle then begin
       st.est <- v;
-      st.ts <- 0;
       advance_round p
     end
   in
-  {
-    Instance.name = "ct-consensus";
-    phases_per_round = 4;
-    propose;
-    decision = (fun p -> states.(p).decided);
-    current_round = (fun p -> states.(p).round + 1);
-  }
+  { Instance.phases_per_round = 4; propose; decision = (fun p -> states.(p).decided) }

@@ -1,8 +1,8 @@
 (** The Chandra–Toueg ◇S consensus algorithm [6] (rotating coordinator).
 
     The baseline the paper measures itself against in Section 5.4.  Rounds
-    are asynchronous; the coordinator of round r is p_{(r mod n)+1} — the
-    {i rotating coordinator} paradigm.  Each round has four phases:
+    are asynchronous and count from 1; the coordinator of round r is
+    p_{((r-1) mod n)+1} — the {i rotating coordinator} paradigm.  Each round has four phases:
 
     + every process sends its (estimate, timestamp) to the coordinator;
     + the coordinator gathers ⌈(n+1)/2⌉ estimates and proposes one with the
@@ -35,6 +35,7 @@ val install :
   Instance.t
 (** One module per process.  Every process must eventually [propose] or the
     waits of rounds it coordinates cannot fill.  [max_rounds] (default
-    100000) halts a process that exhausts that many rounds undecided — a
-    safety valve against detectors that violate ◇S (a process can otherwise
-    burn through infinitely many rounds at a single simulated instant). *)
+    100000) halts a process that would enter round [max_rounds + 1]
+    undecided — a safety valve against detectors that violate ◇S (a
+    process can otherwise burn through infinitely many rounds at a single
+    simulated instant). *)

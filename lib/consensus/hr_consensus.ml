@@ -19,88 +19,50 @@ type round_buffers = {
 }
 
 type pstate = {
-  mutable round : int;
+  mutable round : int;  (** 0 until the first round is entered. *)
   mutable est : Value.t;
   mutable phase : phase;
   mutable decided : Instance.decision option;
-  mutable round_span : Sim.Engine.span option;  (** Open while participating in a round. *)
   buffers : (int, round_buffers) Hashtbl.t;
 }
 
-let install ?(component = component) ?f ?(max_rounds = 100_000) engine ~fd ~rb () =
+let buffers_of st r = Instance.entry st.buffers r (fun () -> { current = None; votes = [] })
+
+let install ?(component = component) ?(max_rounds = 100_000) engine ~fd ~rb () =
   let n = Sim.Engine.n engine in
-  let f = match f with Some f -> f | None -> (n - 1) / 2 in
-  if f < 0 || 2 * f >= n then invalid_arg "Hr_consensus.install: need 0 <= f < n/2";
-  let quorum = n - f in
+  (* n - f for the fixed fault bound f = ⌈n/2⌉-1: a majority. *)
+  let quorum = (n / 2) + 1 in
   let m_rounds = Obs.Registry.counter (Sim.Engine.obs engine) ~name:"consensus.hr.rounds" in
+  let book = Instance.book engine ~component ~who:"Hr_consensus" in
   let states =
     Array.init n (fun _ ->
-        {
-          round = -1;
-          est = Value.null;
-          phase = Idle;
-          decided = None;
-          round_span = None;
-          buffers = Hashtbl.create 16;
-        })
+        { round = 0; est = Value.null; phase = Idle; decided = None; buffers = Hashtbl.create 16 })
   in
-  let close_round_span st =
-    match st.round_span with
-    | Some s ->
-      Sim.Engine.end_span engine s;
-      st.round_span <- None
-    | None -> ()
-  in
-  let coordinator r = r mod n in
-  let buffers_of st r =
-    match Hashtbl.find_opt st.buffers r with
-    | Some b -> b
-    | None ->
-      let b = { current = None; votes = [] } in
-      Hashtbl.add st.buffers r b;
-      b
-  in
-  let first_quorum rev_votes =
-    let arrived = List.rev rev_votes in
-    List.filteri (fun i _ -> i < quorum) arrived
-  in
+  let coordinator r = (r - 1) mod n in
   let decide p ~round ~value =
     let st = states.(p) in
-    if st.decided = None && st.phase <> Halted then begin
-      let d = { Instance.value; round = round + 1; at = Sim.Engine.now engine } in
-      st.decided <- Some d;
+    if st.phase <> Halted then begin
       st.phase <- Halted;
-      close_round_span st;
-      Sim.Trace.record (Sim.Engine.trace engine)
-        (Sim.Trace.Decide { at = Sim.Engine.now engine; pid = p; value; round = round + 1 })
+      st.decided <- Some (Instance.decide book p ~round value)
     end
   in
-  let rec advance_round p r =
-    (* Deferred by one engine event; see Ec_consensus.advance_round. *)
-    let st = states.(p) in
-    st.phase <- Advancing;
-    ignore
-      (Sim.Engine.set_timer engine p ~delay:0 (fun () ->
-           if states.(p).phase = Advancing then enter_round p r)
-        : Sim.Engine.timer)
+  let advancing p = states.(p).phase = Advancing in
+  let rec advance_round p =
+    states.(p).phase <- Advancing;
+    Instance.defer book p ~advancing next_round
+  and next_round p = enter_round p (states.(p).round + 1)
   and enter_round p r =
     let st = states.(p) in
-    if r >= max_rounds then begin
-      st.phase <- Halted;
-      close_round_span st
-    end
+    if not (Instance.enter book ~counter:m_rounds ~max_rounds p r) then st.phase <- Halted
     else begin
       st.round <- r;
       st.phase <- Wait_current;
-      close_round_span st;
-      Obs.Registry.incr m_rounds;
-      st.round_span <- Some (Sim.Engine.begin_span engine p ~component ~name:"round");
       if Sim.Pid.equal (coordinator r) p then begin
         (* Step 1: the coordinator announces its estimate (everybody,
            itself included via the local copy). *)
         (buffers_of st r).current <- Some st.est;
         Sim.Engine.send_to_all_others engine ~component
-          ~tag:(Printf.sprintf "current.r%d" (r + 1))
+          ~tag:(Printf.sprintf "current.r%d" r)
           ~src:p
           (Current { round = r; est = st.est })
       end;
@@ -112,7 +74,7 @@ let install ?(component = component) ?f ?(max_rounds = 100_000) engine ~fd ~rb (
     st.phase <- Wait_votes;
     b.votes <- aux :: b.votes;
     Sim.Engine.send_to_all_others engine ~component
-      ~tag:(Printf.sprintf "vote.r%d" (st.round + 1))
+      ~tag:(Printf.sprintf "vote.r%d" st.round)
       ~src:p
       (Vote { round = st.round; aux });
     step p
@@ -131,7 +93,7 @@ let install ?(component = component) ?f ?(max_rounds = 100_000) engine ~fd ~rb (
     | Wait_votes ->
       let b = buffers_of st st.round in
       if List.length b.votes >= quorum then begin
-        let votes = first_quorum b.votes in
+        let votes = Instance.first_quorum quorum b.votes in
         let non_null = List.filter (fun v -> not (Value.is_null v)) votes in
         begin
           match non_null with
@@ -144,7 +106,7 @@ let install ?(component = component) ?f ?(max_rounds = 100_000) engine ~fd ~rb (
               Broadcast.Reliable_broadcast.rbroadcast rb ~src:p ~tag:"decide"
                 (Decide { round = st.round; est = v })
         end;
-        advance_round p (st.round + 1)
+        advance_round p
       end
   in
   let on_message p ~src:_ payload =
@@ -170,23 +132,12 @@ let install ?(component = component) ?f ?(max_rounds = 100_000) engine ~fd ~rb (
     (Sim.Pid.all ~n);
   Fd.Fd_handle.subscribe fd (fun p _view ->
       if Sim.Engine.is_alive engine p && states.(p).phase = Wait_current then step p);
-  let proposed = Array.make n false in
   let propose p v =
-    if not (Value.valid_proposal v) then invalid_arg "Hr_consensus.propose: invalid value";
-    if proposed.(p) then invalid_arg "Hr_consensus.propose: already proposed";
-    proposed.(p) <- true;
-    Sim.Trace.record (Sim.Engine.trace engine)
-      (Sim.Trace.Propose { at = Sim.Engine.now engine; pid = p; value = v });
+    Instance.propose book p v;
     let st = states.(p) in
     if st.phase = Idle then begin
       st.est <- v;
-      enter_round p 0
+      enter_round p 1
     end
   in
-  {
-    Instance.name = "hr-consensus";
-    phases_per_round = 2;
-    propose;
-    decision = (fun p -> states.(p).decided);
-    current_round = (fun p -> states.(p).round + 1);
-  }
+  { Instance.phases_per_round = 2; propose; decision = (fun p -> states.(p).decided) }

@@ -23,14 +23,17 @@
     2 steps/round, rotating coordinator, ◇S suspicion escape, quorum
     voting with n-f waits.
 
+    The rotating coordinator of round r (rounds count from 1) is
+    p_{((r-1) mod n)+1}.
+
     Cost per round: (n-1) + n(n-1) messages ≈ Θ(n²); 2 phases.
-    Requires f < n/2 (default f = ⌈n/2⌉-1). *)
+    The fault bound is fixed at f = ⌈n/2⌉-1, so quorums are majorities
+    (n-f processes) and f < n/2 holds for every n. *)
 
 val component : string
 
 val install :
   ?component:string ->
-  ?f:int ->
   ?max_rounds:int ->
   Sim.Engine.t ->
   fd:Fd.Fd_handle.t ->

@@ -22,7 +22,7 @@ type round_buffers = {
 }
 
 type pstate = {
-  mutable round : int;
+  mutable round : int;  (** 0 until the first round is entered. *)
   mutable est : Value.t;
   mutable phase : phase;
   mutable decided : Instance.decision option;
@@ -30,15 +30,19 @@ type pstate = {
   buffers : (int, round_buffers) Hashtbl.t;
 }
 
+let buffers_of st r =
+  Instance.entry st.buffers r (fun () -> { ests = Hashtbl.create 8; ph1 = []; ph2 = [] })
+
 let install ?(component = component) ?f engine ~fd ~rb () =
   let n = Sim.Engine.n engine in
   let f = match f with Some f -> f | None -> (n - 1) / 2 in
   if f < 0 || 2 * f >= n then invalid_arg "Mr_consensus.install: need 0 <= f < n/2";
   let quorum = n - f in
+  let book = Instance.book engine ~component ~who:"Mr_consensus" in
   let states =
     Array.init n (fun _ ->
         {
-          round = -1;
+          round = 0;
           est = Value.null;
           phase = Idle;
           decided = None;
@@ -46,43 +50,18 @@ let install ?(component = component) ?f engine ~fd ~rb () =
           buffers = Hashtbl.create 16;
         })
   in
-  let buffers_of st r =
-    match Hashtbl.find_opt st.buffers r with
-    | Some b -> b
-    | None ->
-      let b = { ests = Hashtbl.create 8; ph1 = []; ph2 = [] } in
-      Hashtbl.add st.buffers r b;
-      b
-  in
-  let first_quorum rev_list =
-    (* The first [quorum] votes in arrival order — the paper's point is that
-       the decision looks at these and nothing else. *)
-    let arrived = List.rev rev_list in
-    let rec take k = function
-      | [] -> []
-      | _ when k = 0 -> []
-      | x :: rest -> x :: take (k - 1) rest
-    in
-    take quorum arrived
-  in
   let decide p ~round ~value =
     let st = states.(p) in
-    if st.decided = None && st.phase <> Halted then begin
-      let d = { Instance.value; round = round + 1; at = Sim.Engine.now engine } in
-      st.decided <- Some d;
+    if st.phase <> Halted then begin
       st.phase <- Halted;
-      Sim.Trace.record (Sim.Engine.trace engine)
-        (Sim.Trace.Decide { at = Sim.Engine.now engine; pid = p; value; round = round + 1 })
+      st.decided <- Some (Instance.decide book p ~round value)
     end
   in
-  let rec advance_round p r =
-    (* Deferred by one engine event; see Ec_consensus.advance_round. *)
-    let st = states.(p) in
-    st.phase <- Advancing;
-    ignore
-      (Sim.Engine.set_timer engine p ~delay:0 (fun () ->
-           if states.(p).phase = Advancing then enter_round p r)
-        : Sim.Engine.timer)
+  let advancing p = states.(p).phase = Advancing in
+  let rec advance_round p =
+    states.(p).phase <- Advancing;
+    Instance.defer book p ~advancing next_round
+  and next_round p = enter_round p (states.(p).round + 1)
   and enter_round p r =
     let st = states.(p) in
     st.round <- r;
@@ -90,7 +69,7 @@ let install ?(component = component) ?f engine ~fd ~rb () =
     let b = buffers_of st r in
     Hashtbl.replace b.ests p st.est;
     Sim.Engine.send_to_all_others engine ~component
-      ~tag:(Printf.sprintf "est.r%d" (r + 1))
+      ~tag:(Printf.sprintf "est.r%d" r)
       ~src:p
       (Est { round = r; est = st.est });
     step p
@@ -115,7 +94,7 @@ let install ?(component = component) ?f engine ~fd ~rb () =
           st.phase <- P1;
           b.ph1 <- v :: b.ph1;
           Sim.Engine.send_to_all_others engine ~component
-            ~tag:(Printf.sprintf "ph1.r%d" (st.round + 1))
+            ~tag:(Printf.sprintf "ph1.r%d" st.round)
             ~src:p
             (Ph1 { round = st.round; aux = v });
           step p
@@ -124,7 +103,9 @@ let install ?(component = component) ?f engine ~fd ~rb () =
     | P1 ->
       let b = buffers_of st st.round in
       if List.length b.ph1 >= quorum then begin
-        let votes = first_quorum b.ph1 in
+        (* The first [quorum] votes in arrival order — the paper's point is
+           that the decision looks at these and nothing else. *)
+        let votes = Instance.first_quorum quorum b.ph1 in
         let aux2 =
           match votes with
           | [] -> Value.null
@@ -136,7 +117,7 @@ let install ?(component = component) ?f engine ~fd ~rb () =
         st.phase <- P2;
         b.ph2 <- aux2 :: b.ph2;
         Sim.Engine.send_to_all_others engine ~component
-          ~tag:(Printf.sprintf "ph2.r%d" (st.round + 1))
+          ~tag:(Printf.sprintf "ph2.r%d" st.round)
           ~src:p
           (Ph2 { round = st.round; aux = aux2 });
         step p
@@ -144,7 +125,7 @@ let install ?(component = component) ?f engine ~fd ~rb () =
     | P2 ->
       let b = buffers_of st st.round in
       if List.length b.ph2 >= quorum then begin
-        let votes = first_quorum b.ph2 in
+        let votes = Instance.first_quorum quorum b.ph2 in
         let non_null = List.filter (fun v -> not (Value.is_null v)) votes in
         begin
           match non_null with
@@ -158,7 +139,7 @@ let install ?(component = component) ?f engine ~fd ~rb () =
                 (Decide { round = st.round; est = v })
             end
         end;
-        advance_round p (st.round + 1)
+        advance_round p
       end
   in
   let saw_round p r =
@@ -194,25 +175,14 @@ let install ?(component = component) ?f engine ~fd ~rb () =
     (Sim.Pid.all ~n);
   Fd.Fd_handle.subscribe fd (fun p _view ->
       if Sim.Engine.is_alive engine p && states.(p).phase = P0 then step p);
-  let proposed = Array.make n false in
   let propose p v =
-    if not (Value.valid_proposal v) then invalid_arg "Mr_consensus.propose: invalid value";
-    if proposed.(p) then invalid_arg "Mr_consensus.propose: already proposed";
-    proposed.(p) <- true;
-    Sim.Trace.record (Sim.Engine.trace engine)
-      (Sim.Trace.Propose { at = Sim.Engine.now engine; pid = p; value = v });
+    Instance.propose book p v;
     let st = states.(p) in
     (* The decision may already have been R-delivered (a late proposer);
        nothing left to do then. *)
     if st.phase = Idle then begin
       st.est <- v;
-      enter_round p (Stdlib.max 0 st.max_seen)
+      enter_round p (Stdlib.max 1 st.max_seen)
     end
   in
-  {
-    Instance.name = "mr-consensus";
-    phases_per_round = 3;
-    propose;
-    decision = (fun p -> states.(p).decided);
-    current_round = (fun p -> states.(p).round + 1);
-  }
+  { Instance.phases_per_round = 3; propose; decision = (fun p -> states.(p).decided) }

@@ -48,17 +48,30 @@ type service = {
 }
 
 type pstate = {
-  mutable round : int;  (** 0-based internally; reported 1-based. *)
+  mutable round : int;  (** 0 until the first round is entered. *)
   mutable est : Value.t;
   mutable ts : int;
   mutable phase : phase;
   mutable coord : Sim.Pid.t option;  (** My coordinator for the current round. *)
   mutable decided : Instance.decision option;
   mutable rev_announcements : announcement list;
-  mutable round_span : Sim.Engine.span option;  (** Open while participating in a round. *)
   services : (int, service) Hashtbl.t;
   props : (int, (Sim.Pid.t * Value.t option) list ref) Hashtbl.t;  (** Arrival order, reversed. *)
 }
+
+let service_of st r =
+  Instance.entry st.services r (fun () ->
+      {
+        active = false;
+        responders = Sim.Pid.Set.empty;
+        nonnull = [];
+        acks = Sim.Pid.Set.empty;
+        nacks = Sim.Pid.Set.empty;
+        proposition = None;
+        decided_sent = false;
+      })
+
+let props_of st r = Instance.entry st.props r (fun () -> ref [])
 
 let install ?(component = component) ?(transport = `Engine) engine ~fd ~rb params =
   let n = Sim.Engine.n engine in
@@ -78,64 +91,27 @@ let install ?(component = component) ?(transport = `Engine) engine ~fd ~rb param
     List.iter (fun dst -> send_one ~src ~dst ~tag payload) (Sim.Pid.others ~n src)
   in
   let m_rounds = Obs.Registry.counter (Sim.Engine.obs engine) ~name:"consensus.ec.rounds" in
+  let book = Instance.book engine ~component ~who:"Ec_consensus" in
   let states =
     Array.init n (fun _ ->
         {
-          round = -1;
+          round = 0;
           est = Value.null;
           ts = 0;
           phase = Idle;
           coord = None;
           decided = None;
           rev_announcements = [];
-          round_span = None;
           services = Hashtbl.create 16;
           props = Hashtbl.create 16;
         })
   in
-  let close_round_span st =
-    match st.round_span with
-    | Some s ->
-      Sim.Engine.end_span engine s;
-      st.round_span <- None
-    | None -> ()
-  in
-  let service_of st r =
-    match Hashtbl.find_opt st.services r with
-    | Some s -> s
-    | None ->
-      let s =
-        {
-          active = false;
-          responders = Sim.Pid.Set.empty;
-          nonnull = [];
-          acks = Sim.Pid.Set.empty;
-          nacks = Sim.Pid.Set.empty;
-          proposition = None;
-          decided_sent = false;
-        }
-      in
-      Hashtbl.add st.services r s;
-      s
-  in
-  let props_of st r =
-    match Hashtbl.find_opt st.props r with
-    | Some l -> l
-    | None ->
-      let l = ref [] in
-      Hashtbl.add st.props r l;
-      l
-  in
   let suspects p q = Sim.Pid.Set.mem q (Fd.Fd_handle.suspected fd p) in
   let decide p ~round ~value =
     let st = states.(p) in
-    if st.decided = None && st.phase <> Halted then begin
-      let d = { Instance.value; round = round + 1; at = Sim.Engine.now engine } in
-      st.decided <- Some d;
+    if st.phase <> Halted then begin
       st.phase <- Halted;
-      close_round_span st;
-      Sim.Trace.record (Sim.Engine.trace engine)
-        (Sim.Trace.Decide { at = Sim.Engine.now engine; pid = p; value; round = round + 1 })
+      st.decided <- Some (Instance.decide book p ~round value)
     end
   in
 
@@ -186,7 +162,7 @@ let install ?(component = component) ?(transport = `Engine) engine ~fd ~rb param
             let v = best_estimate sv.nonnull in
             sv.proposition <- Some (Some v);
             send_all_others
-              ~tag:(Printf.sprintf "proposition.r%d" (r + 1))
+              ~tag:(Printf.sprintf "proposition.r%d" r)
               ~src:p
               (Proposition { round = r; est = v });
             buffer_prop p ~from:p r (Some v)
@@ -201,13 +177,13 @@ let install ?(component = component) ?(transport = `Engine) engine ~fd ~rb param
                 (fun (q, _, _) ->
                   if not (Sim.Pid.equal q p) then
                     send_one
-                      ~tag:(Printf.sprintf "null-proposition.r%d" (r + 1))
+                      ~tag:(Printf.sprintf "null-proposition.r%d" r)
                       ~src:p ~dst:q
                       (Null_proposition { round = r }))
                 sv.nonnull
             else
               send_all_others
-                ~tag:(Printf.sprintf "null-proposition.r%d" (r + 1))
+                ~tag:(Printf.sprintf "null-proposition.r%d" r)
                 ~src:p
                 (Null_proposition { round = r });
             buffer_prop p ~from:p r None
@@ -234,31 +210,19 @@ let install ?(component = component) ?(transport = `Engine) engine ~fd ~rb param
   in
 
   (* --- Participant side --- *)
-  let rec advance_round p r =
-    (* The next round starts one engine event later: a synchronous chain of
-       self-completing rounds (e.g. tiny systems, where every wait is
-       satisfied locally) would otherwise burn through the round space
-       within a single instant, outrunning its own decision's reliable
-       broadcast. *)
-    let st = states.(p) in
-    st.phase <- Advancing;
-    ignore
-      (Sim.Engine.set_timer engine p ~delay:0 (fun () ->
-           if states.(p).phase = Advancing then enter_round p r)
-        : Sim.Engine.timer)
+  let advancing p = states.(p).phase = Advancing in
+  let rec advance_round p =
+    states.(p).phase <- Advancing;
+    Instance.defer book p ~advancing next_round
+  and next_round p = enter_round p (states.(p).round + 1)
   and enter_round p r =
     let st = states.(p) in
-    if r >= params.max_rounds then begin
-      st.phase <- Halted;
-      close_round_span st
-    end
+    if not (Instance.enter book ~counter:m_rounds ~max_rounds:params.max_rounds p r) then
+      st.phase <- Halted
     else begin
       st.round <- r;
       st.coord <- None;
       st.phase <- Wait_coordinator;
-      close_round_span st;
-      Obs.Registry.incr m_rounds;
-      st.round_span <- Some (Sim.Engine.begin_span engine p ~component ~name:"round");
       sweep_announcements p;
       step p
     end
@@ -272,7 +236,7 @@ let install ?(component = component) ?(transport = `Engine) engine ~fd ~rb param
     let r = st.round in
     st.coord <- Some p;
     send_all_others
-      ~tag:(Printf.sprintf "coordinator.r%d" (r + 1))
+      ~tag:(Printf.sprintf "coordinator.r%d" r)
       ~src:p
       (Coordinator { round = r });
     let sv = service_of st r in
@@ -287,7 +251,7 @@ let install ?(component = component) ?(transport = `Engine) engine ~fd ~rb param
     let st = states.(p) in
     st.coord <- Some c;
     send_one
-      ~tag:(Printf.sprintf "estimate.r%d" (st.round + 1))
+      ~tag:(Printf.sprintf "estimate.r%d" st.round)
       ~src:p ~dst:c
       (Estimate { round = st.round; est = st.est; ts = st.ts });
     st.phase <- Wait_proposition;
@@ -301,14 +265,14 @@ let install ?(component = component) ?(transport = `Engine) engine ~fd ~rb param
     | Some leader ->
       st.coord <- Some leader;
       send_one
-        ~tag:(Printf.sprintf "estimate.r%d" (st.round + 1))
+        ~tag:(Printf.sprintf "estimate.r%d" st.round)
         ~src:p ~dst:leader
         (Estimate { round = st.round; est = st.est; ts = st.ts });
       List.iter
         (fun q ->
           if not (Sim.Pid.equal q leader) then
             send_one
-              ~tag:(Printf.sprintf "null-estimate.r%d" (st.round + 1))
+              ~tag:(Printf.sprintf "null-estimate.r%d" st.round)
               ~src:p ~dst:q
               (Null_estimate { round = st.round }))
         (Sim.Pid.others ~n p);
@@ -341,7 +305,7 @@ let install ?(component = component) ?(transport = `Engine) engine ~fd ~rb param
           else begin
             a.handled <- true;
             send_one
-              ~tag:(Printf.sprintf "null-estimate.r%d" (a.a_round + 1))
+              ~tag:(Printf.sprintf "null-estimate.r%d" a.a_round)
               ~src:p ~dst:a.a_from
               (Null_estimate { round = a.a_round })
           end
@@ -379,27 +343,27 @@ let install ?(component = component) ?(transport = `Engine) engine ~fd ~rb param
         (* Adopt and ACK a non-null proposition from any coordinator,
            including our own service's. *)
         st.est <- v;
-        (* The 1-based round: an adopted value must outrank every initial
-           estimate, whose ts is 0. *)
-        st.ts <- st.round + 1;
+        (* Stamped with the round, which counts from 1: an adopted value
+           must outrank every initial estimate, whose ts is 0. *)
+        st.ts <- st.round;
         send_one
-          ~tag:(Printf.sprintf "ack.r%d" (st.round + 1))
+          ~tag:(Printf.sprintf "ack.r%d" st.round)
           ~src:p ~dst:from (Ack { round = st.round });
-        advance_round p (st.round + 1)
+        advance_round p
       | Some (_, None) | None -> begin
         let null_from_own =
           match st.coord with
           | None -> false
           | Some c -> List.exists (fun (from, value) -> Sim.Pid.equal from c && Option.is_none value) buffered
         in
-        if null_from_own then advance_round p (st.round + 1)
+        if null_from_own then advance_round p
         else
           match st.coord with
           | Some c when suspects p c && not (Sim.Pid.equal c p) ->
             send_one
-              ~tag:(Printf.sprintf "nack.r%d" (st.round + 1))
+              ~tag:(Printf.sprintf "nack.r%d" st.round)
               ~src:p ~dst:c (Nack { round = st.round });
-            advance_round p (st.round + 1)
+            advance_round p
           | Some _ | None -> ()
       end
     end
@@ -437,7 +401,7 @@ let install ?(component = component) ?(transport = `Engine) engine ~fd ~rb param
              block on us. *)
           if Option.is_none answer && not (Sim.Pid.equal src p) then
             send_one
-              ~tag:(Printf.sprintf "null-proposition.r%d" (round + 1))
+              ~tag:(Printf.sprintf "null-proposition.r%d" round)
               ~src:p ~dst:src
               (Null_proposition { round })
       end
@@ -454,7 +418,7 @@ let install ?(component = component) ?(transport = `Engine) engine ~fd ~rb param
         else if not (Sim.Pid.equal src p) then
           (* Task 2 of Fig. 4: NACK late non-null propositions. *)
           send_one
-            ~tag:(Printf.sprintf "nack.r%d" (round + 1))
+            ~tag:(Printf.sprintf "nack.r%d" round)
             ~src:p ~dst:src (Nack { round })
       | Null_proposition { round } -> buffer_prop p ~from:src round None
       | Ack { round } ->
@@ -493,25 +457,17 @@ let install ?(component = component) ?(transport = `Engine) engine ~fd ~rb param
           List.iter (fun r -> service_step p r) (List.sort Int.compare rounds)
         end
       end);
-  let proposed = Array.make n false in
   let propose p v =
-    if not (Value.valid_proposal v) then invalid_arg "Ec_consensus.propose: invalid value";
-    if proposed.(p) then invalid_arg "Ec_consensus.propose: already proposed";
-    proposed.(p) <- true;
-    Sim.Trace.record (Sim.Engine.trace engine)
-      (Sim.Trace.Propose { at = Sim.Engine.now engine; pid = p; value = v });
+    Instance.propose book p v;
     let st = states.(p) in
     (* The decision may already have been R-delivered (a late proposer). *)
     if st.phase = Idle then begin
       st.est <- v;
-      st.ts <- 0;
-      enter_round p 0
+      enter_round p 1
     end
   in
   {
-    Instance.name = (if params.merge_phase01 then "ec-consensus-merged" else "ec-consensus");
-    phases_per_round = (if params.merge_phase01 then 4 else 5);
+    Instance.phases_per_round = (if params.merge_phase01 then 4 else 5);
     propose;
     decision = (fun p -> states.(p).decided);
-    current_round = (fun p -> states.(p).round + 1);
   }

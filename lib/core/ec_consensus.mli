@@ -39,11 +39,12 @@
     logic, so the paper's safety argument (Lemmas 1–2) applies unchanged,
     and it discharges the liveness obligations of Lemma 3's induction.
 
-    Timestamps: an estimate adopted from a proposition carries as its ts
-    the round that adopted it, counted from 1, and an initial estimate
-    has ts 0.  So an adopted value outranks every estimate that was never
-    updated, and Phase 2's largest-timestamp rule keeps a value that a
-    majority may have locked, as the safety argument needs.
+    Timestamps: rounds count from 1 (round 0 means none entered yet), and
+    an estimate adopted from a proposition carries as its ts the round
+    that adopted it; an initial estimate has ts 0.  So an adopted value
+    outranks every estimate that was never updated, and Phase 2's
+    largest-timestamp rule keeps a value that a majority may have locked,
+    as the safety argument needs.
 
     Requires f < n/2 and a ◇C detector (both leader and suspicion outputs
     are used). *)

@@ -92,6 +92,12 @@ let protocol_name = function
     | Ecfd.Ec_consensus.Extended -> base
     | Ecfd.Ec_consensus.Strict_majority -> base ^ "-strict")
 
+let protocol_component = function
+  | Ec _ -> Ecfd.Ec_consensus.component
+  | Ct -> Consensus.Ct_consensus.component
+  | Mr -> Consensus.Mr_consensus.component
+  | Hr -> Consensus.Hr_consensus.component
+
 type consensus_run = {
   engine : Sim.Engine.t;
   fd : Fd.Fd_handle.t;

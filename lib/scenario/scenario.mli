@@ -54,6 +54,9 @@ type protocol =
 
 val protocol_name : protocol -> string
 
+val protocol_component : protocol -> string
+(** The trace component the protocol sends its own messages under. *)
+
 type consensus_run = {
   engine : Sim.Engine.t;
   fd : Fd.Fd_handle.t;

@@ -12,6 +12,9 @@
 val round_of_tag : string -> int option
 (** Parses the trailing [".r<k>"]; [None] if absent. *)
 
+val base_of_tag : string -> string
+(** The tag without its [".r<k>"] suffix ("estimate.r3" → "estimate"). *)
+
 val sends_by_round : Sim.Trace.t -> component:string -> (int * int) list
 (** [(round, messages sent in that round)], ascending rounds. *)
 

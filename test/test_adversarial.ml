@@ -140,9 +140,77 @@ let lemma1_law =
                  per_round)))
         (List.for_all (fun (_, k) -> k <= 1) per_round))
 
+(* Rounds count from 1, and one number names a round in the payload, the
+   [.rN] tag and the [Decide].  The trace holds every protocol to that:
+   - every round-tagged send has N >= 1;
+   - a process sends its round-N locking message (the vote a decision
+     counts) only after a round-N message of the round's opening phase,
+     where its protocol has one: a Chandra–Toueg coordinator ACKs its own
+     proposal locally, and a Hurfin–Raynal voter opens a round silently;
+   - every [Decide] of round r comes after a round-r locking send.
+   The payload's timestamp is not in the trace, so this is what a trace
+   can check of the stamp invariant: the ts a lock stores is its round. *)
+let locking_tag = function `Ec | `Ec_merged | `Ct -> "ack" | `Mr -> "ph2" | `Hr -> "vote"
+
+let opening_tags = function
+  | `Ec | `Ec_merged -> [ "coordinator"; "estimate"; "null-estimate" ]
+  | `Ct -> [ "estimate" ]
+  | `Mr -> [ "est" ]
+  | `Hr -> []
+
+let component_of = function
+  | `Ec | `Ec_merged -> Ecfd.Ec_consensus.component
+  | `Ct -> Consensus.Ct_consensus.component
+  | `Mr -> Consensus.Mr_consensus.component
+  | `Hr -> Consensus.Hr_consensus.component
+
+let round_tag_faults protocol trace =
+  let component = component_of protocol in
+  let opened = Hashtbl.create 64 and locked = Hashtbl.create 16 in
+  let faults = ref [] in
+  let fault fmt = Printf.ksprintf (fun s -> faults := s :: !faults) fmt in
+  Sim.Trace.iter trace (fun e ->
+      match e.Sim.Trace.body with
+      | Sim.Trace.Send { src; component = c; tag; _ } when String.equal c component -> (
+        match Spec.Round_metrics.round_of_tag tag with
+        | None -> ()
+        | Some r ->
+          let base = Spec.Round_metrics.base_of_tag tag in
+          if r < 1 then fault "%s sent by p%d" tag (src + 1);
+          if List.mem base (opening_tags protocol) then Hashtbl.replace opened (src, r) ();
+          if String.equal base (locking_tag protocol) then begin
+            Hashtbl.replace locked r ();
+            if opening_tags protocol <> [] && not (Hashtbl.mem opened (src, r)) then
+              fault "p%d sent %s before opening round %d" (src + 1) tag r
+          end)
+      | Sim.Trace.Decide { pid; round; _ } ->
+        if not (Hashtbl.mem locked round) then
+          fault "p%d decided in round %d before any %s.r%d" (pid + 1) round
+            (locking_tag protocol) round
+      | _ -> ());
+  List.rev !faults
+
+let round_tag_law protocol =
+  Test_util.qcheck ~count:20
+    ~name:
+      (Printf.sprintf "%s: round tags count from 1, and a decision follows its round's lock"
+         (proto_name protocol))
+    QCheck2.Gen.(tup2 (int_range 3 7) (int_range 0 1_000_000))
+    (fun (n, seed) ->
+      let engine, _ = build_run ~protocol ~n ~seed ~stabilise:true () in
+      let faults = round_tag_faults protocol (Sim.Engine.trace engine) in
+      Test_util.bool_law
+        (Printf.sprintf "n=%d seed=%d: %s" n seed (String.concat "; " faults))
+        (faults = []))
+
 let adversarial_tests =
   [
     lemma1_law;
+    round_tag_law `Ec;
+    round_tag_law `Ec_merged;
+    round_tag_law `Ct;
+    round_tag_law `Mr;
+    round_tag_law `Hr;
     safety_law `Ec;
     safety_law `Ec_merged;
     safety_law `Ct;

@@ -588,9 +588,10 @@ let ec_consensus_tests =
         (* The run of `ecfd consensus -n 3 --seed 3173 --gst 150 --horizon
            15000`.  p1 coordinates rounds 1 and 2; in round 1 it proposes
            102 and adopts it.  Round 2's estimate pool then holds that 102
-           beside p2's initial 101: stamped with the 0-based round, the
-           adopted 102 carried ts 0 like an initial estimate, the tie went
-           to 101, and round 2 decided it after round 1 had decided 102. *)
+           beside p2's initial 101.  Had the adopted 102 carried ts 0, the
+           stamp of an initial estimate (a round counted from 0 gives round
+           1 that stamp), the tie would go to 101, and round 2 would decide
+           it after round 1 had decided 102. *)
         let n = 3 in
         let net = { (Scenario.chaotic_net ~seed:3173 ~gst:150 ()) with delta = 8 } in
         let r = run_ec ~n ~net ~horizon:15_000 () in
