@@ -136,6 +136,34 @@ module Set = struct
         else if m < n && matches p q n then diff s (if zero_bit p n then t0 else t1)
         else s
 
+  (* [s] is a subset of [t]: a shared subtree is a subset of itself.  A
+     branch of [s] wider than [t]'s has members on both sides of a bit
+     on which all of [t] agrees, so it is not a subset. *)
+  let rec subset s t =
+    s == t
+    ||
+    match (s, t) with
+    | Empty, _ -> true
+    | _, Empty -> false
+    | Leaf k, _ -> mem k t
+    | Branch _, Leaf _ -> false
+    | Branch (p, m, s0, s1), Branch (q, n, t0, t1) ->
+      if m = n && p = q then subset s0 t0 && subset s1 t1
+      else if m < n && matches p q n then subset s (if zero_bit p n then t0 else t1)
+      else false
+
+  (* A shared subtree is not empty, so it is a common member. *)
+  let rec disjoint s t =
+    match (s, t) with
+    | Empty, _ | _, Empty -> true
+    | _ when s == t -> false
+    | Leaf k, u | u, Leaf k -> not (mem k u)
+    | Branch (p, m, s0, s1), Branch (q, n, t0, t1) ->
+      if m = n && p = q then disjoint s0 t0 && disjoint s1 t1
+      else if m > n && matches q p m then disjoint (if zero_bit q m then s0 else s1) t
+      else if m < n && matches p q n then disjoint s (if zero_bit p n then t0 else t1)
+      else true
+
   (* Shapes are canonical, so equal sets are equal trees. *)
   let rec equal s t =
     s == t

@@ -39,8 +39,8 @@ val is_valid : n:int -> t -> bool
     pids below n, and return the argument itself when nothing changes.
     Sets derived from a common base by [add], [remove], [union], [inter]
     or [diff] therefore share every subtree the operation did not touch,
-    physically, and [equal], [compare] and [iter_diff] skip shared
-    subtrees without walking them.
+    physically, and [equal], [compare], [subset], [disjoint] and
+    [iter_diff] skip shared subtrees without walking them.
 
     Iteration, [fold] and [elements] are in ascending order; [compare] is
     the lexicographic order of the ascending sequences, as
@@ -65,6 +65,16 @@ module Set : sig
   val elements : t -> elt list
   val min_elt_opt : t -> elt option
   val of_list : elt list -> t
+
+  val subset : t -> t -> bool
+  (** [subset a b]: every member of [a] is in [b]. *)
+
+  val disjoint : t -> t -> bool
+  (** [disjoint a b]: no member of [a] is in [b].
+
+      Neither allocates.  Both skip subtrees that [a] and [b] share
+      physically (a shared subtree is a subset of itself, and a common
+      member), and both cost at worst O(|a| + |b|). *)
 
   val iter_diff : (elt -> unit) -> t -> t -> unit
   (** [iter_diff f a b] applies [f] to the members of [a] that are not in

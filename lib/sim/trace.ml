@@ -420,6 +420,62 @@ let iter_sends t f =
           ~msg:(Bigarray.Array1.unsafe_get c (o + 3)) ~component:l.l1 ~tag:l.l2
       end)
 
+(* [send_links]'s (src, dst) marks: [rows.(src)] has byte [dst] set once
+   a wanted send went from [src] to [dst].  Rows are created and grown on
+   demand, so they cost the pids seen, not [max_pid]. *)
+type link_rows = { mutable rows : Bytes.t array }
+
+let grow_rows m src =
+  let capacity = Stdlib.max 8 (Stdlib.max (src + 1) (2 * Array.length m.rows)) in
+  let rows = Array.make capacity Bytes.empty in
+  Array.blit m.rows 0 rows 0 (Array.length m.rows);
+  m.rows <- rows
+
+let grow_row m src dst =
+  let row = m.rows.(src) in
+  let capacity = Stdlib.max 8 (Stdlib.max (dst + 1) (2 * Bytes.length row)) in
+  let row' = Bytes.make capacity '\000' in
+  Bytes.blit row 0 row' 0 (Bytes.length row);
+  m.rows.(src) <- row';
+  row'
+
+(* One pass over the head words: a send is wanted when its label is, and
+   [wanted] answers that per label id, decided once before the loop. *)
+let send_links t ~components ~from_t ~to_t =
+  let wanted =
+    Bytes.init t.labels.len (fun l ->
+        if List.exists (String.equal t.labels.data.(l).l1) components then '\001' else '\000')
+  in
+  let m = { rows = [||] } in
+  let n = t.count in
+  for ci = 0 to ((n + chunk_mask) lsr chunk_bits) - 1 do
+    let c = t.chunks.(ci) in
+    let last = (Stdlib.min chunk_events (n - (ci lsl chunk_bits)) - 1) * stride in
+    let o = ref 0 in
+    while !o <= last do
+      let h = Bigarray.Array1.unsafe_get c !o in
+      if head_kind h = send_code && Bytes.unsafe_get wanted (h lsr label_shift) <> '\000' then begin
+        let at = Bigarray.Array1.unsafe_get c (!o + 1) in
+        if at >= from_t && at <= to_t then begin
+          let src = head_a h and dst = head_b h in
+          if src >= Array.length m.rows then grow_rows m src;
+          let row = m.rows.(src) in
+          let row = if dst < Bytes.length row then row else grow_row m src dst in
+          Bytes.unsafe_set row dst '\001'
+        end
+      end;
+      o := !o + stride
+    done
+  done;
+  let links = ref [] in
+  for src = Array.length m.rows - 1 downto 0 do
+    let row = m.rows.(src) in
+    for dst = Bytes.length row - 1 downto 0 do
+      if Bytes.unsafe_get row dst <> '\000' then links := (src, dst) :: !links
+    done
+  done;
+  !links
+
 let time_of = function
   | Send { at; _ }
   | Deliver { at; _ }

@@ -52,7 +52,7 @@
     recorded, not physically the same.  {!iter_kinds}, {!crashes},
     {!decisions}, {!proposals} and {!fd_views} read each event's kind word
     and build only the events of the kinds they asked for.  {!iter_sends}
-    builds nothing. *)
+    and {!send_links} build nothing. *)
 
 type body =
   | Send of {
@@ -188,6 +188,17 @@ val iter_sends :
   unit
 (** The fields of every [Send], in order, with no allocation: the strings
     are the trace's interned copies. *)
+
+val send_links :
+  t -> components:string list -> from_t:Sim_time.t -> to_t:Sim_time.t -> (Pid.t * Pid.t) list
+(** The distinct [(src, dst)] of the [Send]s whose component is one of
+    [components] and whose [at] lies in [\[from_t, to_t\]], sorted by
+    [src], then [dst].  One pass over the packed words that builds no
+    event and calls no closure per event: the component test is one byte
+    per label id, decided before the pass, and each pair is a byte in a
+    per-source row, so a send costs a few loads and compares.  Memory is
+    one row per source of a wanted send, as long as its largest
+    destination (rounded up as the row doubles). *)
 
 val time_of : body -> Sim_time.t
 val pid_of : body -> Pid.t option

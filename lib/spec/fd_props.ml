@@ -61,24 +61,26 @@ let crashed_processes run = List.map fst (Sim.Pid.Map.bindings (index run).first
 
 let report_of_since since = { holds = Option.is_some since; since }
 
-(* "For every correct observer p, [pred q] stabilizes on p's views", for
-   every q in [targets].  Each observer's timeline is walked once against
-   the conjunction over the targets: the latest stabilization of the
-   conjuncts is the stabilization of their conjunction. *)
-let for_all_pairs run ~targets pred =
-  match targets with
-  | [] -> Some Sim.Sim_time.zero
-  | _ ->
-    let all_targets v = List.for_all (fun q -> pred q v) targets in
-    Eventually.all
-      (List.map
-         (fun p -> Eventually.stabilization all_targets (timeline run p))
-         (correct_processes run))
+(* "For every correct observer p, [pred] stabilizes on p's views". *)
+let every_observer run pred =
+  Eventually.all
+    (List.map
+       (fun p -> Eventually.stabilization pred (timeline run p))
+       (correct_processes run))
+
+(* [every_observer] of [holds targets suspected], one set operation per
+   view against all the targets together; vacuously true from the start
+   when [targets] is empty. *)
+let against_all run ~targets holds =
+  if Sim.Pid.Set.is_empty targets then Some Sim.Sim_time.zero
+  else every_observer run (fun (v : Fd.Fd_view.t) -> holds targets v.Fd.Fd_view.suspected)
 
 let suspected_in q (v : Fd.Fd_view.t) = Sim.Pid.Set.mem q v.Fd.Fd_view.suspected
 
+(* Every crashed process is suspected. *)
 let strong_completeness run =
-  report_of_since (for_all_pairs run ~targets:(crashed_processes run) suspected_in)
+  let crashed = Sim.Pid.set_of_list (crashed_processes run) in
+  report_of_since (against_all run ~targets:crashed Sim.Pid.Set.subset)
 
 let weak_completeness run =
   let observers = correct_processes run in
@@ -88,10 +90,10 @@ let weak_completeness run =
   in
   report_of_since (Eventually.all (List.map per_victim (crashed_processes run)))
 
+(* No correct process is suspected. *)
 let eventual_strong_accuracy run =
-  let correct = correct_processes run in
-  report_of_since
-    (for_all_pairs run ~targets:correct (fun q v -> not (suspected_in q v)))
+  let correct = Sim.Pid.set_of_list (correct_processes run) in
+  report_of_since (against_all run ~targets:correct Sim.Pid.Set.disjoint)
 
 let eventual_weak_accuracy run =
   let correct = correct_processes run in
@@ -119,11 +121,7 @@ let trusted_not_suspected run =
     | None -> false
     | Some l -> not (Sim.Pid.Set.mem l v.Fd.Fd_view.suspected)
   in
-  report_of_since
-    (Eventually.all
-       (List.map
-          (fun p -> Eventually.stabilization coherent (timeline run p))
-          (correct_processes run)))
+  report_of_since (every_observer run coherent)
 
 let check property run =
   match (property : Fd.Classes.property) with
@@ -148,8 +146,7 @@ let eventual_leader run =
         correct)
     correct
 
-let detection_time run ~victim =
-  for_all_pairs run ~targets:[ victim ] suspected_in
+let detection_time run ~victim = every_observer run (suspected_in victim)
 
 let trusted_transitions run p =
   (* [(time, previous trusted, new trusted)] for every switch. *)

@@ -10,10 +10,20 @@
 
     Cost: the first query on a run walks the trace once and indexes every
     pid's views of the component and the crashes; later queries read the
-    index (it is rebuilt only if the trace has grown since).  Each checker
-    then costs O(Σ views × targets) — every correct observer's timeline
-    is walked once per property against the conjunction over its targets,
-    not once per (observer, target) pair. *)
+    index (it is rebuilt only if the trace has grown since).  Every
+    correct observer's timeline is then walked once per property.  The
+    two properties over a whole target set test each view with one set
+    operation: {!strong_completeness} asks whether the crashed set is a
+    subset of the view's suspected set, and {!eventual_strong_accuracy}
+    whether the correct set is disjoint from it.  Neither allocates, and
+    a view costs at most O(|targets| + |suspected|) instead of one [mem]
+    per target.  On an ecp-churn run (n = 128, three crashes, 616k
+    events, 2-core Xeon host) [eventual_strong_accuracy] takes about 1 ms
+    against 17 ms with one [mem] per (view, target), and e23's ◇P oracle
+    ([satisfies_class P_eventual], index build included) about 30 ns per
+    trace event against 61 ns.  {!eventual_weak_accuracy} and
+    {!leadership} still walk every observer's timeline once per candidate
+    leader: about 55 ms and 13 ms on that run. *)
 
 type report = {
   holds : bool;

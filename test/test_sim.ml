@@ -146,7 +146,9 @@ let set_model_law program =
             fail "r%d r%d: iter_diff [%s], expected [%s]" i j (ints (List.rev !visited))
               (ints expected);
           if Sim.Pid.Set.elements (Sim.Pid.Set.diff s t) <> expected then
-            fail "r%d r%d: diff" i j)
+            fail "r%d r%d: diff" i j;
+          if Sim.Pid.Set.subset s t <> Ref_set.subset m n then fail "r%d r%d: subset" i j;
+          if Sim.Pid.Set.disjoint s t <> Ref_set.disjoint m n then fail "r%d r%d: disjoint" i j)
         regs)
     regs;
   true
@@ -164,6 +166,22 @@ let pid_set_tests =
             ignore (Sim.Pid.Set.add (-1) (Sim.Pid.set_of_list [ 0; 1 ])));
         Alcotest.check_raises "of_list" (Invalid_argument "Pid.Set.add: negative element")
           (fun () -> ignore (Sim.Pid.Set.of_list [ 3; -2 ])));
+    tc "subset and disjoint allocate nothing" (fun () ->
+        let all = Sim.Pid.set_of_list (Sim.Pid.all ~n:1000) in
+        let evens = Sim.Pid.set_of_list (List.init 500 (fun i -> 2 * i)) in
+        let odds = Sim.Pid.Set.diff all evens in
+        let most = Sim.Pid.Set.remove 999 all in
+        let hits = ref 0 in
+        let before = Gc.minor_words () in
+        for _ = 1 to 100 do
+          if Sim.Pid.Set.subset evens all then incr hits;
+          if Sim.Pid.Set.subset all most then incr hits;
+          if Sim.Pid.Set.disjoint evens odds then incr hits;
+          if Sim.Pid.Set.disjoint all odds then incr hits
+        done;
+        let words = Gc.minor_words () -. before in
+        Alcotest.(check int) "verdicts" 200 !hits;
+        Alcotest.(check int) "minor words over 400 calls" 0 (int_of_float words));
     tc "an add or remove that changes nothing returns its argument" (fun () ->
         let s = Sim.Pid.set_of_list (Sim.Pid.all ~n:100) in
         Alcotest.(check bool) "add a member" true (Sim.Pid.Set.add 42 s == s);

@@ -362,8 +362,50 @@ let check_agrees what run =
   | [] -> ()
   | lines -> Alcotest.failf "%s:\n%s" what (String.concat "\n" lines)
 
+(* Generated runs with a minority of crashes, over the detectors and
+   horizons that make each property both hold and fail. *)
+let crash_run_gen =
+  let open QCheck2.Gen in
+  let* horizon = oneofl [ 60; 150; 700; 2500 ] in
+  let* n, crashes = Test_util.Gen.n_and_minority_crashes ~latest:horizon in
+  let* net = oneof [ Test_util.Gen.net; Test_util.Gen.chaotic_net ] in
+  let+ detector =
+    oneofl Scenario.[ Heartbeat_p; Ring_s; Ring_w; Leader_s; Ec_from_leader; Ec_from_ring ]
+  in
+  (n, crashes, net, detector, horizon)
+
+let print_crash_run (n, crashes, (net : Scenario.net), detector, horizon) =
+  Printf.sprintf "n=%d crashes=[%s] net seed=%d gst=%d detector=%s horizon=%d" n
+    (String.concat "; " (List.map (fun (p, at) -> Printf.sprintf "%d@%d" p at) crashes))
+    net.seed net.gst (Scenario.detector_name detector) horizon
+
 let fd_props_equivalence_tests =
   [
+    tc "indexed Fd_props = naive reference on generated runs with crashes; both verdicts occur"
+      (fun () ->
+        let verdicts = Hashtbl.create 12 in
+        let law ((n, crashes, net, detector, horizon) as case) =
+          let _, run, _ = Scenario.fd_run ~net ~crashes ~horizon ~n ~detector () in
+          List.iter
+            (fun prop -> Hashtbl.replace verdicts (prop, (Spec.Fd_props.check prop run).holds) ())
+            Fd.Classes.all_properties;
+          match fd_props_mismatches run with
+          | [] -> true
+          | lines ->
+            QCheck2.Test.fail_reportf "%s\n%s" (print_crash_run case) (String.concat "\n" lines)
+        in
+        QCheck2.Test.check_exn ~rand:(Test_util.qcheck_rand ())
+          (QCheck2.Test.make ~count:60 ~print:print_crash_run
+             ~name:"indexed Fd_props = naive reference" crash_run_gen law);
+        List.iter
+          (fun prop ->
+            List.iter
+              (fun holds ->
+                if not (Hashtbl.mem verdicts (prop, holds)) then
+                  Alcotest.failf "%s never %s over the generated runs"
+                    (Fd.Classes.property_name prop) (if holds then "held" else "failed"))
+              [ true; false ])
+          Fd.Classes.all_properties);
     Test_util.qcheck ~count:300 ~name:"indexed Fd_props = naive reference on hand-built traces"
       QCheck2.Gen.(tup3 (int_range 1 8) (int_range 0 2) Test_util.Gen.seed)
       (fun (n, crash_mode, seed) ->
@@ -721,8 +763,72 @@ let timeline_tests =
 let send_on ~at ~src ~dst ~component =
   Sim.Trace.Send { at; src; dst; msg = 0; component; tag = "x" }
 
+(* Hand-built traces for the [active_links] law.  Sends of the asked-for
+   components, of [""] and of [nobody] (asked for by no case) are
+   interleaved with the other message kinds and with process events;
+   [at] is drawn per event, so it also decreases; some sends go to their
+   own source, and some pids are in the thousands. *)
+let link_event_gen =
+  let open QCheck2.Gen in
+  let pid = frequency [ (4, int_range 0 7); (2, int_range 995 1005); (1, int_range 0 5000) ] in
+  let* kind = frequencyl [ (6, `Send); (1, `Deliver); (1, `Drop); (1, `Crash); (1, `Note) ] in
+  let* at = int_range 0 40 in
+  let* src = pid in
+  let* dst = frequency [ (1, pure src); (4, pid) ] in
+  let+ component = oneofl [ "a"; "b"; ""; "nobody" ] in
+  match kind with
+  | `Send -> Sim.Trace.Send { at; src; dst; msg = -1; component; tag = "t" }
+  | `Deliver -> Sim.Trace.Deliver { at; src; dst; msg = -1; component; tag = "t" }
+  | `Drop -> Sim.Trace.Drop { at; src; dst; msg = -1; component; tag = "t"; reason = "r" }
+  | `Crash -> Sim.Trace.Crash { at; pid = src }
+  | `Note -> Sim.Trace.Note { at; pid = src; tag = component; detail = "" }
+
+(* A trace, the components asked for, and a window whose ends are mostly
+   the instants of two of its sends, so both inclusive edges are hit. *)
+let link_case_gen =
+  let open QCheck2.Gen in
+  let* events = list_size (int_range 0 60) link_event_gen in
+  let* components = oneofl [ []; [ "a" ]; [ "" ]; [ "a"; "b" ]; [ "b"; ""; "a" ]; [ "zzz" ] ] in
+  let sends = List.filter_map (function Sim.Trace.Send { at; _ } -> Some at | _ -> None) events in
+  let edge =
+    match sends with
+    | [] -> int_range 0 40
+    | _ -> frequency [ (4, oneofl sends); (1, int_range (-1) 41) ]
+  in
+  let+ a = edge and+ b = edge in
+  (events, components, Stdlib.min a b, Stdlib.max a b)
+
+let naive_active_links trace ~components ~from_t ~to_t =
+  List.filter_map
+    (fun (e : Sim.Trace.event) ->
+      match e.body with
+      | Send { at; src; dst; component; _ }
+        when at >= from_t && at <= to_t && List.mem component components ->
+        Some (src, dst)
+      | _ -> None)
+    (Sim.Trace.events trace)
+  |> List.sort_uniq compare
+
+let print_link_case (events, components, from_t, to_t) =
+  Printf.sprintf "components [%s], window [%d, %d]\n%s"
+    (String.concat "; " (List.map (Printf.sprintf "%S") components))
+    from_t to_t
+    (String.concat "\n" (List.map (Format.asprintf "%a" Sim.Trace.pp_body) events))
+
+let pp_pairs l = String.concat " " (List.map (fun (s, d) -> Printf.sprintf "%d>%d" s d) l)
+
 let link_metrics_tests =
   [
+    Test_util.qcheck ~count:500
+      ~name:"active_links = filter-and-sort reference on hand-built traces" ~print:print_link_case
+      link_case_gen (fun (events, components, from_t, to_t) ->
+        let t = trace_of events in
+        let got = Spec.Link_metrics.active_links t ~components ~from_t ~to_t in
+        let expected = naive_active_links t ~components ~from_t ~to_t in
+        if got = expected then true
+        else
+          QCheck2.Test.fail_reportf "active_links %s, expected %s" (pp_pairs got)
+            (pp_pairs expected));
     tc "active_links: window and component filtering, dedup, order" (fun () ->
         let t =
           trace_of

@@ -17,9 +17,11 @@ let qcheck_seed =
      Printf.printf "qcheck seed: %d\n%!" seed;
      seed)
 
+(* A fresh generator state from the run's seed. *)
+let qcheck_rand () = Random.State.make [| Lazy.force qcheck_seed |]
+
 let qcheck ?(count = 50) ?print ~name gen law =
-  let rand = Random.State.make [| Lazy.force qcheck_seed |] in
-  QCheck_alcotest.to_alcotest ~rand (QCheck2.Test.make ~count ?print ~name gen law)
+  QCheck_alcotest.to_alcotest ~rand:(qcheck_rand ()) (QCheck2.Test.make ~count ?print ~name gen law)
 
 (* --- generators --- *)
 
@@ -41,6 +43,11 @@ module Gen = struct
     seed >>= fun s ->
     int_range 0 400 >|= fun gst ->
     { Scenario.default_net with seed = s; gst }
+
+  (* Delays up to 20 delta until [gst], so timeouts fire falsely. *)
+  let chaotic_net =
+    seed >>= fun s ->
+    int_range 0 400 >|= fun gst -> Scenario.chaotic_net ~seed:s ~gst ()
 end
 
 (* --- files --- *)
