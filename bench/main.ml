@@ -92,6 +92,7 @@ let speedup (t : timing) =
 let emit_json ~domains ~total_s timings =
   let oc = open_out json_file in
   Printf.fprintf oc "{\n  \"bench\": \"experiments\",\n  \"schema_version\": 1,\n";
+  Printf.fprintf oc "  \"build_profile\": %S,\n" Build_profile.name;
   Printf.fprintf oc "  \"domains\": %d,\n  \"experiments\": [" domains;
   List.iteri
     (fun i t ->
@@ -115,9 +116,9 @@ let () =
         usage ()
       end)
     requested;
-  (* The domain count goes to stderr only: stdout must stay byte-identical
-     across --domains values. *)
-  Printf.eprintf "ecfd-bench: %d domain(s)\n%!" domains;
+  (* The domain count and build profile go to stderr only: stdout must
+     stay byte-identical across --domains values and profiles. *)
+  Printf.eprintf "ecfd-bench: %d domain(s), build profile %s\n%!" domains Build_profile.name;
   Format.printf
     "Reproduction harness for \"Eventually consistent failure detectors\" (JPDC 65, 2005)@.";
   Format.printf "Experiments: %s@." (String.concat " " requested);

@@ -110,6 +110,7 @@ let e20_result : e20_row list option ref = ref None
 let emit_sim_core_json () =
   let oc = open_out sim_core_json_file in
   Printf.fprintf oc "{\n  \"bench\": \"sim_core\",\n  \"schema_version\": 5,\n";
+  Printf.fprintf oc "  \"build_profile\": %S,\n" Build_profile.name;
   (match !churn_result with
   | None -> Printf.fprintf oc "  \"churn\": null,\n"
   | Some c ->

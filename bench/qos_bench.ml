@@ -103,5 +103,5 @@ let e22 () =
   Tables.note "TD = detection time (ticks); avail = correct-view time / accounting window.";
   Tables.note "full per-pair figures: %s (schema docs/schemas/qos.schema.json)" json_file;
   let oc = open_out json_file in
-  output_string oc (Obs.Rollup.to_json scenarios);
+  output_string oc (Obs.Rollup.to_json ~build_profile:Build_profile.name scenarios);
   close_out oc

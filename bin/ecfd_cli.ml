@@ -439,6 +439,12 @@ let bench_direction path =
   then `Lower_better
   else `Neutral
 
+(* The top-level "build_profile" a bench JSON records, if any. *)
+let bench_build_profile : Tracequery_core.Json_min.t -> string option = function
+  | Obj fields -> (
+    match List.assoc_opt "build_profile" fields with Some (String p) -> Some p | _ -> None)
+  | _ -> None
+
 let bench_diff_cmd =
   let run file_a file_b threshold =
     let parse path =
@@ -453,12 +459,26 @@ let bench_diff_cmd =
         Printf.eprintf "ecfd bench-diff: %s: %s\n" path msg;
         exit 2
     in
-    let flat path =
-      List.sort
-        (fun (pa, _) (pb, _) -> String.compare pa pb)
-        (bench_flatten "" (parse path) [])
+    let note_one_profile file p =
+      Printf.printf "note: only %s records its build profile (%S); comparing anyway\n" file p
     in
-    let a = flat file_a and b = flat file_b in
+    let doc_a = parse file_a and doc_b = parse file_b in
+    (* Figures from two build profiles differ by the build, not by the
+       change under test (HACKING.md, "Building and measuring"). *)
+    (match (bench_build_profile doc_a, bench_build_profile doc_b) with
+    | Some pa, Some pb when not (String.equal pa pb) ->
+      Printf.eprintf
+        "ecfd bench-diff: %s was built under profile %S and %s under %S; figures from \
+         different build profiles are not compared\n"
+        file_a pa file_b pb;
+      exit 2
+    | Some p, None -> note_one_profile file_a p
+    | None, Some p -> note_one_profile file_b p
+    | Some _, Some _ | None, None -> ());
+    let flat doc =
+      List.sort (fun (pa, _) (pb, _) -> String.compare pa pb) (bench_flatten "" doc [])
+    in
+    let a = flat doc_a and b = flat doc_b in
     let regressions = ref 0 and compared = ref 0 in
     List.iter
       (fun (path, va) ->
@@ -504,7 +524,8 @@ let bench_diff_cmd =
   let doc =
     "Compare two bench JSON files (BENCH_sim_core.json, BENCH_qos.json, ...): throughput, \
      allocation and QoS deltas beyond a threshold; exits 1 when a directional metric \
-     regressed (throughput down, latency/mistakes up)."
+     regressed (throughput down, latency/mistakes up), and 2 when the two files record \
+     different build profiles."
   in
   Cmd.v
     (Cmd.info "bench-diff" ~doc)

@@ -184,9 +184,11 @@ let add_scenario buf { name; component; report } =
     report.Qos.leaders;
   Printf.bprintf buf "\n      ]\n    }"
 
-let to_json scenarios =
+let to_json ?build_profile scenarios =
   let buf = Buffer.create 4096 in
-  Buffer.add_string buf "{\n  \"bench\": \"qos\",\n  \"schema_version\": 1,\n  \"scenarios\": [\n";
+  Buffer.add_string buf "{\n  \"bench\": \"qos\",\n  \"schema_version\": 1,\n";
+  Option.iter (Printf.bprintf buf "  \"build_profile\": %S,\n") build_profile;
+  Buffer.add_string buf "  \"scenarios\": [\n";
   List.iteri
     (fun i sc ->
       if i > 0 then Buffer.add_string buf ",\n";

@@ -38,7 +38,11 @@ val aggregate : Qos.report -> agg
 
 type scenario = { name : string; component : string; report : Qos.report }
 
-val to_json : scenario list -> string
+val to_json : ?build_profile:string -> scenario list -> string
 (** The full deterministic JSON document (trailing newline included):
     [{"bench": "qos", "schema_version": 1, "scenarios": [...]}] with
-    per-scenario aggregates plus per-pair and per-observer detail. *)
+    per-scenario aggregates plus per-pair and per-observer detail.
+    [build_profile], when given, is recorded as a ["build_profile"] field
+    after ["schema_version"]: bench e22 passes the dune profile it was
+    built under, so [ecfd bench-diff] can refuse to compare figures from
+    two profiles. *)

@@ -95,25 +95,85 @@ let eventual_strong_accuracy run =
   let correct = Sim.Pid.set_of_list (correct_processes run) in
   report_of_since (against_all run ~targets:correct Sim.Pid.Set.disjoint)
 
+(* Some correct process that every correct observer eventually stops
+   suspecting for good.  One pass per observer: [suspected.(l)] says
+   whether its latest view suspects candidate [l], and [start.(l)] when
+   its current run of views not suspecting [l] began (the first view's
+   instant if none ever did), which is [Eventually.stabilization] for
+   [l] on that observer.  Only the members that differ between
+   consecutive views are visited ([Pid.Set.iter_diff]), so a pass costs
+   the observer's view changes, not one walk per candidate. *)
 let eventual_weak_accuracy run =
   let correct = correct_processes run in
-  let for_leader l =
-    Eventually.all
-      (List.map
-         (fun p -> Eventually.stabilization (fun v -> not (suspected_in l v)) (timeline run p))
-         correct)
+  let n = run.n in
+  (* [since.(l)]: [Eventually.all] over the observers walked so far. *)
+  let since = Array.make n (Some Sim.Sim_time.zero) in
+  let suspected = Array.make n false and start = Array.make n Sim.Sim_time.zero in
+  let observe p =
+    match timeline run p with
+    | [] -> List.iter (fun l -> since.(l) <- None) correct
+    | (at0, _) :: _ as views ->
+      Array.fill suspected 0 n false;
+      Array.fill start 0 n at0;
+      ignore
+        (List.fold_left
+           (fun prev (at, (v : Fd.Fd_view.t)) ->
+             let cur = v.Fd.Fd_view.suspected in
+             Sim.Pid.Set.iter_diff (fun q -> if q < n then suspected.(q) <- true) cur prev;
+             Sim.Pid.Set.iter_diff
+               (fun q ->
+                 if q < n then begin
+                   suspected.(q) <- false;
+                   start.(q) <- at
+                 end)
+               prev cur;
+             cur)
+           Sim.Pid.Set.empty views
+          : Sim.Pid.Set.t);
+      List.iter
+        (fun l ->
+          since.(l) <-
+            (match since.(l) with
+            | Some s when not suspected.(l) -> Some (Sim.Sim_time.max s start.(l))
+            | Some _ | None -> None))
+        correct
   in
-  report_of_since (Eventually.any (List.map for_leader correct))
+  List.iter observe correct;
+  report_of_since (Eventually.any (List.map (fun l -> since.(l)) correct))
 
-let trusts l (v : Fd.Fd_view.t) = Option.equal Sim.Pid.equal v.Fd.Fd_view.trusted (Some l)
-
-let leadership run =
+(* The correct process every correct observer trusts for good, with the
+   instant from which all of them do: each observer's final trusted
+   process and the start of its final run of views trusting it, agreed
+   on by all of them.  [None] if there is no correct process, an
+   observer has no view, or the final views differ. *)
+let final_leader run =
   let correct = correct_processes run in
-  let for_leader l =
-    Eventually.all
-      (List.map (fun p -> Eventually.stabilization (trusts l) (timeline run p)) correct)
+  let rec final_run cur start = function
+    | [] -> (cur, start)
+    | (at, (v : Fd.Fd_view.t)) :: rest ->
+      let t = v.Fd.Fd_view.trusted in
+      if Option.equal Sim.Pid.equal t cur then final_run cur start rest else final_run t at rest
   in
-  report_of_since (Eventually.any (List.map for_leader correct))
+  let final p =
+    match timeline run p with
+    | [] -> None
+    | (at, (v : Fd.Fd_view.t)) :: rest -> (
+      match final_run v.Fd.Fd_view.trusted at rest with
+      | Some l, start -> Some (l, start)
+      | None, _ -> None)
+  in
+  let agree acc final =
+    match (acc, final) with
+    | Some (l, since), Some (l', start) when Sim.Pid.equal l l' ->
+      Some (l, Sim.Sim_time.max since start)
+    | _ -> None
+  in
+  match List.map final correct with
+  | Some (l, _) :: _ as finals when List.exists (Sim.Pid.equal l) correct ->
+    List.fold_left agree (Some (l, Sim.Sim_time.zero)) finals
+  | _ -> None
+
+let leadership run = report_of_since (Option.map snd (final_leader run))
 
 let trusted_not_suspected run =
   let coherent (v : Fd.Fd_view.t) =
@@ -137,14 +197,7 @@ let satisfies_class cls run =
 
 let class_matrix run = List.map (fun p -> (p, check p run)) Fd.Classes.all_properties
 
-let eventual_leader run =
-  let correct = correct_processes run in
-  List.find_opt
-    (fun l ->
-      List.for_all
-        (fun p -> Eventually.holds_eventually (trusts l) (timeline run p))
-        correct)
-    correct
+let eventual_leader run = Option.map fst (final_leader run)
 
 let detection_time run ~victim = every_observer run (suspected_in victim)
 

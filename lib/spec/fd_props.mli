@@ -22,8 +22,13 @@
     against 17 ms with one [mem] per (view, target), and e23's ◇P oracle
     ([satisfies_class P_eventual], index build included) about 30 ns per
     trace event against 61 ns.  {!eventual_weak_accuracy} and
-    {!leadership} still walk every observer's timeline once per candidate
-    leader: about 55 ms and 13 ms on that run. *)
+    {!leadership} also walk each observer's timeline once, not once per
+    candidate leader: the first tracks, per candidate, whether the
+    latest view suspects it and since when it has not, visiting only the
+    members that change between views; the second keeps each observer's
+    final trusted process and the start of its run of views.  On that run
+    they take about 4 ms and 0.1 ms, against 50 ms and 12 ms per
+    candidate. *)
 
 type report = {
   holds : bool;

@@ -379,6 +379,35 @@ let print_crash_run (n, crashes, (net : Scenario.net), detector, horizon) =
     (String.concat "; " (List.map (fun (p, at) -> Printf.sprintf "%d@%d" p at) crashes))
     net.seed net.gst (Scenario.detector_name detector) horizon
 
+(* Eventual weak accuracy, leadership and the eventual leader as
+   Fd_props computed them before their one-pass rewrite: every correct
+   observer's timeline stabilized once per correct candidate leader. *)
+module Per_candidate = struct
+  module E = Spec.Eventually
+  module F = Spec.Fd_props
+
+  let for_some_leader run pred =
+    let correct = F.correct_processes run in
+    E.any
+      (List.map
+         (fun l ->
+           E.all (List.map (fun p -> E.stabilization (pred l) (F.timeline run p)) correct))
+         correct)
+
+  let trusts l (v : Fd.Fd_view.t) = Option.equal Sim.Pid.equal v.trusted (Some l)
+
+  let eventual_weak_accuracy run =
+    for_some_leader run (fun l (v : Fd.Fd_view.t) -> not (Sim.Pid.Set.mem l v.suspected))
+
+  let leadership run = for_some_leader run trusts
+
+  let eventual_leader run =
+    let correct = F.correct_processes run in
+    List.find_opt
+      (fun l -> List.for_all (fun p -> E.holds_eventually (trusts l) (F.timeline run p)) correct)
+      correct
+end
+
 let fd_props_equivalence_tests =
   [
     tc "indexed Fd_props = naive reference on generated runs with crashes; both verdicts occur"
@@ -395,8 +424,8 @@ let fd_props_equivalence_tests =
             QCheck2.Test.fail_reportf "%s\n%s" (print_crash_run case) (String.concat "\n" lines)
         in
         QCheck2.Test.check_exn ~rand:(Test_util.qcheck_rand ())
-          (QCheck2.Test.make ~count:60 ~print:print_crash_run
-             ~name:"indexed Fd_props = naive reference" crash_run_gen law);
+          (QCheck2.Test.make ~count:(Test_util.qcheck_count 60) ~print:print_crash_run
+             ~name:"indexed Fd_props = naive reference" crash_run_gen (Test_util.counted law));
         List.iter
           (fun prop ->
             List.iter
@@ -421,6 +450,54 @@ let fd_props_equivalence_tests =
         | lines ->
           QCheck2.Test.fail_reportf "n=%d crash_mode=%d seed=%d\n%s" n crash_mode seed
             (String.concat "\n" lines));
+    tc "one-pass weak accuracy and leadership = per-candidate reference; both verdicts occur"
+      (fun () ->
+        let verdicts = Hashtbl.create 4 in
+        let opt = function None -> "-" | Some t -> string_of_int t in
+        let law ((n, crashes, net, detector, horizon) as case) =
+          let _, run, _ = Scenario.fd_run ~net ~crashes ~horizon ~n ~detector () in
+          let rows =
+            [
+              ( "eventual_weak_accuracy",
+                Per_candidate.eventual_weak_accuracy run,
+                Spec.Fd_props.eventual_weak_accuracy run );
+              ("leadership", Per_candidate.leadership run, Spec.Fd_props.leadership run);
+            ]
+          in
+          let mismatches =
+            List.filter_map
+              (fun (what, want, (got : Spec.Fd_props.report)) ->
+                Hashtbl.replace verdicts (what, got.holds) ();
+                if Option.equal Int.equal want got.since && got.holds = Option.is_some want then
+                  None
+                else
+                  Some
+                    (Printf.sprintf "%s: reference %s, one-pass %b@%s" what (opt want) got.holds
+                       (opt got.since)))
+              rows
+            @
+            let want = Per_candidate.eventual_leader run
+            and got = Spec.Fd_props.eventual_leader run in
+            if Option.equal Int.equal want got then []
+            else [ Printf.sprintf "eventual_leader: reference %s, one-pass %s" (opt want) (opt got) ]
+          in
+          match mismatches with
+          | [] -> true
+          | lines ->
+            QCheck2.Test.fail_reportf "%s\n%s" (print_crash_run case) (String.concat "\n" lines)
+        in
+        QCheck2.Test.check_exn ~rand:(Test_util.qcheck_rand ())
+          (QCheck2.Test.make ~count:(Test_util.qcheck_count 60) ~print:print_crash_run
+             ~name:"one-pass = per-candidate reference" crash_run_gen (Test_util.counted law));
+        List.iter
+          (fun what ->
+            List.iter
+              (fun holds ->
+                if not (Hashtbl.mem verdicts (what, holds)) then
+                  Alcotest.failf "%s never %s over the generated runs" what
+                    (if holds then "held" else "failed"))
+              [ true; false ])
+          [ "eventual_weak_accuracy"; "leadership" ]);
     tc "indexed Fd_props = naive reference on 16 seeded chaotic runs" (fun () ->
         for seed = 1 to 16 do
           let n = 3 + (seed mod 4) in

@@ -20,8 +20,38 @@ let qcheck_seed =
 (* A fresh generator state from the run's seed. *)
 let qcheck_rand () = Random.State.make [| Lazy.force qcheck_seed |]
 
+(* QCHECK_SCALE multiplies every property's case count; unset, it is 1
+   and the suite runs the counts written in it.  An exploring run (CI's
+   rotating-seed step) sets it higher to try more cases per seed. *)
+let qcheck_scale =
+  lazy
+    (match Sys.getenv_opt "QCHECK_SCALE" with
+    | None -> 1
+    | Some s -> (
+      match int_of_string_opt (String.trim s) with
+      | Some k when k >= 1 -> k
+      | Some _ | None -> failwith ("QCHECK_SCALE is not a positive integer: " ^ s)))
+
+let qcheck_count count = count * Lazy.force qcheck_scale
+
+(* Every case a property law was called on (shrinking steps included),
+   printed when the suite exits. *)
+let qcheck_cases = ref 0
+
+let () =
+  at_exit (fun () ->
+      if !qcheck_cases > 0 then
+        Printf.printf "\nqcheck cases: %d at QCHECK_SCALE=%d\n%!" !qcheck_cases
+          (Lazy.force qcheck_scale))
+
+(* [law], counting its calls in [qcheck_cases]. *)
+let counted law x =
+  incr qcheck_cases;
+  law x
+
 let qcheck ?(count = 50) ?print ~name gen law =
-  QCheck_alcotest.to_alcotest ~rand:(qcheck_rand ()) (QCheck2.Test.make ~count ?print ~name gen law)
+  QCheck_alcotest.to_alcotest ~rand:(qcheck_rand ())
+    (QCheck2.Test.make ~count:(qcheck_count count) ?print ~name gen (counted law))
 
 (* --- generators --- *)
 
