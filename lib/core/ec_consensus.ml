@@ -88,7 +88,9 @@ let install ?(component = component) ?(transport = `Engine) engine ~fd ~rb param
         else Broadcast.Stubborn.send stubborn ~src ~dst ~tag payload
   in
   let send_all_others ~src ~tag payload =
-    List.iter (fun dst -> send_one ~src ~dst ~tag payload) (Sim.Pid.others ~n src)
+    for dst = 0 to n - 1 do
+      if not (Sim.Pid.equal dst src) then send_one ~src ~dst ~tag payload
+    done
   in
   let m_rounds = Obs.Registry.counter (Sim.Engine.obs engine) ~name:"consensus.ec.rounds" in
   let book = Instance.book engine ~component ~who:"Ec_consensus" in
@@ -268,14 +270,11 @@ let install ?(component = component) ?(transport = `Engine) engine ~fd ~rb param
         ~tag:(Printf.sprintf "estimate.r%d" st.round)
         ~src:p ~dst:leader
         (Estimate { round = st.round; est = st.est; ts = st.ts });
-      List.iter
-        (fun q ->
-          if not (Sim.Pid.equal q leader) then
-            send_one
-              ~tag:(Printf.sprintf "null-estimate.r%d" st.round)
-              ~src:p ~dst:q
-              (Null_estimate { round = st.round }))
-        (Sim.Pid.others ~n p);
+      let tag = Printf.sprintf "null-estimate.r%d" st.round in
+      for q = 0 to n - 1 do
+        if not (Sim.Pid.equal q p || Sim.Pid.equal q leader) then
+          send_one ~tag ~src:p ~dst:q (Null_estimate { round = st.round })
+      done;
       st.phase <- Wait_proposition;
       step p
   and sweep_announcements p =

@@ -99,17 +99,17 @@ let install_gen ~component ~task1 ~wire_task5 engine ~underlying params =
     if leading then begin
       let now = Sim.Engine.now engine in
       let changed = ref false in
-      List.iter
-        (fun q ->
-          if
-            (not (Sim.Pid.Set.mem q st.local_suspects))
-            && now - st.last_alive.(q) > st.timeout.(q)
-          then begin
-            st.local_suspects <- Sim.Pid.Set.add q st.local_suspects;
-            Obs.Registry.incr m_suspicions;
-            changed := true
-          end)
-        (Sim.Pid.others ~n p);
+      for q = 0 to n - 1 do
+        if
+          (not (Sim.Pid.equal q p))
+          && (not (Sim.Pid.Set.mem q st.local_suspects))
+          && now - st.last_alive.(q) > st.timeout.(q)
+        then begin
+          st.local_suspects <- Sim.Pid.Set.add q st.local_suspects;
+          Obs.Registry.incr m_suspicions;
+          changed := true
+        end
+      done;
       if !changed then publish_own p
     end
   in

@@ -53,18 +53,17 @@ let install ?(component = component) engine params =
     let st = states.(p) in
     let now = Sim.Engine.now engine in
     let changed = ref false in
-    List.iter
-      (fun q ->
-        if now - st.last_heard.(q) > st.timeout.(q) then begin
-          (* q is late (again): one more accusation, then restart its grace
-             period so a dead process is accused about once per time-out,
-             not once per tick. *)
-          st.counter.(q) <- st.counter.(q) + 1;
-          st.accused <- Sim.Pid.Set.add q st.accused;
-          st.last_heard.(q) <- now;
-          changed := true
-        end)
-      (Sim.Pid.others ~n p);
+    for q = 0 to n - 1 do
+      if (not (Sim.Pid.equal q p)) && now - st.last_heard.(q) > st.timeout.(q) then begin
+        (* q is late (again): one more accusation, then restart its grace
+           period so a dead process is accused about once per time-out,
+           not once per tick. *)
+        st.counter.(q) <- st.counter.(q) + 1;
+        st.accused <- Sim.Pid.Set.add q st.accused;
+        st.last_heard.(q) <- now;
+        changed := true
+      end
+    done;
     if !changed then publish p
   in
   let on_message p ~src payload =

@@ -84,10 +84,19 @@ type routes = {
   by_key : (string * string, int) Hashtbl.t;
 }
 
+(* The engine's storage that holds no OCaml value: the slab's int block,
+   its free stack and the wheel.  [ints] and [free] mirror the engine's
+   [ev_ints] and [ev_free], which the hot path reads without this
+   indirection; [grow_event_slab] and [compact] update both.  The
+   payload column is not here: a pending [Timer] or [Harness] payload
+   reaches its engine through its closure, so a store that held payloads
+   could keep a dead engine reachable. *)
+type store = { mutable ints : int array; mutable free : int array; wheel : Timer_wheel.t }
+
 type t = {
   n : int;
   mutable now : Sim_time.t;
-  wheel : Timer_wheel.t;  (* orders the pending slab slots *)
+  wheel : Timer_wheel.t;  (* orders the pending slab slots; [store.wheel] *)
   link : Link.t;
   rng : Rng.t;
   alive : bool array;
@@ -111,7 +120,12 @@ type t = {
   mutable ev_free : int array;  (* LIFO stack of free slab slots, one per slot *)
   mutable ev_free_len : int;
   mutable ev_next_slot : int;  (* slab slots ever handed out; slab high-water *)
+  store : store;
 }
+
+(* The most recent engine's store on each domain, handed to the next
+   [create] on that domain once that engine has been collected. *)
+let spare : (t, store) Exec.Spare.t = Exec.Spare.create ()
 
 (* Sim-tick buckets shared by the engine's latency-shaped histograms: fine
    resolution around typical post-GST delays, coarse tail for pre-GST
@@ -165,33 +179,54 @@ let create ?(seed = 0) ~n ~link () =
   let trace = Trace.create () in
   let stats = Stats.create obs in
   let routes = { table = [||]; len = 0; by_key = Hashtbl.create 16 } in
-  {
-    n;
-    now = Sim_time.zero;
-    wheel = Timer_wheel.create ();
-    link;
-    rng = Rng.create ~seed;
-    alive = Array.make n true;
-    handlers;
-    routes;
-    route_ids = Phys_cache.create ~dummy:(-1) (intern_route routes handlers n stats trace);
-    trace;
-    stats;
-    obs;
-    m_delivery_latency =
-      Obs.Registry.histogram obs ~name:"engine.delivery_latency" ~buckets:tick_buckets;
-    m_span_duration = Obs.Registry.histogram obs ~name:"engine.span_duration" ~buckets:tick_buckets;
-    next_seq = 0;
-    next_msg = 0;
-    next_span = 0;
-    timer_live = 0;
-    timer_armed = 0;
-    ev_ints = [||];
-    ev_payloads = [||];
-    ev_free = [||];
-    ev_free_len = 0;
-    ev_next_slot = 0;
-  }
+  (* A collected predecessor's slots are all at or above [ev_next_slot]
+     (0 here), so every word of them is written before it is read. *)
+  let store =
+    match Exec.Spare.take spare with
+    | Some store ->
+      Timer_wheel.reset store.wheel;
+      store
+    | None -> { ints = [||]; free = [||]; wheel = Timer_wheel.create () }
+  in
+  Obs.Registry.add
+    (Obs.Registry.counter obs ~name:"engine.recycled_slots")
+    (Array.length store.free);
+  Obs.Registry.add
+    (Obs.Registry.counter obs ~name:"trace.recycled_chunks")
+    (Trace.recycled_chunks trace);
+  let t =
+    {
+      n;
+      now = Sim_time.zero;
+      wheel = store.wheel;
+      link;
+      rng = Rng.create ~seed;
+      alive = Array.make n true;
+      handlers;
+      routes;
+      route_ids = Phys_cache.create ~dummy:(-1) (intern_route routes handlers n stats trace);
+      trace;
+      stats;
+      obs;
+      m_delivery_latency =
+        Obs.Registry.histogram obs ~name:"engine.delivery_latency" ~buckets:tick_buckets;
+      m_span_duration =
+        Obs.Registry.histogram obs ~name:"engine.span_duration" ~buckets:tick_buckets;
+      next_seq = 0;
+      next_msg = 0;
+      next_span = 0;
+      timer_live = 0;
+      timer_armed = 0;
+      ev_ints = store.ints;
+      ev_payloads = [||];
+      ev_free = store.free;
+      ev_free_len = 0;
+      ev_next_slot = 0;
+      store;
+    }
+  in
+  Exec.Spare.keep spare t store;
+  t
 
 let n t = t.n
 let now t = t.now
@@ -217,24 +252,30 @@ let alloc_seq t =
 
 let note_event_depth t = Stats.note_queue_depth t.stats ~depth:(Timer_wheel.cardinal t.wheel)
 
-(* The free stack is as long as the slab, so pushing a released slot never
-   grows it. *)
+(* The payload column's length is the slab's capacity.  The free stack is
+   at least as long, so pushing a released slot never grows it.  The int
+   block and free stack are longer when they came from a collected
+   predecessor, and then only the payload column doubles. *)
 let[@check.allow bulk
-     "amortized slab growth: the int block, payload column and free stack double \
-      together, so per-event cost is O(1) and a steady-state run never takes this \
-      branch"]
+     "amortized slab growth: the payload column doubles, and the int block and \
+      free stack with it while they are shorter, so per-event cost is O(1) and a \
+      steady-state run never takes this branch"]
     grow_event_slab t =
   let capacity = Array.length t.ev_payloads in
   let capacity' = Stdlib.max 16 (2 * capacity) in
-  let ints' = Array.make (ev_stride * capacity') 0 in
   let payloads' = Array.make capacity' Payload.Blank in
-  let free' = Array.make capacity' 0 in
-  Array.blit t.ev_ints 0 ints' 0 (ev_stride * capacity);
   Array.blit t.ev_payloads 0 payloads' 0 capacity;
-  Array.blit t.ev_free 0 free' 0 t.ev_free_len;
-  t.ev_ints <- ints';
   t.ev_payloads <- payloads';
-  t.ev_free <- free';
+  if Array.length t.ev_free < capacity' then begin
+    let ints' = Array.make (ev_stride * capacity') 0 in
+    let free' = Array.make capacity' 0 in
+    Array.blit t.ev_ints 0 ints' 0 (ev_stride * capacity);
+    Array.blit t.ev_free 0 free' 0 t.ev_free_len;
+    t.ev_ints <- ints';
+    t.ev_free <- free';
+    t.store.ints <- ints';
+    t.store.free <- free'
+  end;
   Timer_wheel.ensure_capacity t.wheel capacity'
 
 let[@alloc.zero] take_event_slot t =
@@ -557,7 +598,7 @@ let compact t =
     if t.ev_ints.(ev_stride * s) <> 0 then cap := s + 1
   done;
   let cap = !cap in
-  if cap < Array.length t.ev_payloads then begin
+  if cap < Array.length t.ev_free then begin
     (* Keep the surviving free slots in LIFO order. *)
     let kept = ref 0 in
     for i = 0 to t.ev_free_len - 1 do
@@ -571,6 +612,8 @@ let compact t =
     t.ev_ints <- Array.sub t.ev_ints 0 (ev_stride * cap);
     t.ev_payloads <- Array.sub t.ev_payloads 0 cap;
     t.ev_free <- Array.sub t.ev_free 0 cap;
+    t.store.ints <- t.ev_ints;
+    t.store.free <- t.ev_free;
     t.ev_next_slot <- cap;
     Timer_wheel.shrink_capacity t.wheel cap
   end

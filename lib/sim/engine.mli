@@ -41,7 +41,19 @@ type t
 
 val create : ?seed:int -> n:int -> link:Link.t -> unit -> t
 (** [1 <= n <= Trace.max_pid + 1] processes, all initially alive, clock
-    at 0. *)
+    at 0.
+
+    Storage: if the last engine created on this domain has since been
+    collected, the new engine takes over its event slab's int block, free
+    stack and timer wheel ({!Exec.Spare}), and its trace takes over that
+    engine's full-size trace chunks ({!Trace.create}).  A sweep that
+    builds one engine after another then stops paying for fresh memory
+    as each slab grows.  Only storage that holds no OCaml value is taken
+    over: the payload column, whose pending timers and actions reach
+    their engine through their closures, is always the engine's own.  An
+    engine whose predecessor is still reachable starts from empty
+    storage.  What an engine computes and records is the same either
+    way. *)
 
 val n : t -> int
 val now : t -> Sim_time.t
@@ -58,8 +70,13 @@ val obs : t -> Obs.Registry.t
     gauges and the counters [engine.events_executed_total],
     [engine.timer_set_total], [engine.timer_fired_total],
     [engine.timer_cancelled_total], [engine.timer_orphaned_total] and
-    [engine.timer_reclaimed_total].  Components register their own metrics
-    here — with literal names (check rule R6). *)
+    [engine.timer_reclaimed_total].  Two counters, set once by {!create},
+    report storage taken over from a collected predecessor:
+    [engine.recycled_slots] (event-slab slots) and [trace.recycled_chunks]
+    (full-size trace chunks).  They depend on when the GC ran, unlike
+    every other metric here, which is a function of the run.  Components
+    register their own metrics here — with literal names (check rule
+    R6). *)
 
 val link_description : t -> string
 
@@ -212,14 +229,19 @@ val slab_capacity : t -> int
 (** Event-slab slots ever handed out since creation or the last
     {!compact} — the slab's high-water mark, bounded by the peak number
     of simultaneously pending events (timers included), not by run
-    length.  The slab's columns, its free stack and the wheel's per-cell
-    columns are at least this long and grow by doubling. *)
+    length.  The payload column is at least this long and grows by
+    doubling from empty.  The int block, the free stack and the wheel's
+    per-cell columns are at least as long as the payload column: they
+    start empty, or as long as a collected predecessor left them (see
+    {!create}), and double with the payload column once it outgrows
+    them. *)
 
 val compact : t -> unit
 (** Return backing-store slack to the GC after a scheduling burst; never
     drops events or timers.  Shrinks the event slab, its free stack and
     the wheel's per-cell columns to one past the highest occupied slot,
-    and {!slab_capacity} with them.  A timer handle into the dropped
+    and {!slab_capacity} with them, including any slack taken over from a
+    predecessor, so the engine's successor inherits the shrunk storage.  A timer handle into the dropped
     region stays stale: its slot never holds its block again.
     Long-lived engines (soaks, servers) can call this between load
     phases. *)

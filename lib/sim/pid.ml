@@ -8,7 +8,8 @@ let pp ppf p = Format.fprintf ppf "p%d" (p + 1)
 let to_string p = Format.asprintf "%a" pp p
 
 let all ~n = List.init n Fun.id
-let others ~n p = List.filter (fun q -> q <> p) (all ~n)
+let others ~n p =
+  if p < 0 || p >= n then all ~n else List.init (n - 1) (fun i -> if i < p then i else i + 1)
 
 let next_in_ring ~n p = (p + 1) mod n
 let prev_in_ring ~n p = (p + n - 1) mod n

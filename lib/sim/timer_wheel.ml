@@ -86,6 +86,24 @@ let create () =
     batch_at = 0;
   }
 
+(* Every per-cell column word and batch entry is written by [add] or
+   [build_batch] before it is read, so only the lists, bitmaps, cursor and
+   counters need clearing. *)
+let reset t =
+  Array.fill t.heads 0 (Array.length t.heads) (-1);
+  Array.fill t.tails 0 (Array.length t.tails) (-1);
+  Array.fill t.occ 0 levels 0;
+  t.cur <- 0;
+  t.cardinal <- 0;
+  t.ovf_head <- -1;
+  t.ovf_tail <- -1;
+  t.ovf_min_at <- max_int;
+  t.min_at <- max_int;
+  t.batch_pos <- 0;
+  t.batch_len <- 0;
+  t.batch_active <- false;
+  t.batch_at <- 0
+
 let cardinal t = t.cardinal
 let is_empty t = t.cardinal = 0
 let capacity t = Array.length t.cell_at

@@ -34,6 +34,12 @@ val span : int
 
 val create : unit -> t
 
+val reset : t -> unit
+(** Empty the wheel, as {!create} would leave it, but keep its per-cell
+    columns and firing batch at their current capacity.  Cost is
+    independent of that capacity: the columns are left as they are, since
+    {!add} writes a cell's words before anything reads them. *)
+
 val cardinal : t -> int
 (** Pending cells (inserted, not yet popped — armed or cancelled alike). *)
 

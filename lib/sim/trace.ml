@@ -132,10 +132,18 @@ module Int_tbl = Hashtbl.Make (Int)
    entry, so the table's residency is bounded by in-flight messages, not
    run length.  [label_cache] sits in front of [label_ids]: callers pass
    the same physical component and tag constants over and over, so most
-   interning skips hashing. *)
+   interning skips hashing.
+
+   [pages] is the trace's storage that holds no OCaml value: its chunks.
+   The first [n_chunks] are in use.  Those from [n_chunks] up to [owned]
+   are full-size chunks taken over from a collected predecessor, and every
+   word of them is dead until [advance_chunk] hands them out and [append]
+   writes them.  Chunk 0 is always the trace's own, as it starts small. *)
+type pages = { mutable chunks : chunk array; mutable n_chunks : int; mutable owned : int }
+
 type t = {
-  mutable chunks : chunk array;  (* the first [n_chunks] are in use *)
-  mutable n_chunks : int;
+  pages : pages;
+  recycled : int;  (* full-size chunks taken over at [create] *)
   mutable count : int;
   mutable cur : chunk;
   mutable cur_limit : int;
@@ -167,27 +175,44 @@ let intern_label labels label_ids l1 l2 l3 =
 let new_chunk events : chunk =
   Bigarray.Array1.create Bigarray.int Bigarray.c_layout (events * stride)
 
+(* The most recent trace's pages on each domain, handed to the next
+   [create] on that domain once that trace has been collected. *)
+let spare : (t, pages) Exec.Spare.t = Exec.Spare.create ()
+
 (* Label 0 is the empty triple, the label of the kinds that carry no
    string ([body_at] reads it unconditionally). *)
 let create () =
   let labels = vec () in
   let label_ids = Label_tbl.create 16 in
   Label_tbl.add label_ids no_label (push labels no_label);
-  {
-    chunks = [||];
-    n_chunks = 0;
-    count = 0;
-    cur = new_chunk 0;
-    cur_limit = 0;
-    labels;
-    label_ids;
-    label_cache = Phys_cache.create ~dummy:0 (intern_label labels label_ids);
-    sets = vec ();
-    texts = vec ();
-    ints = vec ();
-    clocks = [||];
-    send_lc = Int_tbl.create 16;
-  }
+  let pages =
+    match Exec.Spare.take spare with
+    | Some p ->
+      p.n_chunks <- 0;
+      p
+    | None -> { chunks = [||]; n_chunks = 0; owned = 0 }
+  in
+  let t =
+    {
+      pages;
+      recycled = Stdlib.max 0 (pages.owned - 1);
+      count = 0;
+      cur = new_chunk 0;
+      cur_limit = 0;
+      labels;
+      label_ids;
+      label_cache = Phys_cache.create ~dummy:0 (intern_label labels label_ids);
+      sets = vec ();
+      texts = vec ();
+      ints = vec ();
+      clocks = [||];
+      send_lc = Int_tbl.create 16;
+    }
+  in
+  Exec.Spare.keep spare t pages;
+  t
+
+let recycled_chunks t = t.recycled
 
 let label t l1 l2 l3 = Phys_cache.find t.label_cache l1 l2 l3
 
@@ -224,27 +249,34 @@ let tick t pid =
 
 (* Make [cur] the chunk event [i] is written to.  Chunk 0 starts at
    [first_chunk_events] and doubles up to [chunk_events], so a short
-   trace stays small; every later chunk is allocated full-size. *)
+   trace stays small; every later chunk is full-size, a predecessor's if
+   one is left over, else a new one. *)
 let advance_chunk t i =
+  let p = t.pages in
   let ci = i lsr chunk_bits in
   let c =
-    if ci < t.n_chunks then begin
-      let c = t.chunks.(ci) in
+    if ci < p.n_chunks then begin
+      let c = p.chunks.(ci) in
       let capacity = Bigarray.Array1.dim c / stride in
       let c' = new_chunk (Stdlib.min chunk_events (2 * capacity)) in
       Bigarray.Array1.blit c (Bigarray.Array1.sub c' 0 (Bigarray.Array1.dim c));
-      t.chunks.(ci) <- c';
+      p.chunks.(ci) <- c';
       c'
+    end
+    else if ci > 0 && ci < p.owned then begin
+      p.n_chunks <- ci + 1;
+      p.chunks.(ci)
     end
     else begin
       let c = new_chunk (if ci = 0 then first_chunk_events else chunk_events) in
-      if ci = Array.length t.chunks then begin
+      if ci = Array.length p.chunks then begin
         let chunks = Array.make (Stdlib.max 8 (2 * ci)) c in
-        Array.blit t.chunks 0 chunks 0 ci;
-        t.chunks <- chunks
+        Array.blit p.chunks 0 chunks 0 ci;
+        p.chunks <- chunks
       end;
-      t.chunks.(ci) <- c;
-      t.n_chunks <- ci + 1;
+      p.chunks.(ci) <- c;
+      p.n_chunks <- ci + 1;
+      p.owned <- Stdlib.max p.owned (ci + 1);
       c
     end
   in
@@ -380,7 +412,7 @@ let walk t f =
   let n = t.count in
   let ci = ref 0 in
   while !ci lsl chunk_bits < n do
-    let c = t.chunks.(!ci) in
+    let c = t.pages.chunks.(!ci) in
     let base = !ci lsl chunk_bits in
     for j = 0 to Stdlib.min chunk_events (n - base) - 1 do
       f c (j * stride) (base + j)
@@ -391,7 +423,7 @@ let walk t f =
 let iter t f = walk t (fun c o i -> f (event_at t c o i))
 
 let get t i =
-  let c = t.chunks.(i lsr chunk_bits) in
+  let c = t.pages.chunks.(i lsr chunk_bits) in
   event_at t c ((i land chunk_mask) * stride) i
 
 let to_seq t =
@@ -449,7 +481,7 @@ let send_links t ~components ~from_t ~to_t =
   let m = { rows = [||] } in
   let n = t.count in
   for ci = 0 to ((n + chunk_mask) lsr chunk_bits) - 1 do
-    let c = t.chunks.(ci) in
+    let c = t.pages.chunks.(ci) in
     let last = (Stdlib.min chunk_events (n - (ci lsl chunk_bits)) - 1) * stride in
     let o = ref 0 in
     while !o <= last do

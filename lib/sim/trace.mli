@@ -41,6 +41,17 @@
     note's detail, a decision's value and round — sit in small side arrays.
     That is 32 bytes per event, against about 90 for a boxed event.
 
+    Chunk 0 starts at 256 events and doubles up to the full 16 384;
+    every later chunk is full-size.  Once the last trace created on a
+    domain has been collected, the next {!create} there takes over its
+    full-size chunks ({!Exec.Spare}) and writes them in place of new ones,
+    so a sweep of runs stops faulting in fresh pages for its traces.  Those
+    chunks are Bigarrays and hold no OCaml value, so the spare cannot keep
+    its trace alive.  A word at or above {!length} is never read, so what a
+    trace records and reads back does not depend on where its chunks came
+    from.  Chunk 0, the labels and the side arrays are always the trace's
+    own.
+
     {b Representable ranges.}  Every pid ([src], [dst], [pid], a trusted
     pid) must lie in [0 .. max_pid]; a trace holds at most [max_labels]
     distinct labels.  [at], [lc], [msg], [span], [value] and [round] are
@@ -110,6 +121,15 @@ val max_labels : int
     trace starts with included: [2{^17}]. *)
 
 val create : unit -> t
+(** An empty trace.  Its chunks beyond the first may be those of a
+    collected trace created earlier on the same domain (see "Storage"
+    above); what it records and reads back is the same either way. *)
+
+val recycled_chunks : t -> int
+(** How many full-size chunks {!create} took over from a collected
+    predecessor: [0] for a trace built from fresh memory.  It depends on
+    when the GC last ran, so it is a fact about memory, not about the
+    run. *)
 
 val record : t -> body -> unit
 (** Stamp ([seq], [lc]) and append.  The Lamport bookkeeping lives here,
