@@ -581,7 +581,7 @@ let e9 () =
   let lags =
     List.filter_map
       (fun (ok, since, gst, last_crash) ->
-        if ok then Some (Stdlib.max 0 (since - Stdlib.max gst last_crash)) else None)
+        if ok then Some (Stdlib.max 0 (since - Sim.Sim_time.max gst last_crash)) else None)
       results
   in
   Tables.table
@@ -662,7 +662,7 @@ let e11 () =
               Sim.Link.describe = "p1-muffled";
               fate =
                 (fun ~rng ~now ~src ~dst ->
-                  if now >= blackout_from && now <= blackout_to then Sim.Link.Drop
+                  if now >= blackout_from && now <= blackout_to then Sim.Link.drop
                   else base.Sim.Link.fate ~rng ~now ~src ~dst);
             }
           else base)

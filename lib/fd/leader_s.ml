@@ -81,7 +81,7 @@ let install ?(component = component) ?hooks engine params =
            in the total order.  A process never discards itself, so the walk
            stops at p: reaching p means "I am the leader".  (Invariant:
            candidate <= p, because adoption on message only moves down.) *)
-        adopt p (Stdlib.min (st.candidate + 1) p)
+        adopt p (Int.min (st.candidate + 1) p)
       end
     end
   in

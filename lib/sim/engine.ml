@@ -160,7 +160,7 @@ let intern_route routes handlers n stats trace component tag _ =
       }
     in
     if routes.len = Array.length routes.table then begin
-      let table = Array.make (Stdlib.max 8 (2 * routes.len)) route in
+      let table = Array.make (Int.max 8 (2 * routes.len)) route in
       Array.blit routes.table 0 table 0 routes.len;
       routes.table <- table
     end;
@@ -262,7 +262,7 @@ let[@check.allow bulk
       steady-state run never takes this branch"]
     grow_event_slab t =
   let capacity = Array.length t.ev_payloads in
-  let capacity' = Stdlib.max 16 (2 * capacity) in
+  let capacity' = Int.max 16 (2 * capacity) in
   let payloads' = Array.make capacity' Payload.Blank in
   Array.blit t.ev_payloads 0 payloads' 0 capacity;
   t.ev_payloads <- payloads';
@@ -329,11 +329,16 @@ let register t ~component p handler =
 let message_head ~src ~dst route =
   k_deliver lor (src lsl 2) lor (dst lsl (2 + pid_bits)) lor (route lsl route_shift)
 
-let send t ~component ~tag ~src ~dst payload =
+let[@alloc.zero] send t ~component ~tag ~src ~dst payload =
   check_pid t src;
   check_pid t dst;
   if t.alive.(src) then begin
-    let route = Phys_cache.find t.route_ids component tag "" in
+    let route =
+      (Phys_cache.find t.route_ids component tag ""
+      [@check.allow extern
+          "route interning: a miss in the physical-string cache hashes the pair and, \
+           on a route's first send, builds its labels, handler column and Stats cell"])
+    in
     let head = message_head ~src ~dst route in
     if Pid.equal src dst then
       (* Local delivery: immediate, not a network message, not counted,
@@ -345,13 +350,20 @@ let send t ~component ~tag ~src ~dst payload =
       t.next_msg <- msg + 1;
       let lc = Trace.record_send t.trace ~at:t.now ~src ~dst ~msg r.label in
       Stats.count_send r.cell;
-      match t.link.Link.fate ~rng:t.rng ~now:t.now ~src ~dst with
-      | Link.Drop ->
+      let at =
+        (t.link.Link.fate ~rng:t.rng ~now:t.now ~src ~dst
+        [@check.allow extern
+            "the link model's fate closure: the models in Link draw from the Rng and \
+             return an int; a user-built model's allocation is its own"])
+      in
+      if at < 0 then begin
         Trace.record_drop t.trace ~at:t.now ~src ~dst ~msg ~sent_lc:lc r.lossy;
         Stats.count_drop r.cell
-      | Link.Deliver_at at ->
+      end
+      else begin
         assert (at >= t.now);
         ignore (schedule_event t ~at ~head ~msg ~lc payload : int)
+      end
     end
   end
 

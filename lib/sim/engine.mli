@@ -25,8 +25,9 @@
     route is one (component, tag), interned on its first send with its
     trace labels, handler column and {!Stats} cell.  The engine records
     its messages and spans through {!Trace}'s scalar writers and hands
-    each message's send stamp back to the trace at delivery or drop, so
-    a message costs only its link fate's [Deliver_at] box (2 minor words).
+    each message's send stamp back to the trace at delivery or drop; a
+    link fate is a plain instant ({!Link.drop} when lost), so a message
+    allocates nothing ({!send} is a checked [[@alloc.zero]] root).
 
     Conventions:
     - a {b self-send} ([src = dst]) is local: it is delivered at the current

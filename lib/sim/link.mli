@@ -18,13 +18,17 @@
     transformation of Fig. 2 needs: partially synchronous links {i into} the
     leader, fair-lossy links {i out of} it, no assumption elsewhere. *)
 
-type fate =
-  | Drop
-  | Deliver_at of Sim_time.t  (** Absolute delivery instant. *)
+val drop : Sim_time.t
+(** The fate of a lost message: a negative instant, [-1], which no
+    delivery can have. *)
 
 type t = {
   describe : string;
-  fate : rng:Rng.t -> now:Sim_time.t -> src:Pid.t -> dst:Pid.t -> fate;
+  fate : rng:Rng.t -> now:Sim_time.t -> src:Pid.t -> dst:Pid.t -> Sim_time.t;
+      (** The message's fate: its absolute delivery instant, at or after
+          [now], or {!drop}; the engine reads any negative fate as a
+          drop.  An instant rather than a variant, so deciding a fate
+          allocates nothing. *)
 }
 
 val reliable : ?min_delay:int -> ?max_delay:int -> unit -> t

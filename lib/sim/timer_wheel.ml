@@ -114,7 +114,7 @@ let[@check.allow bulk
       this branch"] ensure_capacity t n =
   let cap = Array.length t.cell_at in
   if n > cap then begin
-    let cap' = Stdlib.max 16 (Stdlib.max n (2 * cap)) in
+    let cap' = Int.max 16 (Int.max n (2 * cap)) in
     let at' = Array.make cap' 0 in
     let seq' = Array.make cap' 0 in
     let next' = Array.make cap' (-1) in
@@ -233,7 +233,7 @@ let[@check.allow bulk
       batch array is retained between batches and reused"] grow_batch t =
   let cap = Array.length t.batch in
   if t.batch_len = cap then begin
-    let batch' = Array.make (Stdlib.max 16 (2 * cap)) 0 in
+    let batch' = Array.make (Int.max 16 (2 * cap)) 0 in
     Array.blit t.batch 0 batch' 0 cap;
     t.batch <- batch'
   end

@@ -68,13 +68,13 @@ module Kind = struct
     | _ -> Span_end
 end
 
-(* Storage (see trace.mli): event [seq] occupies the four words at
-   [(seq land chunk_mask) * stride] of chunk [seq lsr chunk_bits]:
+(* Storage (see trace.mli): a chunk with room for [r] events is three
+   columns of [r] words each, and event [seq] is row [j = seq land
+   chunk_mask] of chunk [seq lsr chunk_bits]:
 
-     +0  head   kind (4 bits) | a (21) | b (21) | label (17), low to high
-     +1  at
-     +2  lc
-     +3  x      msg, span, value, or an index into a side vector
+     [j]         head   kind (4 bits) | a (21) | b (21) | label (17), low to high
+     [r + j]     time   (lc lsl 31) lor at, or [escaped] (-1)
+     [2r + j]    x      msg, span, value, or an index into a side vector
 
    [a]/[b] are the two pids (src/dst, or pid/trusted with [no_pid] for
    [None]).  A label interns the event's strings as one triple: (component,
@@ -82,10 +82,20 @@ end
    views and (tag) for notes.  The rare payloads live in side vectors that
    [x] indexes: a view's suspected set, a note's detail, a decision's
    (value, round).  The chunks are Bigarrays, so the GC neither scans nor
-   moves them; only the labels and side payloads are heap values. *)
+   moves them; only the labels and side payloads are heap values.
+
+   The time word packs [at] and [lc] when both lie in [0, 2^31), as they
+   do in every engine run here; the packed word is then non-negative.
+   Any other event (a hand-built one with a negative or huge time) stores
+   [escaped] there and keeps its pair in the trace's [escapes] table,
+   keyed by [seq].  Columns let a pass that filters on kind read the head
+   column alone, and the time or [x] word only of the events it keeps. *)
 type chunk = (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
 
-let stride = 4
+let columns = 3
+let time_bits = 31
+let time_mask = (1 lsl time_bits) - 1
+let escaped = -1
 let chunk_bits = 14
 let chunk_events = 1 lsl chunk_bits
 let chunk_mask = chunk_events - 1
@@ -103,7 +113,7 @@ let vec () = { data = [||]; len = 0 }
 
 let push v x =
   if v.len = Array.length v.data then begin
-    let data = Array.make (Stdlib.max 8 (2 * v.len)) x in
+    let data = Array.make (Int.max 8 (2 * v.len)) x in
     Array.blit v.data 0 data 0 v.len;
     v.data <- data
   end;
@@ -122,17 +132,21 @@ end)
 
 module Int_tbl = Hashtbl.Make (Int)
 
+type times = { esc_at : int; esc_lc : int }
+
 (* [clocks] is the per-process Lamport clock, grown on demand — the trace
    does not know [n], and hand-built test traces should not have to
-   declare it.  [cur] is the chunk the next event goes to, and [cur_limit]
-   one past the last index it has room for, so a write tests one int.
+   declare it.  [cur] is the chunk the next event goes to, [cur_rows] its
+   capacity (the offset of its time column), and [cur_limit] one past the
+   last index it has room for, so a write tests one int.
    [send_lc] maps an in-flight message id to its send stamp for {!record}
    alone: the engine carries the stamp itself and hands it back to
    [record_deliver]/[record_drop].  A [Deliver] or [Drop] consumes the
    entry, so the table's residency is bounded by in-flight messages, not
    run length.  [label_cache] sits in front of [label_ids]: callers pass
    the same physical component and tag constants over and over, so most
-   interning skips hashing.
+   interning skips hashing.  [escapes] holds the (at, lc) of every event
+   whose time word is [escaped], by [seq].
 
    [pages] is the trace's storage that holds no OCaml value: its chunks.
    The first [n_chunks] are in use.  Those from [n_chunks] up to [owned]
@@ -146,6 +160,7 @@ type t = {
   recycled : int;  (* full-size chunks taken over at [create] *)
   mutable count : int;
   mutable cur : chunk;
+  mutable cur_rows : int;
   mutable cur_limit : int;
   labels : triple vec;
   label_ids : int Label_tbl.t;
@@ -155,6 +170,7 @@ type t = {
   ints : int vec;
   mutable clocks : int array;
   send_lc : int Int_tbl.t;
+  escapes : times Int_tbl.t;
 }
 
 type label = int
@@ -173,7 +189,9 @@ let intern_label labels label_ids l1 l2 l3 =
     id
 
 let new_chunk events : chunk =
-  Bigarray.Array1.create Bigarray.int Bigarray.c_layout (events * stride)
+  Bigarray.Array1.create Bigarray.int Bigarray.c_layout (events * columns)
+
+let chunk_rows (c : chunk) = Bigarray.Array1.dim c / columns
 
 (* The most recent trace's pages on each domain, handed to the next
    [create] on that domain once that trace has been collected. *)
@@ -195,9 +213,10 @@ let create () =
   let t =
     {
       pages;
-      recycled = Stdlib.max 0 (pages.owned - 1);
+      recycled = Int.max 0 (pages.owned - 1);
       count = 0;
       cur = new_chunk 0;
+      cur_rows = 0;
       cur_limit = 0;
       labels;
       label_ids;
@@ -207,12 +226,22 @@ let create () =
       ints = vec ();
       clocks = [||];
       send_lc = Int_tbl.create 16;
+      escapes = Int_tbl.create 1;
     }
   in
   Exec.Spare.keep spare t pages;
   t
 
 let recycled_chunks t = t.recycled
+
+let storage_bytes t =
+  let bytes = ref 0 in
+  for ci = 0 to t.pages.n_chunks - 1 do
+    bytes := !bytes + Bigarray.Array1.size_in_bytes t.pages.chunks.(ci)
+  done;
+  !bytes
+
+let escaped_events t = Int_tbl.length t.escapes
 
 let label t l1 l2 l3 = Phys_cache.find t.label_cache l1 l2 l3
 
@@ -231,7 +260,7 @@ let[@check.allow bulk
       O(log n) times and a steady-state run never takes this branch"]
     grow_clocks t pid =
   let capacity = Array.length t.clocks in
-  let capacity' = Stdlib.max 8 (Stdlib.max (pid + 1) (2 * capacity)) in
+  let capacity' = Int.max 8 (Int.max (pid + 1) (2 * capacity)) in
   let clocks' = Array.make capacity' 0 in
   Array.blit t.clocks 0 clocks' 0 capacity;
   t.clocks <- clocks'
@@ -248,18 +277,24 @@ let tick t pid =
   c
 
 (* Make [cur] the chunk event [i] is written to.  Chunk 0 starts at
-   [first_chunk_events] and doubles up to [chunk_events], so a short
-   trace stays small; every later chunk is full-size, a predecessor's if
-   one is left over, else a new one. *)
+   [first_chunk_events] and doubles up to [chunk_events], each column
+   copied to its new offset, so a short trace stays small; every later
+   chunk is full-size, a predecessor's if one is left over, else a new
+   one. *)
 let advance_chunk t i =
   let p = t.pages in
   let ci = i lsr chunk_bits in
   let c =
     if ci < p.n_chunks then begin
       let c = p.chunks.(ci) in
-      let capacity = Bigarray.Array1.dim c / stride in
-      let c' = new_chunk (Stdlib.min chunk_events (2 * capacity)) in
-      Bigarray.Array1.blit c (Bigarray.Array1.sub c' 0 (Bigarray.Array1.dim c));
+      let r = chunk_rows c in
+      let r' = Int.min chunk_events (2 * r) in
+      let c' = new_chunk r' in
+      for col = 0 to columns - 1 do
+        Bigarray.Array1.blit
+          (Bigarray.Array1.sub c (col * r) r)
+          (Bigarray.Array1.sub c' (col * r') r)
+      done;
       p.chunks.(ci) <- c';
       c'
     end
@@ -270,18 +305,25 @@ let advance_chunk t i =
     else begin
       let c = new_chunk (if ci = 0 then first_chunk_events else chunk_events) in
       if ci = Array.length p.chunks then begin
-        let chunks = Array.make (Stdlib.max 8 (2 * ci)) c in
+        let chunks = Array.make (Int.max 8 (2 * ci)) c in
         Array.blit p.chunks 0 chunks 0 ci;
         p.chunks <- chunks
       end;
       p.chunks.(ci) <- c;
       p.n_chunks <- ci + 1;
-      p.owned <- Stdlib.max p.owned (ci + 1);
+      p.owned <- Int.max p.owned (ci + 1);
       c
     end
   in
   t.cur <- c;
-  t.cur_limit <- (ci lsl chunk_bits) + (Bigarray.Array1.dim c / stride)
+  t.cur_rows <- chunk_rows c;
+  t.cur_limit <- (ci lsl chunk_bits) + t.cur_rows
+
+(* The time word of event [i] when [at] or [lc] does not fit in 31 bits:
+   the pair goes to [escapes]. *)
+let[@inline never] escape t i ~at ~lc =
+  Int_tbl.replace t.escapes i { esc_at = at; esc_lc = lc };
+  escaped
 
 (* Write one stamped event.  Every range check has passed by now, so a
    rejected event leaves the trace as it was. *)
@@ -292,12 +334,19 @@ let append t h ~at ~lc x =
     [@check.allow extern
         "amortized chunk growth: a new or doubled Bigarray chunk every 2^14 events \
          at most, never on a steady-state write"]);
-  let c = t.cur in
-  let o = (i land chunk_mask) * stride in
-  Bigarray.Array1.unsafe_set c o h;
-  Bigarray.Array1.unsafe_set c (o + 1) at;
-  Bigarray.Array1.unsafe_set c (o + 2) lc;
-  Bigarray.Array1.unsafe_set c (o + 3) x;
+  let time =
+    if (at lsr time_bits) lor (lc lsr time_bits) = 0 then (lc lsl time_bits) lor at
+    else
+      (escape t i ~at ~lc
+      [@check.allow extern
+          "a time outside [0, 2^31): only hand-built traces record one, and its \
+           (at, lc) goes to the escape table"])
+  in
+  let c = t.cur and r = t.cur_rows in
+  let j = i land chunk_mask in
+  Bigarray.Array1.unsafe_set c j h;
+  Bigarray.Array1.unsafe_set c (r + j) time;
+  Bigarray.Array1.unsafe_set c (r + r + j) x;
   t.count <- i + 1
 
 (* The clock rules (see trace.mli), one writer per rule: Send ticks the
@@ -318,7 +367,7 @@ let[@alloc.zero] record_send t ~at ~src ~dst ~msg label =
 
 let[@alloc.zero] record_deliver t ~at ~src ~dst ~msg ~sent_lc label =
   let h = message deliver_code ~src ~dst label in
-  let lc = Stdlib.max (clock t dst) sent_lc + 1 in
+  let lc = Int.max (clock t dst) sent_lc + 1 in
   set_clock t dst lc;
   append t h ~at ~lc msg
 
@@ -383,10 +432,22 @@ let head_kind h = h land 15
 let head_a h = (h lsr 4) land pid_mask
 let head_b h = (h lsr (4 + pid_bits)) land pid_mask
 
-let body_at t (c : chunk) o =
-  let h = Bigarray.Array1.unsafe_get c o in
-  let at = Bigarray.Array1.unsafe_get c (o + 1) in
-  let x = Bigarray.Array1.unsafe_get c (o + 3) in
+let[@inline never] escaped_at t i = (Int_tbl.find t.escapes i).esc_at
+let[@inline never] escaped_lc t i = (Int_tbl.find t.escapes i).esc_lc
+
+(* Event [i] is row [j] of chunk [c], which has [r] rows. *)
+let[@inline] at_of t (c : chunk) r j i =
+  let w = Bigarray.Array1.unsafe_get c (r + j) in
+  if w >= 0 then w land time_mask else escaped_at t i
+
+let[@inline] lc_of t (c : chunk) r j i =
+  let w = Bigarray.Array1.unsafe_get c (r + j) in
+  if w >= 0 then w lsr time_bits else escaped_lc t i
+
+let body_at t (c : chunk) r j i =
+  let h = Bigarray.Array1.unsafe_get c j in
+  let at = at_of t c r j i in
+  let x = Bigarray.Array1.unsafe_get c (r + r + j) in
   let a = head_a h and b = head_b h in
   let l = t.labels.data.(h lsr label_shift) in
   match Kind.of_code (head_kind h) with
@@ -405,26 +466,27 @@ let body_at t (c : chunk) o =
   | Kind.Span_begin -> Span_begin { at; pid = a; component = l.l1; span = x; name = l.l2 }
   | Kind.Span_end -> Span_end { at; pid = a; component = l.l1; span = x; name = l.l2 }
 
-let event_at t c o i = { seq = i; lc = Bigarray.Array1.unsafe_get c (o + 2); body = body_at t c o }
+let event_at t c r j i = { seq = i; lc = lc_of t c r j i; body = body_at t c r j i }
 
-(* [f chunk offset seq] for every event recorded before the call. *)
+(* [f chunk rows row seq] for every event recorded before the call. *)
 let walk t f =
   let n = t.count in
   let ci = ref 0 in
   while !ci lsl chunk_bits < n do
     let c = t.pages.chunks.(!ci) in
+    let r = chunk_rows c in
     let base = !ci lsl chunk_bits in
-    for j = 0 to Stdlib.min chunk_events (n - base) - 1 do
-      f c (j * stride) (base + j)
+    for j = 0 to Int.min r (n - base) - 1 do
+      f c r j (base + j)
     done;
     incr ci
   done
 
-let iter t f = walk t (fun c o i -> f (event_at t c o i))
+let iter t f = walk t (fun c r j i -> f (event_at t c r j i))
 
 let get t i =
   let c = t.pages.chunks.(i lsr chunk_bits) in
-  event_at t c ((i land chunk_mask) * stride) i
+  event_at t c (chunk_rows c) (i land chunk_mask) i
 
 let to_seq t =
   let rec node i () = if i >= t.count then Seq.Nil else Seq.Cons (get t i, node (i + 1)) in
@@ -439,17 +501,17 @@ let events t =
 
 let iter_kinds t kinds f =
   let mask = List.fold_left (fun m k -> m lor (1 lsl Kind.code k)) 0 kinds in
-  walk t (fun c o i ->
-      if mask land (1 lsl head_kind (Bigarray.Array1.unsafe_get c o)) <> 0 then
-        f (event_at t c o i))
+  walk t (fun c r j i ->
+      if mask land (1 lsl head_kind (Bigarray.Array1.unsafe_get c j)) <> 0 then
+        f (event_at t c r j i))
 
 let iter_sends t f =
-  walk t (fun c o _ ->
-      let h = Bigarray.Array1.unsafe_get c o in
+  walk t (fun c r j i ->
+      let h = Bigarray.Array1.unsafe_get c j in
       if head_kind h = send_code then begin
         let l = t.labels.data.(h lsr label_shift) in
-        f ~at:(Bigarray.Array1.unsafe_get c (o + 1)) ~src:(head_a h) ~dst:(head_b h)
-          ~msg:(Bigarray.Array1.unsafe_get c (o + 3)) ~component:l.l1 ~tag:l.l2
+        f ~at:(at_of t c r j i) ~src:(head_a h) ~dst:(head_b h)
+          ~msg:(Bigarray.Array1.unsafe_get c (r + r + j)) ~component:l.l1 ~tag:l.l2
       end)
 
 (* [send_links]'s (src, dst) marks: [rows.(src)] has byte [dst] set once
@@ -458,21 +520,22 @@ let iter_sends t f =
 type link_rows = { mutable rows : Bytes.t array }
 
 let grow_rows m src =
-  let capacity = Stdlib.max 8 (Stdlib.max (src + 1) (2 * Array.length m.rows)) in
+  let capacity = Int.max 8 (Int.max (src + 1) (2 * Array.length m.rows)) in
   let rows = Array.make capacity Bytes.empty in
   Array.blit m.rows 0 rows 0 (Array.length m.rows);
   m.rows <- rows
 
 let grow_row m src dst =
   let row = m.rows.(src) in
-  let capacity = Stdlib.max 8 (Stdlib.max (dst + 1) (2 * Bytes.length row)) in
+  let capacity = Int.max 8 (Int.max (dst + 1) (2 * Bytes.length row)) in
   let row' = Bytes.make capacity '\000' in
   Bytes.blit row 0 row' 0 (Bytes.length row);
   m.rows.(src) <- row';
   row'
 
-(* One pass over the head words: a send is wanted when its label is, and
-   [wanted] answers that per label id, decided once before the loop. *)
+(* One pass over the head column: a send is wanted when its label is, and
+   [wanted] answers that per label id, decided once before the loop; only
+   a wanted send's time word is read. *)
 let send_links t ~components ~from_t ~to_t =
   let wanted =
     Bytes.init t.labels.len (fun l ->
@@ -482,12 +545,12 @@ let send_links t ~components ~from_t ~to_t =
   let n = t.count in
   for ci = 0 to ((n + chunk_mask) lsr chunk_bits) - 1 do
     let c = t.pages.chunks.(ci) in
-    let last = (Stdlib.min chunk_events (n - (ci lsl chunk_bits)) - 1) * stride in
-    let o = ref 0 in
-    while !o <= last do
-      let h = Bigarray.Array1.unsafe_get c !o in
+    let r = chunk_rows c in
+    let base = ci lsl chunk_bits in
+    for j = 0 to Int.min r (n - base) - 1 do
+      let h = Bigarray.Array1.unsafe_get c j in
       if head_kind h = send_code && Bytes.unsafe_get wanted (h lsr label_shift) <> '\000' then begin
-        let at = Bigarray.Array1.unsafe_get c (!o + 1) in
+        let at = at_of t c r j (base + j) in
         if at >= from_t && at <= to_t then begin
           let src = head_a h and dst = head_b h in
           if src >= Array.length m.rows then grow_rows m src;
@@ -495,8 +558,7 @@ let send_links t ~components ~from_t ~to_t =
           let row = if dst < Bytes.length row then row else grow_row m src dst in
           Bytes.unsafe_set row dst '\001'
         end
-      end;
-      o := !o + stride
+      end
     done
   done;
   let links = ref [] in

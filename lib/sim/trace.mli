@@ -32,30 +32,38 @@
 
     {2 Storage}
 
-    A trace does not keep [event] values.  Each event is packed into four
-    unboxed [int] words (kind and pids, [at], [lc], and msg / span / value)
-    in fixed-size chunks of an [int] Bigarray, which the GC neither scans
-    nor moves; [seq] is the event's index.  Strings are interned per trace:
-    an event's (component, tag, reason) or (component, name) is one label
-    id in the packed word.  The rare payloads — a view's suspected set, a
-    note's detail, a decision's value and round — sit in small side arrays.
-    That is 32 bytes per event, against about 90 for a boxed event.
+    A trace does not keep [event] values.  Each event is packed into three
+    unboxed [int] words — a head word (kind, pids and label), a time word
+    ([lc] and [at], 31 bits each) and msg / span / value — in chunks of
+    an [int] Bigarray, which the GC neither scans nor moves; [seq] is the
+    event's index.  A chunk stores its events in three columns, one per
+    word, so a pass that filters on kind ({!iter_kinds}, {!iter_sends},
+    {!send_links}) reads the head column and then only the words of the
+    events it keeps.  Strings are interned per trace: an event's
+    (component, tag, reason) or (component, name) is one label id in the
+    head word.  The rare payloads — a view's suspected set, a note's
+    detail, a decision's value and round — sit in small side arrays.  That
+    is 24 bytes per event, against about 90 for a boxed event.  An event
+    whose [at] or [lc] is negative or at least 2{^31} (hand-built traces
+    only; no engine run here comes near) marks its time word and keeps
+    both values in a per-trace escape table ({!escaped_events}).
 
-    Chunk 0 starts at 256 events and doubles up to the full 16 384;
-    every later chunk is full-size.  Once the last trace created on a
-    domain has been collected, the next {!create} there takes over its
-    full-size chunks ({!Exec.Spare}) and writes them in place of new ones,
-    so a sweep of runs stops faulting in fresh pages for its traces.  Those
-    chunks are Bigarrays and hold no OCaml value, so the spare cannot keep
-    its trace alive.  A word at or above {!length} is never read, so what a
-    trace records and reads back does not depend on where its chunks came
-    from.  Chunk 0, the labels and the side arrays are always the trace's
-    own.
+    Chunk 0 starts at 256 events and doubles up to the full 16 384
+    (384 KiB); every later chunk is full-size.  Once the last trace
+    created on a domain has been collected, the next {!create} there
+    takes over its full-size chunks ({!Exec.Spare}) and writes them in
+    place of new ones, so a sweep of runs stops faulting in fresh pages
+    for its traces.  Those chunks are Bigarrays and hold no OCaml value,
+    so the spare cannot keep its trace alive.  A word at or above
+    {!length} is never read, so what a trace records and reads back does
+    not depend on where its chunks came from.  Chunk 0, the labels, the
+    side arrays and the escape table are always the trace's own.
 
     {b Representable ranges.}  Every pid ([src], [dst], [pid], a trusted
     pid) must lie in [0 .. max_pid]; a trace holds at most [max_labels]
     distinct labels.  [at], [lc], [msg], [span], [value] and [round] are
-    stored whole, negative values included.  {!record} raises
+    stored whole, negative values included ([at] and [lc] through the
+    escape table when they do not fit in 31 bits).  {!record} raises
     [Invalid_argument] on anything outside these ranges — it never wraps.
 
     {b Which readers build events.}  {!iter}, {!to_seq}, {!events} and
@@ -130,6 +138,16 @@ val recycled_chunks : t -> int
     predecessor: [0] for a trace built from fresh memory.  It depends on
     when the GC last ran, so it is a fact about memory, not about the
     run. *)
+
+val storage_bytes : t -> int
+(** Bytes of chunk storage the trace uses: 24 per event it has room for.
+    Apart from chunk 0's growth from 256 events and the unused rows of its
+    last chunk, that is 24 per event recorded. *)
+
+val escaped_events : t -> int
+(** How many events keep their [at] and [lc] in the escape table: [0]
+    unless an event's time or stamp reaches 2{^31} or is negative,
+    which no engine run of this repository comes near. *)
 
 val record : t -> body -> unit
 (** Stamp ([seq], [lc]) and append.  The Lamport bookkeeping lives here,

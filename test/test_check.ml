@@ -96,8 +96,9 @@ let analyze_tests =
        that alias. *)
     tc "A3: aliased (=) on Pid.t flagged"
       (typed "aliased_eq" ~expected:[ ("A3", "aliased_eq.ml", 4); ("A3", "aliased_eq.ml", 7) ]);
-    (* Bare compare at any type, and = / <> on Value.t, Sim_time.t,
-       Pid.Map.t and Pid.Set.t. *)
+    (* Bare compare at any type, = / <> on Value.t, Sim_time.t,
+       Pid.Map.t and Pid.Set.t, and max / min on Sim_time.t, Pid.t and
+       (through a let-alias) Value.t. *)
     tc "A3: bare compare and protected-type (=) flagged"
       (typed "polycmp_bad"
          ~expected:
@@ -107,6 +108,9 @@ let analyze_tests =
              ("A3", "polycmp_bad.ml", 9);
              ("A3", "polycmp_bad.ml", 10);
              ("A3", "polycmp_bad.ml", 11);
+             ("A3", "polycmp_bad.ml", 12);
+             ("A3", "polycmp_bad.ml", 13);
+             ("A3", "polycmp_bad.ml", 15);
            ]);
     (* The print_job violation again, under [@check.allow pure "..."]. *)
     tc "[@check.allow] suppresses with a reason" (typed "suppressed" ~expected:[]);
@@ -124,7 +128,7 @@ let analyze_tests =
              ("A4", "unordered_bad.ml", 7);
              ("A4", "unordered_bad.ml", 12);
            ]);
-    tc "directory walk finds every seeded violation" (whole_directory "analyze_fixtures" 15);
+    tc "directory walk finds every seeded violation" (whole_directory "analyze_fixtures" 18);
     tc "fixture .cmt files are discovered" (fun () ->
         Alcotest.(check bool) "found at least one .cmt" true
           ((result ~cmts:[ "analyze_fixtures/pure_ok" ] ()).n_units >= 1));

@@ -681,7 +681,7 @@ let stable_omega_tests =
                   Sim.Link.describe = "p1-muffled";
                   fate =
                     (fun ~rng ~now ~src ~dst ->
-                      if now >= blackout_from && now <= blackout_to then Sim.Link.Drop
+                      if now >= blackout_from && now <= blackout_to then Sim.Link.drop
                       else base.Sim.Link.fate ~rng ~now ~src ~dst);
                 }
               else base)

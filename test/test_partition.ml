@@ -16,7 +16,7 @@ let partition_link ~cut ~from_t ~heal =
     fate =
       (fun ~rng ~now ~src ~dst ->
         if crossing src dst && now >= from_t && now < heal then
-          Sim.Link.Deliver_at (heal + Sim.Rng.int_in_range rng ~lo:1 ~hi:8)
+          heal + Sim.Rng.int_in_range rng ~lo:1 ~hi:8
         else base.Sim.Link.fate ~rng ~now ~src ~dst);
   }
 

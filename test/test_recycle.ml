@@ -60,6 +60,16 @@ let[@inline never] consensus_run () =
     counter r.Scenario.engine "engine.recycled_slots",
     counter r.Scenario.engine "trace.recycled_chunks" )
 
+(* A trace of three chunks whose [at] escapes 31 bits every 1000 events;
+   unreachable once this returns. *)
+let[@inline never] escaping_trace () =
+  let t = Sim.Trace.create () in
+  for i = 0 to 39_999 do
+    let at = if i mod 1000 = 999 then -i else i in
+    Sim.Trace.record t (Propose { at; pid = i land 7; value = i })
+  done;
+  Sim.Trace.escaped_events t
+
 (* Keep a store for an owner that is unreachable once this returns. *)
 let[@inline never] keep_for_dead_owner spare store = Exec.Spare.keep spare (ref 0) store
 
@@ -101,6 +111,24 @@ let recycle_tests =
           true
           (counter e "engine.recycled_slots" >= slots);
         Alcotest.(check bool) "trace chunks recycled" true (counter e "trace.recycled_chunks" >= 1));
+    tc "a trace on a predecessor's chunks reads back only its own escapes" (fun () ->
+        Alcotest.(check int) "the predecessor's escapes" 40 (escaping_trace ());
+        Gc.full_major ();
+        let t = Sim.Trace.create () in
+        Alcotest.(check int) "chunks recycled" 2 (Sim.Trace.recycled_chunks t);
+        let at i = if i mod 5000 = 0 then 1 lsl 40 else 3 * i in
+        for i = 0 to 39_999 do
+          Sim.Trace.record t (Propose { at = at i; pid = i land 7; value = -i })
+        done;
+        Alcotest.(check int) "its own escapes" 8 (Sim.Trace.escaped_events t);
+        List.iteri
+          (fun i (e : Sim.Trace.event) ->
+            match e.body with
+            | Propose { at = at'; pid; value }
+              when e.seq = i && e.lc = (i / 8) + 1 && at' = at i && pid = i land 7 && value = -i
+              -> ()
+            | _ -> Alcotest.failf "event %d reads back as %a" i Sim.Trace.pp_event e)
+          (Sim.Trace.events t));
     tc "a consensus run repeated on recycled storage exports the same trace" (fun () ->
         let first, _, _ = consensus_run () in
         Gc.full_major ();

@@ -68,7 +68,7 @@ let soak_tests =
               (fun ~rng ~now ~src ~dst ->
                 let crossing = src < 2 <> (dst < 2) in
                 if crossing && now >= 8_000 && now < 16_000 then
-                  Sim.Link.Deliver_at (16_000 + Sim.Rng.int_in_range rng ~lo:1 ~hi:8)
+                  16_000 + Sim.Rng.int_in_range rng ~lo:1 ~hi:8
                 else base.Sim.Link.fate ~rng ~now ~src ~dst);
           }
         in

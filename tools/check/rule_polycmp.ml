@@ -3,11 +3,15 @@
    [Pid.t], [Sim_time.t] and [Value.t] expose their own [compare]/[equal];
    structural compare on them works today only by accident of
    representation and breaks the moment one becomes a record or adds
-   metadata.  Two checks:
+   metadata.  [Stdlib.max]/[Stdlib.min] are polymorphic too: at any of
+   these types they compile to a C call into [compare_val], where
+   [Int.max]/[Int.min] (what [Sim_time.max]/[min] are) compare inline.
+   Two checks:
 
      - [Stdlib.compare] is banned at any type — use the domain module's
        compare ([Pid.compare], [Int.compare], [String.compare], ...);
-     - every occurrence of a structural-comparison function whose type at
+     - every occurrence of a structural-comparison function (=, <>, ==,
+       !=, compare, max, min, Hashtbl.hash) whose type at
        the use site mentions [Pid.t], [Sim_time.t], [Value.t] (or the
        derived [Pid.Set.t]/[Pid.Map.t]) is flagged, wherever the function
        came from —
@@ -26,7 +30,7 @@ let key = "polycmp_t"
 
 let banned_np np =
   match np with
-  | [ ("=" | "<>" | "==" | "!=" | "compare") ] -> true
+  | [ ("=" | "<>" | "==" | "!=" | "compare" | "max" | "min") ] -> true
   | [ "Hashtbl"; "hash" ] -> true
   | _ -> false
 
@@ -134,11 +138,15 @@ let run (index : Index.t) =
           match e.exp_desc with
           | Texp_ident (p, _, _) -> (
             let np = Tast_util.path_of p in
+            (* [base] is the banned function itself, [origin] how the
+               use reached it. *)
             let origin =
-              if banned_np np then Some (Tast_util.dotted np)
+              if banned_np np then
+                let base = Tast_util.dotted np in
+                Some (base, base)
               else
                 match alias_of aliases p with
-                | Some o -> Some (Printf.sprintf "%s (alias of %s)" (Path.last p) o)
+                | Some o -> Some (o, Printf.sprintf "%s (alias of %s)" (Path.last p) o)
                 | None -> None
             in
             let flag msg =
@@ -146,9 +154,14 @@ let run (index : Index.t) =
             in
             match origin with
             | None -> ()
-            | Some origin -> (
+            | Some (base, origin) -> (
               match protected_hit e.exp_type with
               | Some (what, repl) ->
+                let repl =
+                  match base with
+                  | "max" | "min" -> "Int.max/Int.min (Sim_time.max/min)"
+                  | _ -> repl
+                in
                 flag
                   (Printf.sprintf "structural %s instantiated at %s (type: %s); use %s"
                      origin what (Tast_util.type_to_string e.exp_type) repl)
@@ -166,7 +179,7 @@ let rule =
   Rule.one ~id:rule_id ~key
     ~doc:
       "polymorphic compare (typed, alias-aware): Stdlib.compare at any type, and \
-       structural =/<>/compare/Hashtbl.hash instantiated at Pid.t, Sim_time.t, \
+       structural =/<>/compare/max/min/Hashtbl.hash instantiated at Pid.t, Sim_time.t, \
        Value.t, Pid.Set.t or Pid.Map.t — including through let-aliases and \
        eta-expansions"
     (Rule.typed run)
