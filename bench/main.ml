@@ -1,15 +1,11 @@
 (* The benchmark harness: regenerates every quantitative claim of the
-   paper's evaluation (experiments E1-E10, DESIGN.md §3) and times the
-   substrate itself (B1-B4).
+   paper's evaluation (experiments E1-E10, DESIGN.md §3) and, in E20,
+   measures the engine itself.
 
      dune exec bench/main.exe            # everything
      dune exec bench/main.exe -- e4 e5   # selected experiments
-     dune exec bench/main.exe -- micro   # only the Bechamel group
-     dune exec bench/main.exe -- sim_core   # engine hot path -> BENCH_sim_core.json
-                                            # (SIM_CORE_EVENTS=2000 for a smoke run)
-     dune exec bench/main.exe -- e20        # heartbeat-saturated scaling + allocs/event
-                                            # (ECFD_E20_NS / ECFD_E20_EVENTS trim it;
-                                            #  ECFD_ALLOC_GATE=1 enables the CI budget gate)
+     dune exec bench/main.exe -- e20     # engine cost -> BENCH_sim_core.json;
+                                         # fails if a heartbeat re-arm allocates
 
    Experiments fan their (subject, seed, n) grids over a Domain job pool;
    --domains N (or ECFD_DOMAINS=N) picks the parallelism, default
@@ -41,8 +37,6 @@ let experiments =
     ("e19", Experiments.e19);
     ("e20", Micro.e20);
     ("e22", Qos_bench.e22);
-    ("micro", Micro.run);
-    ("sim_core", Micro.sim_core);
   ]
 
 let json_file = "BENCH_experiments.json"

@@ -72,4 +72,3 @@ let property_name = function
   | Trusted_not_suspected -> "eventually trusted not suspected"
 
 let pp ppf c = Format.pp_print_string ppf (name c)
-let pp_property ppf p = Format.pp_print_string ppf (property_name p)

@@ -47,4 +47,3 @@ val name : t -> string
 
 val property_name : property -> string
 val pp : Format.formatter -> t -> unit
-val pp_property : Format.formatter -> property -> unit

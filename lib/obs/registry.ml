@@ -172,16 +172,6 @@ let snapshot t =
     t.table []
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
-let pp_snapshot ppf snap =
-  List.iter
-    (fun (name, v) ->
-      match v with
-      | Counter c -> Format.fprintf ppf "%s counter %d@." name c
-      | Gauge g -> Format.fprintf ppf "%s gauge %d@." name g
-      | Histogram { count; sum; max_value; _ } ->
-        Format.fprintf ppf "%s histogram count=%d sum=%d max=%d@." name count sum max_value)
-    snap
-
 let json_int_list l = "[" ^ String.concat "," (List.map string_of_int l) ^ "]"
 
 (* Metric names are code literals (rule R6), so they never need escaping —

@@ -90,9 +90,6 @@ val histogram_quantile :
 
 val snapshot : t -> snapshot
 
-val pp_snapshot : Format.formatter -> snapshot -> unit
-(** One [name kind value] line per metric, for dumps and debugging. *)
-
 val json_of_snapshot : snapshot -> string
 (** A deterministic JSON object:
     [{"metrics": [{"name": ..., "kind": ..., ...}, ...]}] with metrics in

@@ -234,8 +234,6 @@ let now t = t.now
 let trace t = t.trace
 let stats t = t.stats
 let obs t = t.obs
-let link_description t = t.link.Link.describe
-
 let check_pid t p =
   if not (Pid.is_valid ~n:t.n p) then invalid_arg "Engine: invalid process id"
 
@@ -370,11 +368,6 @@ let[@alloc.zero] send t ~component ~tag ~src ~dst payload =
 let send_to_all_others t ~component ~tag ~src payload =
   for dst = 0 to t.n - 1 do
     if not (Pid.equal dst src) then send t ~component ~tag ~src ~dst payload
-  done
-
-let send_to_all t ~component ~tag ~src payload =
-  for dst = 0 to t.n - 1 do
-    send t ~component ~tag ~src ~dst payload
   done
 
 type timer = Payload.t  (* always a [Timer] block *)

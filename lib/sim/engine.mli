@@ -79,8 +79,6 @@ val obs : t -> Obs.Registry.t
     register their own metrics here — with literal names (check rule
     R6). *)
 
-val link_description : t -> string
-
 (** {1 Process status} *)
 
 val is_alive : t -> Pid.t -> bool
@@ -110,9 +108,6 @@ val send :
 val send_to_all_others :
   t -> component:string -> tag:string -> src:Pid.t -> Payload.t -> unit
 (** Send to every process except [src] (n-1 messages). *)
-
-val send_to_all : t -> component:string -> tag:string -> src:Pid.t -> Payload.t -> unit
-(** Send to every process including [src] (the self-copy is local). *)
 
 (** {1 Timers} *)
 

@@ -9,4 +9,3 @@ let max = Int.max
 let min = Int.min
 let pp ppf t = Format.fprintf ppf "t=%d" t
 let to_string t = string_of_int t
-let is_nonnegative t = t >= 0

@@ -17,5 +17,3 @@ val max : t -> t -> t
 val min : t -> t -> t
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string
-
-val is_nonnegative : t -> bool

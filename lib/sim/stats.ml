@@ -90,13 +90,6 @@ let lifecycle t =
     timer_residency_high_water = Obs.Registry.level t.timer_residency_high_water;
   }
 
-let pp_lifecycle ppf (l : lifecycle) =
-  Format.fprintf ppf
-    "events=%d timers(set=%d fired=%d cancelled=%d orphaned=%d reclaimed=%d) \
-     queue-high-water=%d timer-residency-high-water=%d"
-    l.events_executed l.timers_set l.timers_fired l.timers_cancelled l.timers_orphaned
-    l.timers_reclaimed l.queue_high_water l.timer_residency_high_water
-
 let component_counts t ~component =
   Hashtbl.fold
     (fun (c, _) v acc -> if String.equal c component then add acc (read v) else acc)

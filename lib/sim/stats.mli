@@ -76,8 +76,6 @@ val lifecycle : t -> lifecycle
 (** Current lifecycle counters, read back from the registry, as an
     immutable snapshot. *)
 
-val pp_lifecycle : Format.formatter -> lifecycle -> unit
-
 val component_counts : t -> component:string -> counts
 (** Aggregated over all tags of the component; zeros if unknown. *)
 

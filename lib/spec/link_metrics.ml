@@ -9,10 +9,3 @@ let star_of ~leader ~n =
     (fun q -> if Sim.Pid.equal q leader then [] else [ (q, leader); (leader, q) ])
     (Sim.Pid.all ~n)
   |> List.sort compare_pair
-
-let pp_links ppf links =
-  Format.fprintf ppf "{%a}"
-    (Format.pp_print_list
-       ~pp_sep:(fun ppf () -> Format.fprintf ppf ", ")
-       (fun ppf (s, d) -> Format.fprintf ppf "%a>%a" Sim.Pid.pp s Sim.Pid.pp d))
-    links

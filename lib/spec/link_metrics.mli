@@ -28,5 +28,3 @@ val active_links :
 val star_of : leader:Sim.Pid.t -> n:int -> (Sim.Pid.t * Sim.Pid.t) list
 (** The 2(n-1) links of the leader's star: everyone to the leader and the
     leader to everyone, sorted. *)
-
-val pp_links : Format.formatter -> (Sim.Pid.t * Sim.Pid.t) list -> unit

@@ -2,7 +2,8 @@
    propagation, sequential equivalence, metrics — and the harness-level
    determinism contract, checked by running a real experiment (E4) under
    different domain counts and comparing the captured output
-   byte-for-byte. *)
+   byte-for-byte, and by running E20, the one experiment that reads the
+   clock, twice. *)
 
 let tc name f = Alcotest.test_case name `Quick f
 
@@ -127,6 +128,45 @@ let determinism_tests =
         Alcotest.(check bool) "jsonl export non-empty" true (String.length jsonl1 > 0);
         Alcotest.(check string) "chrome identical" chrome1 chrome4;
         Alcotest.(check string) "jsonl identical" jsonl1 jsonl4);
+    tc "E20 renders byte-identical tables on two runs" (fun () ->
+        (* Elapsed time and events/sec go to stderr and the JSON only. *)
+        let first = capture Micro.e20 in
+        Alcotest.(check bool) "E20 produced output" true (String.length first > 0);
+        Alcotest.(check string) "identical output" first (capture Micro.e20));
+    tc "one E20 run writes the churn and every heartbeat row to its JSON" (fun () ->
+        if Sys.file_exists Micro.json_file then Sys.remove Micro.json_file;
+        ignore (capture Micro.e20 : string);
+        let open Tracequery_core.Json_min in
+        let rows =
+          match member "rows" (parse (Test_util.read_file Micro.json_file)) with
+          | Some (List rows) -> rows
+          | _ -> Alcotest.fail "BENCH_sim_core.json has no rows list"
+        in
+        let summary row =
+          let int j k = string_of_int (int_field j k ~default:(-1)) in
+          let name = string_field row "name" ~default:"?" in
+          let timers = Option.value ~default:Null (member "timers" row) in
+          let words =
+            match member "minor_words_per_event" row with
+            | Some (Float w) -> Printf.sprintf "%.6f" w
+            | _ -> "?"
+          in
+          String.concat " "
+            ([ name; int row "n"; int row "events"; int row "queue_high_water";
+               int row "timer_table_capacity" ]
+            @
+            if name = "churn" then [ int timers "set"; int timers "fired"; int timers "cancelled" ]
+            else [ words ])
+        in
+        Alcotest.(check (list string))
+          "churn counts, and heartbeat rows at queue high-water = capacity = n with no allocation"
+          [
+            "churn 8 1000000 48 48 1000040 666672 333344";
+            "heartbeat 100 500000 100 100 0.000000";
+            "heartbeat 1000 500000 1000 1000 0.000000";
+            "heartbeat 10000 500000 10000 10000 0.000000";
+          ]
+          (List.map summary rows));
   ]
 
 let suites =

@@ -2,9 +2,9 @@
 
      - the static half: the set of [@alloc.zero] roots found in the
        scanned .cmt files (what this checker actually proves about);
-     - the dynamic half: the "static_roots" list in
-       bench/alloc_budget.json, next to the minor-words-per-event budget
-       the e20 gate enforces at run time.
+     - the declared half: the "static_roots" list in
+       bench/alloc_budget.json, the hot path whose heartbeat cycle E20
+       measures at zero minor words per event at run time.
 
    If someone annotates a new hot-path root (or drops one) without
    updating the budget file — or edits the budget file without touching
@@ -14,9 +14,7 @@
    [@alloc.zero] on a local binding is reported as drift too. *)
 
 (* Minimal extraction of the "static_roots" string array.  The budget
-   file is machine-edited JSON with no escapes in the strings we own;
-   bench/micro.ml reads its numeric fields with the same literal-key
-   scanning approach. *)
+   file is machine-edited JSON with no escapes in the strings we own. *)
 let static_roots_of_string s =
   let find_from i sub =
     let n = String.length s and m = String.length sub in
