@@ -656,11 +656,10 @@ let e11 () =
     let blackout_from = 500 and blackout_to = 900 in
     let base = Sim.Link.reliable ~min_delay:1 ~max_delay:8 () in
     let link =
-      Sim.Link.route ~describe:"muffle-p1" (fun ~src ~dst:_ ->
+      Sim.Link.route (fun ~src ~dst:_ ->
           if Sim.Pid.equal src 0 then
             {
-              Sim.Link.describe = "p1-muffled";
-              fate =
+              Sim.Link.fate =
                 (fun ~rng ~now ~src ~dst ->
                   if now >= blackout_from && now <= blackout_to then Sim.Link.drop
                   else base.Sim.Link.fate ~rng ~now ~src ~dst);
@@ -776,7 +775,7 @@ let e12 () =
   let fabric =
     let timely = Sim.Link.reliable ~min_delay:1 ~max_delay:8 () in
     let silent = Sim.Link.growing_blackouts () in
-    Sim.Link.route ~describe:"eventual-source" (fun ~src ~dst:_ ->
+    Sim.Link.route (fun ~src ~dst:_ ->
         if Sim.Pid.equal src source then timely else silent)
   in
   let run_detector install component seed =

@@ -187,11 +187,7 @@ let links ?(seed_delay = 1) ~n:_ ~leader ~gst ~delta ~drop_probability () =
   in
   let base = Sim.Link.reliable ~min_delay:seed_delay ~max_delay:(Stdlib.max seed_delay delta) () in
   let out_of_leader = Sim.Link.fair_lossy ~drop_probability ~underlying:base in
-  Sim.Link.route
-    ~describe:
-      (Printf.sprintf "fig2[leader=%s gst=%d delta=%d p=%.2f]" (Sim.Pid.to_string leader) gst
-         delta drop_probability)
-    (fun ~src ~dst ->
+  Sim.Link.route (fun ~src ~dst ->
       if Sim.Pid.equal dst leader then into_leader
       else if Sim.Pid.equal src leader then out_of_leader
       else base)

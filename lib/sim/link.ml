@@ -1,7 +1,6 @@
 let drop = -1
 
 type t = {
-  describe : string;
   fate : rng:Rng.t -> now:Sim_time.t -> src:Pid.t -> dst:Pid.t -> Sim_time.t;
 }
 
@@ -10,12 +9,12 @@ let reliable ?(min_delay = 1) ?(max_delay = 8) () =
   let fate ~rng ~now ~src:_ ~dst:_ =
     now + Rng.int_in_range rng ~lo:min_delay ~hi:max_delay
   in
-  { describe = Printf.sprintf "reliable[%d,%d]" min_delay max_delay; fate }
+  { fate }
 
 let synchronous ~delay =
   assert (delay >= 0);
   let fate ~rng:_ ~now ~src:_ ~dst:_ = now + delay in
-  { describe = Printf.sprintf "synchronous[%d]" delay; fate }
+  { fate }
 
 let partially_synchronous ?(min_delay = 1) ?pre_gst_max ~gst ~delta () =
   assert (delta >= min_delay);
@@ -28,15 +27,14 @@ let partially_synchronous ?(min_delay = 1) ?pre_gst_max ~gst ~delta () =
       Sim_time.min raw bound
     end
   in
-  { describe = Printf.sprintf "partially-synchronous[gst=%d,delta=%d]" gst delta; fate }
+  { fate }
 
 let fair_lossy ~drop_probability ~underlying =
   assert (drop_probability >= 0.0 && drop_probability < 1.0);
   let fate ~rng ~now ~src ~dst =
     if Rng.bool rng ~p:drop_probability then drop else underlying.fate ~rng ~now ~src ~dst
   in
-  { describe = Printf.sprintf "fair-lossy[p=%.2f over %s]" drop_probability underlying.describe;
-    fate }
+  { fate }
 
 let growing_blackouts ?(min_delay = 1) ?(max_delay = 8) ?(open_window = 60)
     ?(initial_blackout = 60) ?(blackout_growth = 60) () =
@@ -57,12 +55,7 @@ let growing_blackouts ?(min_delay = 1) ?(max_delay = 8) ?(open_window = 60)
   let fate ~rng ~now ~src:_ ~dst:_ =
     if in_blackout now then drop else now + Rng.int_in_range rng ~lo:min_delay ~hi:max_delay
   in
-  {
-    describe =
-      Printf.sprintf "growing-blackouts[open=%d,start=%d,+%d]" open_window initial_blackout
-        blackout_growth;
-    fate;
-  }
+  { fate }
 
 let ever_slower ?(min_delay = 1) ~slowdown_divisor () =
   assert (min_delay >= 0 && slowdown_divisor > 0);
@@ -70,10 +63,10 @@ let ever_slower ?(min_delay = 1) ~slowdown_divisor () =
     let jitter = Rng.int_in_range rng ~lo:0 ~hi:(Int.max 1 (now / (4 * slowdown_divisor))) in
     now + min_delay + (now / slowdown_divisor) + jitter
   in
-  { describe = Printf.sprintf "ever-slower[/%d]" slowdown_divisor; fate }
+  { fate }
 
-let route ~describe select =
+let route select =
   let fate ~rng ~now ~src ~dst = (select ~src ~dst).fate ~rng ~now ~src ~dst in
-  { describe; fate }
+  { fate }
 
-let never = { describe = "never"; fate = (fun ~rng:_ ~now:_ ~src:_ ~dst:_ -> drop) }
+let never = { fate = (fun ~rng:_ ~now:_ ~src:_ ~dst:_ -> drop) }

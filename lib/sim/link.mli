@@ -23,7 +23,6 @@ val drop : Sim_time.t
     delivery can have. *)
 
 type t = {
-  describe : string;
   fate : rng:Rng.t -> now:Sim_time.t -> src:Pid.t -> dst:Pid.t -> Sim_time.t;
       (** The message's fate: its absolute delivery instant, at or after
           [now], or {!drop}; the engine reads any negative fate as a
@@ -74,7 +73,7 @@ val ever_slower : ?min_delay:int -> slowdown_divisor:int -> unit -> t
     the "weak reliability and synchrony assumptions" setting of Aguilera et
     al. (PODC 2003) that the paper cites in Section 1.1 (experiment E12). *)
 
-val route : describe:string -> (src:Pid.t -> dst:Pid.t -> t) -> t
+val route : (src:Pid.t -> dst:Pid.t -> t) -> t
 (** Per-directed-pair model selection. *)
 
 val never : t

@@ -497,7 +497,7 @@ let ec_consensus_tests =
         let fabric =
           let timely = Sim.Link.reliable ~min_delay:1 ~max_delay:8 () in
           let silent = Sim.Link.growing_blackouts () in
-          Sim.Link.route ~describe:"eventual-source" (fun ~src ~dst:_ ->
+          Sim.Link.route (fun ~src ~dst:_ ->
               if Sim.Pid.equal src source then timely else silent)
         in
         let engine = Sim.Engine.create ~seed:21 ~n ~link:fabric () in
@@ -659,7 +659,8 @@ let detector_state_tests =
        non-leader's Leader_s and Ec views suspect n - 2 processes for the
        whole run.  The trace lives off the OCaml heap, so the live words
        measure detector state (dense span records measured 24.6 per pair,
-       int rows allocated on first suspicion 4.7). *)
+       int rows allocated on first suspicion 4.7, batch rows that stay
+       batches under 1). *)
     tc "n = 400: the <>C -> <>P stack holds < 6 live words per (p, q)" (fun () ->
         let n = 400 in
         let before = live_words () in
@@ -669,6 +670,26 @@ let detector_state_tests =
         ignore (Sys.opaque_identity (e, ec, p));
         let per_pair = float_of_int (after - before) /. float_of_int (n * n) in
         if per_pair >= 6. then Alcotest.failf "%.1f live words per (p, q) pair" per_pair);
+    (* The same stack's state is O(n): a first suspicion costs a batch
+       row of three words, not two n-int rows, so doubling n leaves the
+       words per process nearly flat (284 at n = 400 and 292 at n = 800;
+       dense rows measured 1891 and 3499). *)
+    tc "n = 400 and 800: the <>C -> <>P stack's live words per process stay flat" (fun () ->
+        let per_process n =
+          (* A live engine that holds the domain's spare storage, so the
+             stack's engine grows its own and the figure counts it. *)
+          let holder = Sim.Engine.create ~n:1 ~link:(Sim.Link.synchronous ~delay:1) () in
+          let before = live_words () in
+          let e, ec, p = make_transformation_stack ~n ~piggyback:true () in
+          Sim.Engine.run_until e 300;
+          let after = live_words () in
+          ignore (Sys.opaque_identity (holder, e, ec, p));
+          float_of_int (after - before) /. float_of_int n
+        in
+        let w400 = per_process 400 in
+        let w800 = per_process 800 in
+        if w800 > 1.25 *. w400 || w400 >= 400. || w800 >= 400. then
+          Alcotest.failf "live words per process: %.0f at n = 400, %.0f at n = 800" w400 w800);
   ]
 
 let suites =

@@ -209,6 +209,8 @@ type view_op =
   | Move of int * int  (** rescind one suspicion of p and add one, chosen by the seed *)
   | Suspect_one of int * int  (** p's current set plus one non-member, chosen by the seed *)
   | Rescind_one of int * int  (** p's current set less one member, chosen by the seed *)
+  | Complement of int * int
+      (** everybody except p and r, trusting r: a first Leader_s view *)
 
 let view_op_gen =
   let open QCheck2.Gen in
@@ -224,6 +226,7 @@ let view_op_gen =
       (3, map2 (fun p r -> Move (p, r)) pid (int_bound 1_000));
       (2, map2 (fun p r -> Suspect_one (p, r)) pid (int_bound 1_000));
       (2, map2 (fun p r -> Rescind_one (p, r)) pid (int_bound 1_000));
+      (3, map2 (fun p r -> Complement (p, r)) pid pid);
     ]
 
 let pp_view_op = function
@@ -237,6 +240,7 @@ let pp_view_op = function
   | Move (p, r) -> Printf.sprintf "Move(%d,%d)" p r
   | Suspect_one (p, r) -> Printf.sprintf "Suspect_one(%d,%d)" p r
   | Rescind_one (p, r) -> Printf.sprintf "Rescind_one(%d,%d)" p r
+  | Complement (p, r) -> Printf.sprintf "Complement(%d,%d)" p r
 
 (* The view [op] publishes, given the current view of its process. *)
 let view_of_op ~n ~current op =
@@ -256,6 +260,9 @@ let view_of_op ~n ~current op =
     (pid p, { v with Fd.Fd_view.trusted = trusted tr })
   | Empty p -> (pid p, Fd.Fd_view.empty)
   | Full p -> (pid p, Fd.Fd_view.make ~suspected:(Sim.Pid.set_of_list all) ())
+  | Complement (p, r) ->
+    let suspected = Sim.Pid.set_of_list (List.filter (fun q -> q <> pid p && q <> pid r) all) in
+    (pid p, Fd.Fd_view.make ~trusted:(pid r) ~suspected ())
   | Move (p, r) | Suspect_one (p, r) | Rescind_one (p, r) ->
     let v = current (pid p) in
     let s = v.Fd.Fd_view.suspected in
@@ -407,6 +414,14 @@ let handle_diff_tests =
             (3, [ Full 0; Rebuild 0; Retrust (0, Some 0); Empty 0; Empty 0; Full 0; Move (0, 1) ]);
             (1, [ Full 0; Retrust (0, Some 0); Rebuild 0; Empty 0 ]);
             (12, [ Full 5; Move (5, 3); Move (5, 3); Subset (5, 0b101, None); Empty 5; Full 5 ]);
+            (* Batch rows (a first suspicion), then the changes that
+               densify them. *)
+            ( 12,
+              [
+                Complement (5, 3); Retrust (5, Some 4); Move (5, 2); Complement (7, 7);
+                Rescind_one (7, 4); Complement (9, 0); Suspect_one (9, 0); Complement (2, 6);
+                Empty 2;
+              ] );
           ]
         in
         List.iter
@@ -418,9 +433,12 @@ let handle_diff_tests =
                 | Error msg -> Alcotest.failf "n=%d: %s" n msg)
               [ (module Set_diff_handle : REFERENCE); (module Record_row_handle) ])
           cases);
-    (* Int rows against the record rows they replaced: the same events,
-       the same span-duration histogram, and after every [set] p's row
-       entry for q holds a span exactly when p suspects q. *)
+    (* Batch and dense rows against the record rows they replaced: the
+       same events, the same span-duration histogram, and after every
+       [set] p's row entry for q holds a span exactly when p suspects q.
+       [Complement] opens a batch row; a later [Move], [Suspect_one] or
+       [Rescind_one] densifies it, and its ids and instants must carry
+       over. *)
     view_sequences_test ~name:"int span rows match the record-based row, histogram included"
       (module Record_row_handle);
   ]
@@ -675,11 +693,10 @@ let stable_omega_tests =
         let blackout_from = 100 and blackout_to = 400 in
         let base = Sim.Link.synchronous ~delay:2 in
         let link =
-          Sim.Link.route ~describe:"blackout-p1" (fun ~src ~dst:_ ->
+          Sim.Link.route (fun ~src ~dst:_ ->
               if src = 0 then
                 {
-                  Sim.Link.describe = "p1-muffled";
-                  fate =
+                  Sim.Link.fate =
                     (fun ~rng ~now ~src ~dst ->
                       if now >= blackout_from && now <= blackout_to then Sim.Link.drop
                       else base.Sim.Link.fate ~rng ~now ~src ~dst);
@@ -780,7 +797,7 @@ let omega_from_s_tests =
 let eventual_source_link ~source =
   let timely = Sim.Link.reliable ~min_delay:1 ~max_delay:8 () in
   let silent = Sim.Link.growing_blackouts () in
-  Sim.Link.route ~describe:"eventual-source" (fun ~src ~dst:_ ->
+  Sim.Link.route (fun ~src ~dst:_ ->
       if Sim.Pid.equal src source then timely else silent)
 
 let omega_source_tests =

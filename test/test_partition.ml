@@ -12,8 +12,7 @@ let partition_link ~cut ~from_t ~heal =
   let base = Sim.Link.reliable ~min_delay:1 ~max_delay:6 () in
   let crossing src dst = src < cut <> (dst < cut) in
   {
-    Sim.Link.describe = Printf.sprintf "partition[|%d, %d..%d]" cut from_t heal;
-    fate =
+    Sim.Link.fate =
       (fun ~rng ~now ~src ~dst ->
         if crossing src dst && now >= from_t && now < heal then
           heal + Sim.Rng.int_in_range rng ~lo:1 ~hi:8

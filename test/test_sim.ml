@@ -581,7 +581,7 @@ let link_tests =
         Alcotest.(check bool) "delivery possible late in the run" true !found);
     tc "route dispatches per pair" (fun () ->
         let l =
-          Sim.Link.route ~describe:"test" (fun ~src ~dst:_ ->
+          Sim.Link.route (fun ~src ~dst:_ ->
               if src = 0 then Sim.Link.synchronous ~delay:1 else Sim.Link.synchronous ~delay:5)
         in
         let rng = Sim.Rng.create ~seed:1 in

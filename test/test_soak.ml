@@ -63,8 +63,7 @@ let soak_tests =
         let base = Sim.Link.reliable ~min_delay:1 ~max_delay:6 () in
         let link =
           {
-            Sim.Link.describe = "soak-partition";
-            fate =
+            Sim.Link.fate =
               (fun ~rng ~now ~src ~dst ->
                 let crossing = src < 2 <> (dst < 2) in
                 if crossing && now >= 8_000 && now < 16_000 then
