@@ -60,14 +60,11 @@ let trusted t p = (query t p).Fd_view.trusted
 let subscribe t f = Sim.Signal.subscribe t.changes (fun (p, v) -> f p v)
 
 (* p's first suspicion: one span per member of [members], in ascending
-   order, recorded as a batch row. *)
+   order, opened in one bulk write and recorded as a batch row. *)
 let open_batch t p members =
   let base =
-    Sim.Pid.Set.fold
-      (fun _ base ->
-        let span = Sim.Engine.open_span t.engine p ~component:t.component ~name:"suspicion" in
-        if base < 0 then span else base)
-      members (-1)
+    Sim.Engine.open_spans t.engine p ~component:t.component ~name:"suspicion"
+      ~count:(Sim.Pid.Set.cardinal members)
   in
   Batch { members; base; opened = Sim.Engine.now t.engine }
 

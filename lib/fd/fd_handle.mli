@@ -70,7 +70,10 @@ val set : t -> Sim.Pid.t -> Fd_view.t -> unit
     subtree the two sets share.  A view derived from the previous one by
     k adds and removes ([Leader_s] moving to its next candidate: one of
     each) costs O(k log n) plus the k spans it opens or closes; the
-    first change after a batch also pays its O(n) densify, once.
+    first change after a batch also pays its O(n) densify, once.  A
+    first suspicion (no row yet) costs one {!Sim.Pid.Set.cardinal} walk
+    of the new set plus one bulk write of its [Span_begin]s
+    ({!Sim.Engine.open_spans}), with no call per span.
     Unrelated sets cost at worst O(|old view| + |new view|).  An equal
     view that is not physically the old one costs its walks and records
     nothing. *)

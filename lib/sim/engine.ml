@@ -440,6 +440,14 @@ let open_span t p ~component ~name =
   Trace.record_span_begin t.trace ~at:t.now ~pid:p ~span (Trace.label t.trace component name "");
   span
 
+let open_spans t p ~component ~name ~count =
+  check_pid t p;
+  let first = t.next_span in
+  Trace.record_span_begins t.trace ~at:t.now ~pid:p ~first ~count
+    (Trace.label t.trace component name "");
+  t.next_span <- first + count;
+  first
+
 let close_span t p ~component ~name ~span ~opened_at =
   Trace.record_span_end t.trace ~at:t.now ~pid:p ~span (Trace.label t.trace component name "");
   Obs.Registry.observe t.m_span_duration (t.now - opened_at)

@@ -169,17 +169,28 @@ val note : t -> Pid.t -> tag:string -> string -> unit
     as slices on the owning process's track; closing a span also feeds
     its duration to the [engine.span_duration] histogram.
 
-    Two interfaces write the same events.  {!open_span}/{!close_span}
+    Three interfaces write the same events.  {!open_span}/{!close_span}
     keep a span as two ints the caller stores (its id and opening
     instant), for callers that hold many spans at once — a detector
-    handle holds one per suspicion.  {!begin_span}/{!end_span} wrap that
-    pair in a record that remembers its owner, name and whether it was
-    closed. *)
+    handle holds one per suspicion.  {!open_spans} opens a run of such
+    spans at one process in one call, as a detector's first suspicion
+    does.  {!begin_span}/{!end_span} wrap the pair in a record that
+    remembers its owner, name and whether it was closed. *)
 
 val open_span : t -> Pid.t -> component:string -> name:string -> int
 (** Open a span at [p] now: record its [Span_begin] and return its id.
     The caller keeps the id and {!now} (the opening instant) for
     {!close_span}.  [name] must be a string literal (check rule R6). *)
+
+val open_spans : t -> Pid.t -> component:string -> name:string -> count:int -> int
+(** [open_spans t p ~component ~name ~count] opens [count] spans at [p]
+    now and returns the first id; the others follow it consecutively.
+    It records exactly what [count] calls of {!open_span} would, in one
+    {!Trace.record_span_begins} write, so each span closes through
+    {!close_span} as usual.  With [count = 0] it records nothing and
+    returns the id the next span will take.  [name] must be a string
+    literal (check rule R6).
+    @raise Invalid_argument if [count] is negative. *)
 
 val close_span :
   t -> Pid.t -> component:string -> name:string -> span:int -> opened_at:Sim_time.t -> unit

@@ -252,6 +252,7 @@ let check_pid what p =
 let send_code = Kind.code Kind.Send
 let deliver_code = Kind.code Kind.Deliver
 let drop_code = Kind.code Kind.Drop
+let span_begin_code = Kind.code Kind.Span_begin
 
 let head code ~a ~b label = code lor (a lsl 4) lor (b lsl (4 + pid_bits)) lor (label lsl label_shift)
 
@@ -382,6 +383,45 @@ let at_pid t kind pid ~b label ~at x =
 
 let record_span_begin t ~at ~pid ~span label = at_pid t Kind.Span_begin pid ~b:0 label ~at span
 let record_span_end t ~at ~pid ~span label = at_pid t Kind.Span_end pid ~b:0 label ~at span
+
+(* [count] [record_span_begin]s at one pid, instant and label, with span
+   ids [first], [first + 1], ...  Row [k] is stamped [c0 + k + 1], where
+   [c0] is [pid]'s clock before the run.  When [at] and the last stamp
+   fit in 31 bits, the rows are written straight into the columns, one
+   slice per chunk; otherwise each goes through [append] and its time
+   word may escape. *)
+let[@alloc.zero] record_span_begins t ~at ~pid ~first ~count label =
+  check_pid "pid" pid;
+  if count < 0 then invalid_arg "Trace.record_span_begins: negative count";
+  let h = head span_begin_code ~a:pid ~b:0 label in
+  let c0 = clock t pid in
+  if count > 0 && (at lsr time_bits) lor ((c0 + count) lsr time_bits) = 0 then begin
+    set_clock t pid (c0 + count);
+    let time0 = ((c0 + 1) lsl time_bits) lor at in
+    let start = t.count in
+    let stop = start + count in
+    while t.count < stop do
+      let i = t.count in
+      if i >= t.cur_limit then
+        (advance_chunk t i
+        [@check.allow extern
+            "amortized chunk growth: a new or doubled Bigarray chunk every 2^14 events \
+             at most, never on a steady-state write"]);
+      let rows = Int.min stop t.cur_limit - i in
+      let c = t.cur and r = t.cur_rows in
+      let j = i land chunk_mask and k = i - start in
+      for d = 0 to rows - 1 do
+        Bigarray.Array1.unsafe_set c (j + d) h;
+        Bigarray.Array1.unsafe_set c (r + j + d) (time0 + ((k + d) lsl time_bits));
+        Bigarray.Array1.unsafe_set c (r + r + j + d) (first + k + d)
+      done;
+      t.count <- i + rows
+    done
+  end
+  else
+    for k = 0 to count - 1 do
+      append t h ~at ~lc:(tick t pid) (first + k)
+    done
 
 (* [record]'s own message stamps: a hand-built [Deliver] or [Drop] finds
    its send's stamp here (0 if none was recorded), and consumes it only

@@ -199,6 +199,21 @@ val record_span_end : t -> at:Sim_time.t -> pid:Pid.t -> span:int -> label -> un
 (** Append [Span_begin] / [Span_end] at [pid], ticking its clock; the
     label is (component, name, [""]). *)
 
+val record_span_begins :
+  t -> at:Sim_time.t -> pid:Pid.t -> first:int -> count:int -> label -> unit
+(** [record_span_begins t ~at ~pid ~first ~count l] appends exactly the
+    [count] events of [record_span_begin t ~at ~pid ~span l] for [span]
+    = [first], [first + 1], ..., [first + count - 1]: same seqs, same
+    stamps (c₀ + 1 to c₀ + count, where c₀ is [pid]'s clock before the
+    call), same exports.  It checks [pid] once and, when [at] and
+    c₀ + [count] both lie in [0, 2{^31}) — always, in an engine run —
+    fills the rows into the chunk columns one slice per chunk and
+    allocates nothing but the occasional new chunk.  Otherwise it falls
+    back to one [record_span_begin] per row, so escaped times go to the
+    escape table as they would one by one.  [count = 0] records nothing.
+    @raise Invalid_argument if [pid] is out of range or [count] is
+    negative; the trace is then unchanged. *)
+
 val length : t -> int
 
 (** {1 Reading}

@@ -19,3 +19,5 @@ let good_scalar_span engine p =
 
 let allowed reg name =
   (Obs.Registry.counter reg ~name [@check.allow obsname "fixture: the escape hatch"])
+
+let bad_span_run engine p name = Sim.Engine.open_spans engine p ~component:"fd.ring" ~name ~count:2

@@ -41,12 +41,12 @@ let lint_tests =
     tc "R4: payload-hygiene fixture" (lint "payload_bad.ml" ~expected:[ ("R4", 6); ("R4", 7) ]);
     tc "R5: missing-mli fixture" (lint "mli_case" ~expected:[ ("R5", 1) ]);
     (* Computed ~name arguments to the Obs registration points and to
-       Engine.begin_span, open_span and close_span; the literal sites and
-       the [@check.allow obsname] site at the bottom of the fixture stay
-       silent. *)
+       Engine.begin_span, open_span, close_span and open_spans; the
+       literal sites and the [@check.allow obsname] site stay silent. *)
     tc "R6: computed-observability-name fixture"
       (lint "obsname_bad.ml"
-         ~expected:[ ("R6", 2); ("R6", 3); ("R6", 6); ("R6", 8); ("R6", 13); ("R6", 14) ]);
+         ~expected:
+           [ ("R6", 2); ("R6", 3); ("R6", 6); ("R6", 8); ("R6", 13); ("R6", 14); ("R6", 23) ]);
     tc "[@check.allow] suppresses with a reason" (lint "allowed.ml" ~expected:[]);
     tc "[@check.allow] without a reason is reported"
       (lint "missing_reason.ml" ~expected:[ ("R1", 5); ("CHECK", 5) ]);
@@ -58,7 +58,7 @@ let lint_tests =
     (* All fixtures at once, via the same directory walk `ecfd check`
        uses for lib/, bin/ and bench/. *)
     tc "directory walk finds every seeded violation" (fun () ->
-        Alcotest.(check int) "total findings over lint_fixtures/" 20
+        Alcotest.(check int) "total findings over lint_fixtures/" 21
           (List.length (result ~sources:[ "lint_fixtures" ] ()).findings));
   ]
 

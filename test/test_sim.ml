@@ -1410,6 +1410,58 @@ let drop_reasons trace =
          match ev.body with Drop { reason; _ } -> Some reason | _ -> None)
        (Sim.Trace.events trace))
 
+(* [count] Span_begins at process 1 after [prefix] generated events (and,
+   given [clock], a delivery that sets process 1's clock to it), written
+   by one [record_span_begins] into [bulk] and by [count]
+   [record_span_begin]s into a fresh trace.  A Note at process 1 then
+   reads the clock each run left behind.  Both traces must read back the
+   same; returns the events [bulk] escaped. *)
+let check_bulk_span_begins ?bulk ?clock ~prefix ~count ~at () =
+  let bulk = match bulk with Some t -> t | None -> Sim.Trace.create () in
+  let rows = Sim.Trace.create () in
+  let pid = 1 and first = 1000 in
+  let st = Random.State.make [| prefix; count |] in
+  let bodies = List.init prefix (fun _ -> gen_body st) in
+  let label t = Sim.Trace.label t "fd.leader-s" "suspicion" "" in
+  List.iter
+    (fun t ->
+      List.iter (Sim.Trace.record t) bodies;
+      Option.iter
+        (fun c ->
+          Sim.Trace.record_deliver t ~at ~src:0 ~dst:pid ~msg:(-1) ~sent_lc:(c - 1)
+            (Sim.Trace.label t "c" "t" ""))
+        clock)
+    [ bulk; rows ];
+  Sim.Trace.record_span_begins bulk ~at ~pid ~first ~count (label bulk);
+  for k = 0 to count - 1 do
+    Sim.Trace.record_span_begin rows ~at ~pid ~span:(first + k) (label rows)
+  done;
+  List.iter
+    (fun t -> Sim.Trace.record t (Note { at; pid; tag = "next"; detail = "" }))
+    [ bulk; rows ];
+  let case what = Printf.sprintf "L = %d, k = %d: %s" prefix count what in
+  let length = Sim.Trace.length rows in
+  Alcotest.(check int) (case "length") length (Sim.Trace.length bulk);
+  let evs = Sim.Trace.events bulk in
+  Alcotest.check (Alcotest.list event_t) (case "events") (Sim.Trace.events rows) evs;
+  Alcotest.(check int) (case "escaped")
+    (Sim.Trace.escaped_events rows) (Sim.Trace.escaped_events bulk);
+  Alcotest.(check string) (case "JSONL")
+    (Sim.Trace_export.jsonl_string rows)
+    (Sim.Trace_export.jsonl_string bulk);
+  (match (List.nth evs (length - 1)).body with
+  | Note { pid = p; _ } when p = pid -> ()
+  | _ -> Alcotest.fail (case "the last event is not the clock-reading note"));
+  Sim.Trace.escaped_events bulk
+
+(* A trace of three chunks, unreachable once this returns. *)
+let[@inline never] abandon_trace () =
+  let t = Sim.Trace.create () in
+  for i = 0 to 39_999 do
+    Sim.Trace.record t (Propose { at = i; pid = i land 7; value = -i })
+  done;
+  ignore (Sys.opaque_identity (Sim.Trace.length t) : int)
+
 let packed_trace_tests =
   [
     Test_util.qcheck ~count:40 ~name:"engine writers and Trace.record stamp identically"
@@ -1536,6 +1588,43 @@ let packed_trace_tests =
         let t = Sim.Trace.create () in
         List.iter (Sim.Trace.record t) bodies;
         Alcotest.(check int) "escaped" (List.length escapes) (Sim.Trace.escaped_events t));
+    tc "a bulk Span_begin run equals per-row records" (fun () ->
+        List.iter
+          (fun prefix ->
+            List.iter
+              (fun count -> ignore (check_bulk_span_begins ~prefix ~count ~at:1234 () : int))
+              [ 0; 1; 7; 300; 16_400 ])
+          [ 0; 250; 16_380 ]);
+    tc "a bulk Span_begin run on a predecessor's chunks" (fun () ->
+        abandon_trace ();
+        Gc.full_major ();
+        let bulk = Sim.Trace.create () in
+        Alcotest.(check bool) "chunks recycled" true (Sim.Trace.recycled_chunks bulk > 0);
+        ignore (check_bulk_span_begins ~bulk ~prefix:250 ~count:16_400 ~at:1234 () : int));
+    tc "a bulk Span_begin run past 31 bits falls back to per-row records" (fun () ->
+        let two31 = 1 lsl 31 in
+        Alcotest.(check bool) "stamps past 2^31 escape" true
+          (check_bulk_span_begins ~clock:(two31 - 3) ~prefix:250 ~count:7 ~at:1234 () > 0);
+        Alcotest.(check bool) "an instant of 2^31 escapes" true
+          (check_bulk_span_begins ~prefix:250 ~count:300 ~at:two31 () >= 300));
+    tc "Engine.open_spans records what open_span does" (fun () ->
+        let engine () = Sim.Engine.create ~n:3 ~link:(Sim.Link.synchronous ~delay:1) () in
+        let bulk = engine () and rows = engine () in
+        let open_one e = Sim.Engine.open_span e 1 ~component:"fd.ec" ~name:"suspicion" in
+        let first = open_one bulk in
+        Alcotest.(check int) "an empty run takes no id" (first + 1)
+          (Sim.Engine.open_spans bulk 1 ~component:"fd.ec" ~name:"suspicion" ~count:0);
+        Alcotest.(check int) "the run's first id" (first + 1)
+          (Sim.Engine.open_spans bulk 1 ~component:"fd.ec" ~name:"suspicion" ~count:5);
+        (match Sim.Engine.open_spans bulk 1 ~component:"fd.ec" ~name:"suspicion" ~count:(-1) with
+        | _ -> Alcotest.fail "a negative count was accepted"
+        | exception Invalid_argument _ -> ());
+        let per_row = List.init 6 (fun _ -> open_one rows) in
+        Alcotest.(check (list int)) "per-row ids" (List.init 6 (fun k -> first + k)) per_row;
+        Alcotest.(check int) "the next id" (open_one rows) (open_one bulk);
+        Alcotest.(check string) "JSONL"
+          (Sim.Trace_export.jsonl_string (Sim.Engine.trace rows))
+          (Sim.Trace_export.jsonl_string (Sim.Engine.trace bulk)));
     tc "an engine-built trace holds 24 bytes per event and escapes nothing" (fun () ->
         let n = 16 in
         let e = Sim.Engine.create ~n ~link:(Sim.Link.reliable ()) () in

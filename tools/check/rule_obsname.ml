@@ -9,7 +9,8 @@
 
    The rule checks the [~name] argument of [Obs.Registry.counter],
    [Obs.Registry.gauge], [Obs.Registry.histogram], [Engine.begin_span],
-   [Engine.open_span] and [Engine.close_span] applications.  A genuinely parametric site (none exist today) can
+   [Engine.open_span], [Engine.open_spans] and [Engine.close_span]
+   applications.  A genuinely parametric site (none exist today) can
    carry [@check.allow obsname "reason"]. *)
 
 (* The registration entry points, by path suffix — [Obs.Registry.counter]
@@ -23,6 +24,7 @@ let watched =
     ([ "Registry"; "histogram" ], "metric");
     ([ "Engine"; "begin_span" ], "span");
     ([ "Engine"; "open_span" ], "span");
+    ([ "Engine"; "open_spans" ], "span");
     ([ "Engine"; "close_span" ], "span");
   ]
 
@@ -80,5 +82,5 @@ let rule =
   Rule.one ~id:"R6" ~key:"obsname"
     ~doc:
       "static observability names: ~name passed to Obs.Registry.counter/gauge/histogram \
-       and Engine.begin_span/open_span/close_span must be a string literal"
+       and Engine.begin_span/open_span/open_spans/close_span must be a string literal"
     (File check)
