@@ -1,7 +1,8 @@
 (* The paper's evaluation, regenerated (see DESIGN.md §3 for the index).
 
-   Every experiment prints a table of paper-claim vs measured values;
-   EXPERIMENTS.md records a reference run of this file. *)
+   Every experiment [eN ppf] renders a table of paper-claim vs measured
+   values into [ppf]; test/golden/EXPERIMENTS.txt pins the full harness
+   output byte for byte. *)
 
 let sweep_ns = [ 4; 8; 16; 32 ]
 let seeds = [ 1; 2; 3; 4; 5 ]
@@ -94,8 +95,9 @@ let subjects =
     };
   ]
 
-let e1 () =
-  Tables.heading "E1" "Class matrix (Fig. 1 + Definition 1): which properties hold empirically";
+let e1 ppf =
+  Tables.heading ppf "E1"
+    "Class matrix (Fig. 1 + Definition 1): which properties hold empirically";
   let n = 5 in
   let horizon = 9000 in
   let run_subject subject seed =
@@ -129,13 +131,13 @@ let e1 () =
         :: List.map cell Fd.Classes.all_properties)
       subjects runs_by_subject
   in
-  Tables.table ~headers ~rows;
-  Tables.note
+  Tables.table ppf ~headers ~rows;
+  Tables.note ppf
     "SC/WC = strong/weak completeness, <>SA/<>WA = eventual strong/weak accuracy,";
-  Tables.note "leader = Property 1 (Omega), t!in!s = eventually trusted not suspected.";
-  Tables.note "'yes*' = holds and guaranteed by the claimed class; 'yes' = held on these";
-  Tables.note "benign runs though not guaranteed; '-' = does not hold (as expected);";
-  Tables.note "'MISSING' would be a reproduction failure.  %d seeds, n=%d, one crash, GST=250."
+  Tables.note ppf "leader = Property 1 (Omega), t!in!s = eventually trusted not suspected.";
+  Tables.note ppf "'yes*' = holds and guaranteed by the claimed class; 'yes' = held on these";
+  Tables.note ppf "benign runs though not guaranteed; '-' = does not hold (as expected);";
+  Tables.note ppf "'MISSING' would be a reproduction failure.  %d seeds, n=%d, one crash, GST=250."
     (List.length seeds) n
 
 (* ------------------------------------------------------------------ *)
@@ -157,8 +159,8 @@ let period_cost ~n ~periods ~component build =
   in
   float_of_int sent /. float_of_int periods
 
-let e2 () =
-  Tables.heading "E2"
+let e2 ppf =
+  Tables.heading ppf "E2"
     "Cost of <>P implementations (Section 4): messages sent per period, steady state";
   let heartbeat engine = ignore (Fd.Heartbeat_p.install engine Fd.Heartbeat_p.default_params) in
   let ring engine = ignore (Fd.Ring_s.install engine Fd.Ring_s.default_params) in
@@ -204,17 +206,17 @@ let e2 () =
            | _ -> assert false)
          sweep_ns measured)
   in
-  Tables.table ~headers:[ "n"; "implementation"; "paper"; "measured" ] ~rows;
-  Tables.note "The paper's claim: the piggybacked construction costs 2(n-1) per period,";
-  Tables.note "'comparing favorably' to n^2 [6] and 'slightly better' than 2n [15].";
-  Tables.note "(Crossover with the ring: 2(n-1) < 2n for every n.)"
+  Tables.table ppf ~headers:[ "n"; "implementation"; "paper"; "measured" ] ~rows;
+  Tables.note ppf "The paper's claim: the piggybacked construction costs 2(n-1) per period,";
+  Tables.note ppf "'comparing favorably' to n^2 [6] and 'slightly better' than 2n [15].";
+  Tables.note ppf "(Crossover with the ring: 2(n-1) < 2n for every n.)"
 
 (* ------------------------------------------------------------------ *)
 (* E3 — Section 4: crash-detection latency                            *)
 (* ------------------------------------------------------------------ *)
 
-let e3 () =
-  Tables.heading "E3"
+let e3 ppf =
+  Tables.heading ppf "E3"
     "Crash-detection latency (Section 4): ring list propagation vs leader push";
   let crash_at = 2000 in
   let latency ~n ~seed build component =
@@ -256,16 +258,16 @@ let e3 () =
              per_detector)
       ns grid
   in
-  Tables.table
+  Tables.table ppf
     ~headers:[ "n"; "ring <>S/<>P [15]"; "Fig. 2 transformation"; "heartbeat <>P [6]" ]
     ~rows;
-  Tables.note "Ticks from the crash until every correct process suspects it for good";
-  Tables.note "(mean over %d seeds; heartbeat/list periods 10, initial time-out 30)."
+  Tables.note ppf "Ticks from the crash until every correct process suspects it for good";
+  Tables.note ppf "(mean over %d seeds; heartbeat/list periods 10, initial time-out 30)."
     (List.length seeds);
-  Tables.note "Paper's claim: the transformation avoids the ring's 'high latency in crash";
-  Tables.note "detection (due to the propagation of the list over the ring)' — the ring's";
-  Tables.note "latency grows with n while the leader-push stays flat, at a fraction of";
-  Tables.note "the heartbeat <>P's n^2 message price (see E2)."
+  Tables.note ppf "Paper's claim: the transformation avoids the ring's 'high latency in crash";
+  Tables.note ppf "detection (due to the propagation of the list over the ring)' — the ring's";
+  Tables.note ppf "latency grows with n while the leader-push stays flat, at a fraction of";
+  Tables.note ppf "the heartbeat <>P's n^2 message price (see E2)."
 
 (* ------------------------------------------------------------------ *)
 (* E4 — Section 5.4: per-round phases and messages                    *)
@@ -310,8 +312,8 @@ let maybe_export_e4_traces () =
       [ ("TRACE_e4.chrome.json", chrome); ("TRACE_e4.jsonl", jsonl) ]
   end
 
-let e4 () =
-  Tables.heading "E4"
+let e4 ppf =
+  Tables.heading ppf "E4"
     "Consensus round cost (Section 5.4): phases and messages per stable round";
   let ec = Scenario.Ec Ecfd.Ec_consensus.default_params in
   let cases =
@@ -349,22 +351,22 @@ let e4 () =
              cases per_case)
          sweep_ns cells)
   in
-  Tables.table
+  Tables.table ppf
     ~headers:[ "n"; "protocol"; "phases"; "paper msgs/round"; "measured (round 1)"; "decided in" ]
     ~rows;
-  Tables.note "Stable detector from the start (leader p1), failure-free, so round 1 is the";
-  Tables.note "steady state.  The paper counts a process's message to itself; the simulator";
-  Tables.note "treats self-sends as local (4(n-1)/3(n-1)/3n(n-1) vs the paper's 4n/3n/3n^2).";
-  Tables.note "The trade-off of Section 5.4 spans all four: 5/4/3/2 communication phases";
-  Tables.note "against Theta(n)/Theta(n)/Theta(n^2)/Theta(n^2) messages per round.";
+  Tables.note ppf "Stable detector from the start (leader p1), failure-free, so round 1 is the";
+  Tables.note ppf "steady state.  The paper counts a process's message to itself; the simulator";
+  Tables.note ppf "treats self-sends as local (4(n-1)/3(n-1)/3n(n-1) vs the paper's 4n/3n/3n^2).";
+  Tables.note ppf "The trade-off of Section 5.4 spans all four: 5/4/3/2 communication phases";
+  Tables.note ppf "against Theta(n)/Theta(n)/Theta(n^2)/Theta(n^2) messages per round.";
   maybe_export_e4_traces ()
 
 (* ------------------------------------------------------------------ *)
 (* E5 — Theorem 3: rounds after stabilisation                         *)
 (* ------------------------------------------------------------------ *)
 
-let e5 () =
-  Tables.heading "E5"
+let e5 ppf =
+  Tables.heading ppf "E5"
     "Rounds to decide once the detector is stable (Theorem 3 vs one-round <>C)";
   let ec = Scenario.Ec Ecfd.Ec_consensus.default_params in
   let decision_round ~n ~leader protocol =
@@ -378,7 +380,7 @@ let e5 () =
   in
   List.iter
     (fun n ->
-      Format.printf "  n = %d (stable leader at position i; CT's coordinator rotates):@." n;
+      Format.fprintf ppf "  n = %d (stable leader at position i; CT's coordinator rotates):@." n;
       let leaders = List.init n Fun.id in
       let grid =
         par_map2 leaders [ Scenario.Ct; Scenario.Hr; ec; Scenario.Mr ]
@@ -387,21 +389,21 @@ let e5 () =
       let rows =
         List.map2 (fun leader cells -> Tables.fi (leader + 1) :: cells) leaders grid
       in
-      Tables.table
+      Tables.table ppf
         ~headers:[ "leader i"; "CT <>S [6]"; "HR <>S [12]"; "<>C (paper)"; "MR Omega [20]" ]
         ~rows)
     [ 4; 8; 16 ];
-  Tables.note "The detector is stable from the start: everyone trusts p_i and suspects";
-  Tables.note "everybody else.  The rotating coordinator needs i rounds to reach the one";
-  Tables.note "unsuspected process — Omega(n) in the worst case (Theorem 3) — while the";
-  Tables.note "leader-driven protocols decide in one round wherever the leader sits."
+  Tables.note ppf "The detector is stable from the start: everyone trusts p_i and suspects";
+  Tables.note ppf "everybody else.  The rotating coordinator needs i rounds to reach the one";
+  Tables.note ppf "unsuspected process — Omega(n) in the worst case (Theorem 3) — while the";
+  Tables.note ppf "leader-driven protocols decide in one round wherever the leader sits."
 
 (* ------------------------------------------------------------------ *)
 (* E6 — Section 5.4: NACKs vs the majority of positive replies        *)
 (* ------------------------------------------------------------------ *)
 
-let e6 () =
-  Tables.heading "E6"
+let e6 ppf =
+  Tables.heading ppf "E6"
     "Blocking on negative replies (Section 5.4): majority-of-ACKs vs first-majority";
   let n = 7 in
   let horizon = 8000 in
@@ -439,22 +441,22 @@ let e6 () =
   let rows =
     List.map2 (fun nackers cells -> Tables.fi nackers :: cells) nacker_counts cells
   in
-  Tables.table
+  Tables.table ppf
     ~headers:[ "persistent nackers"; "<>C extended wait"; "<>C strict (ablation)"; "CT <>S [6]" ]
     ~rows;
-  Tables.note "n=7 (majority 4).  k processes trust the leader but also suspect it";
-  Tables.note "forever, NACKing every round.  The paper's extended wait gathers replies";
-  Tables.note "from every non-suspected process and decides on a majority of ACKs despite";
-  Tables.note "the NACKs; a first-majority rule (the ablation; CT's own Phase 4) sees a";
-  Tables.note "NACK among the first replies and can never decide while the leader stands";
-  Tables.note "(CT escapes only by rotating to another coordinator: one extra round)."
+  Tables.note ppf "n=7 (majority 4).  k processes trust the leader but also suspect it";
+  Tables.note ppf "forever, NACKing every round.  The paper's extended wait gathers replies";
+  Tables.note ppf "from every non-suspected process and decides on a majority of ACKs despite";
+  Tables.note ppf "the NACKs; a first-majority rule (the ablation; CT's own Phase 4) sees a";
+  Tables.note ppf "NACK among the first replies and can never decide while the leader stands";
+  Tables.note ppf "(CT escapes only by rotating to another coordinator: one extra round)."
 
 (* ------------------------------------------------------------------ *)
 (* E7 — Section 5.4: merging Phases 0 and 1                           *)
 (* ------------------------------------------------------------------ *)
 
-let e7 () =
-  Tables.heading "E7" "The phase-merge trade-off (Section 5.4): fewer phases, more messages";
+let e7 ppf =
+  Tables.heading ppf "E7" "The phase-merge trade-off (Section 5.4): fewer phases, more messages";
   let classic = Scenario.Ec Ecfd.Ec_consensus.default_params in
   let merged =
     Scenario.Ec { Ecfd.Ec_consensus.default_params with merge_phase01 = true }
@@ -482,17 +484,18 @@ let e7 () =
            | _ -> assert false)
          sweep_ns cells)
   in
-  Tables.table ~headers:[ "n"; "variant"; "phases"; "paper msgs/round"; "measured" ] ~rows;
-  Tables.note "Merging Phase 0 into Phase 1 (estimate straight to the leader, null";
-  Tables.note "estimates to everybody else) saves one communication step but raises the";
-  Tables.note "message count from Theta(n) to Omega(n^2) — the trade-off of Section 5.4."
+  Tables.table ppf ~headers:[ "n"; "variant"; "phases"; "paper msgs/round"; "measured" ] ~rows;
+  Tables.note ppf "Merging Phase 0 into Phase 1 (estimate straight to the leader, null";
+  Tables.note ppf "estimates to everybody else) saves one communication step but raises the";
+  Tables.note ppf "message count from Theta(n) to Omega(n^2) — the trade-off of Section 5.4."
 
 (* ------------------------------------------------------------------ *)
 (* E8 — Section 3: what a <>C construction costs                      *)
 (* ------------------------------------------------------------------ *)
 
-let e8 () =
-  Tables.heading "E8" "Cost of obtaining <>C (Section 3): free constructions vs Omega reduction";
+let e8 ppf =
+  Tables.heading ppf "E8"
+    "Cost of obtaining <>C (Section 3): free constructions vs Omega reduction";
   let cells =
     par_map2 sweep_ns [ `Leader; `Ring; `Chu ] (fun n route ->
         match route with
@@ -532,18 +535,18 @@ let e8 () =
            | _ -> assert false)
          sweep_ns cells)
   in
-  Tables.table ~headers:[ "n"; "route to <>C"; "paper msgs/period"; "measured" ] ~rows;
-  Tables.note "The Section 3 constructions over suitable <>S detectors add zero messages";
-  Tables.note "(E1 checks they still land in <>C); the asynchronous Omega reductions of";
-  Tables.note "Chandra et al. and Chu 'are expensive ... every process sends messages";
-  Tables.note "periodically to all processes'."
+  Tables.table ppf ~headers:[ "n"; "route to <>C"; "paper msgs/period"; "measured" ] ~rows;
+  Tables.note ppf "The Section 3 constructions over suitable <>S detectors add zero messages";
+  Tables.note ppf "(E1 checks they still land in <>C); the asynchronous Omega reductions of";
+  Tables.note ppf "Chandra et al. and Chu 'are expensive ... every process sends messages";
+  Tables.note ppf "periodically to all processes'."
 
 (* ------------------------------------------------------------------ *)
 (* E9 — Theorem 1 at scale: the transformation across random runs     *)
 (* ------------------------------------------------------------------ *)
 
-let e9 () =
-  Tables.heading "E9" "Theorem 1 across random systems: transformation output is <>P";
+let e9 ppf =
+  Tables.heading ppf "E9" "Theorem 1 across random systems: transformation output is <>P";
   let trials = 50 in
   let results =
     par_map (List.init trials Fun.id) (fun i ->
@@ -584,19 +587,20 @@ let e9 () =
         if ok then Some (Stdlib.max 0 (since - Sim.Sim_time.max gst last_crash)) else None)
       results
   in
-  Tables.table
+  Tables.table ppf
     ~headers:[ "random runs"; "<>P holds"; "mean settle lag after max(GST, last crash)" ]
     ~rows:[ [ Tables.fi trials; Tables.fi ok_count; Tables.ff (Tables.mean lags) ^ " ticks" ] ];
-  Tables.note "Each run: n in 3..9, GST in 0..500, random minority crash schedule,";
-  Tables.note "chaotic pre-GST delays.  'Settle lag' = how long after the system calms";
-  Tables.note "down the output satisfies both <>P properties for good."
+  Tables.note ppf "Each run: n in 3..9, GST in 0..500, random minority crash schedule,";
+  Tables.note ppf "chaotic pre-GST delays.  'Settle lag' = how long after the system calms";
+  Tables.note ppf "down the output satisfies both <>P properties for good."
 
 (* ------------------------------------------------------------------ *)
 (* E10 — Theorem 2 at scale: <>C consensus across random runs         *)
 (* ------------------------------------------------------------------ *)
 
-let e10 () =
-  Tables.heading "E10" "Theorem 2 across random systems: <>C consensus solves Uniform Consensus";
+let e10 ppf =
+  Tables.heading ppf "E10"
+    "Theorem 2 across random systems: <>C consensus solves Uniform Consensus";
   let trials = 100 in
   let outcomes =
     par_map (List.init trials Fun.id) (fun i ->
@@ -624,7 +628,7 @@ let e10 () =
       (fun (_, _, t, gst) -> Option.map (fun t -> Stdlib.max 0 (t - gst)) t)
       outcomes
   in
-  Tables.table
+  Tables.table ppf
     ~headers:
       [ "random runs"; "all 4 properties"; "mean decision round"; "mean decision lag after GST" ]
     ~rows:
@@ -636,16 +640,16 @@ let e10 () =
           Tables.ff (Tables.mean lag) ^ " ticks";
         ];
       ];
-  Tables.note "Each run: n in 3..9, random minority crashes, random GST, chaotic pre-GST";
-  Tables.note "delays.  Termination, uniform agreement, uniform integrity and validity are";
-  Tables.note "checked on every run (f < n/2, as Theorem 2 requires)."
+  Tables.note ppf "Each run: n in 3..9, random minority crashes, random GST, chaotic pre-GST";
+  Tables.note ppf "delays.  Termination, uniform agreement, uniform integrity and validity are";
+  Tables.note ppf "checked on every run (f < n/2, as Theorem 2 requires)."
 
 (* ------------------------------------------------------------------ *)
 (* E11 — extension: stable leader election [2] vs order-based [16]    *)
 (* ------------------------------------------------------------------ *)
 
-let e11 () =
-  Tables.heading "E11"
+let e11 ppf =
+  Tables.heading ppf "E11"
     "Leadership stability (extension): stable election [2] vs order-based [16]";
   let n = 6 in
   (* Scenario A — the one stability is about: a low-id process is muffled
@@ -747,27 +751,27 @@ let e11 () =
       [ "   crashes at t=1000"; "stable [2]"; "p2"; Tables.ff sc; Tables.ff sd ];
     ]
   in
-  Tables.table
+  Tables.table ppf
     ~headers:
       [ "scenario"; "election"; "final leader"; "changes (post-event)"; "live demotions" ]
     ~rows:(rows_a @ rows_b);
-  Tables.note "n=%d, mean over %d seeds, observed at the last process.  The <>C paper"
+  Tables.note ppf "n=%d, mean over %d seeds, observed at the last process.  The <>C paper"
     n (List.length seeds);
-  Tables.note "points to Aguilera et al. [2] for stability: once elected, a leader should";
-  Tables.note "stay in charge while it is alive and timely.  In scenario A the order-based";
-  Tables.note "election of [16] hands leadership back to the returning p1 (a demotion of";
-  Tables.note "the perfectly healthy incumbent); the accusation-epoch election keeps the";
-  Tables.note "incumbent and changes leaders (essentially) only on real crashes (B).";
-  Tables.note "Both cost n-1 messages per period and plug into the same Section 3";
-  Tables.note "construction to yield <>C; fewer spurious coordinator changes means fewer";
-  Tables.note "wasted consensus rounds (Section 2.2's 'unique leader for long enough')."
+  Tables.note ppf "points to Aguilera et al. [2] for stability: once elected, a leader should";
+  Tables.note ppf "stay in charge while it is alive and timely.  In scenario A the order-based";
+  Tables.note ppf "election of [16] hands leadership back to the returning p1 (a demotion of";
+  Tables.note ppf "the perfectly healthy incumbent); the accusation-epoch election keeps the";
+  Tables.note ppf "incumbent and changes leaders (essentially) only on real crashes (B).";
+  Tables.note ppf "Both cost n-1 messages per period and plug into the same Section 3";
+  Tables.note ppf "construction to yield <>C; fewer spurious coordinator changes means fewer";
+  Tables.note ppf "wasted consensus rounds (Section 2.2's 'unique leader for long enough')."
 
 (* ------------------------------------------------------------------ *)
 (* E12 — extension: Omega where <>P is impossible ([3], Section 1.1)  *)
 (* ------------------------------------------------------------------ *)
 
-let e12 () =
-  Tables.heading "E12"
+let e12 ppf =
+  Tables.heading ppf "E12"
     "Omega under weak synchrony (extension; [3]): one timely source is enough";
   let n = 5 in
   let source = 2 in
@@ -824,28 +828,28 @@ let e12 () =
         run_detector install component seed)
   in
   let rows = List.map2 (fun (label, _, _) runs -> row label runs) detectors grid in
-  Tables.table
+  Tables.table ppf
     ~headers:
       [ "detector"; "final leader"; "late leader changes"; "late false suspicions" ]
     ~rows;
-  Tables.note "System: only p3's (pid 2) output links are timely; every other link";
-  Tables.note "suffers ever-growing silence windows (fair but never timely), n=%d," n;
-  Tables.note "%d seeds, horizon %d, 'late' = after t=%d."
+  Tables.note ppf "System: only p3's (pid 2) output links are timely; every other link";
+  Tables.note ppf "suffers ever-growing silence windows (fair but never timely), n=%d," n;
+  Tables.note ppf "%d seeds, horizon %d, 'late' = after t=%d."
     (List.length seeds) horizon (horizon / 2);
-  Tables.note "The counter-based election settles on the source and never moves again";
-  Tables.note "(0 late changes; its Omega-grade suspicions are not accuracy-relevant).";
-  Tables.note "The order-based election hands leadership back to p1 after every silence";
-  Tables.note "window, forever.  The heartbeat <>P keeps freshly (and wrongly)";
-  Tables.note "suspecting correct processes deep into the run: no time-out discipline";
-  Tables.note "achieves <>P accuracy here.  Omega — hence <>C's leader half — is thus";
-  Tables.note "implementable where <>P is not (Aguilera et al. [3], cited in S1.1)."
+  Tables.note ppf "The counter-based election settles on the source and never moves again";
+  Tables.note ppf "(0 late changes; its Omega-grade suspicions are not accuracy-relevant).";
+  Tables.note ppf "The order-based election hands leadership back to p1 after every silence";
+  Tables.note ppf "window, forever.  The heartbeat <>P keeps freshly (and wrongly)";
+  Tables.note ppf "suspecting correct processes deep into the run: no time-out discipline";
+  Tables.note ppf "achieves <>P accuracy here.  Omega — hence <>C's leader half — is thus";
+  Tables.note ppf "implementable where <>P is not (Aguilera et al. [3], cited in S1.1)."
 
 (* ------------------------------------------------------------------ *)
 (* E13 — ablation: decision latency vs number of crashes              *)
 (* ------------------------------------------------------------------ *)
 
-let e13 () =
-  Tables.heading "E13"
+let e13 ppf =
+  Tables.heading ppf "E13"
     "Robustness sweep (ablation): decision latency and rounds vs crash count";
   let n = 9 in
   let ec = Scenario.Ec Ecfd.Ec_consensus.default_params in
@@ -883,24 +887,24 @@ let e13 () =
   let rows =
     List.map2 (fun f per_protocol -> Tables.fi f :: List.map cell per_protocol) fs grid
   in
-  Tables.table
+  Tables.table ppf
     ~headers:("crashes f" :: List.map fst protocols)
     ~rows;
-  Tables.note "Cells: mean time-to-last-decision (ticks) / mean decision round, %d seeds,"
+  Tables.note ppf "Cells: mean time-to-last-decision (ticks) / mean decision round, %d seeds,"
     (List.length seeds);
-  Tables.note "n=%d (tolerates f <= 4): p1..pf crash at t=0 — the initial leader and the" n;
-  Tables.note "first rotating coordinators.  Detector: ec-from-leader.  All runs satisfied";
-  Tables.note "Uniform Consensus; the sweep shows how each protocol absorbs the loss:";
-  Tables.note "everyone waits for the detector to re-elect (the time component), and the";
-  Tables.note "rotating-coordinator protocols additionally burn a round per dead";
-  Tables.note "coordinator they stumble over (the round component grows with f)."
+  Tables.note ppf "n=%d (tolerates f <= 4): p1..pf crash at t=0 — the initial leader and the" n;
+  Tables.note ppf "first rotating coordinators.  Detector: ec-from-leader.  All runs satisfied";
+  Tables.note ppf "Uniform Consensus; the sweep shows how each protocol absorbs the loss:";
+  Tables.note ppf "everyone waits for the detector to re-elect (the time component), and the";
+  Tables.note ppf "rotating-coordinator protocols additionally burn a round per dead";
+  Tables.note ppf "coordinator they stumble over (the round component grows with f)."
 
 (* ------------------------------------------------------------------ *)
 (* E14 — Section 4: "eventually only these links carry messages"      *)
 (* ------------------------------------------------------------------ *)
 
-let e14 () =
-  Tables.heading "E14"
+let e14 ppf =
+  Tables.heading ppf "E14"
     "Link quiescence (Section 4): steady state uses only the leader's star";
   let window = 1000 in
   let measure ~n build components =
@@ -952,22 +956,22 @@ let e14 () =
            | _ -> assert false)
          sweep_ns cells)
   in
-  Tables.table
+  Tables.table ppf
     ~headers:[ "n"; "implementation"; "paper active links"; "measured"; "shape" ]
     ~rows;
-  Tables.note "Distinct directed links carrying at least one message during a 1000-tick";
-  Tables.note "steady-state window (t in [3000, 4000], leader p1, failure-free).";
-  Tables.note "Section 4's claim — 'eventually only these links carry messages', i.e. the";
-  Tables.note "n-1 links into the leader and the n-1 out of it — holds exactly: the";
-  Tables.note "transformation's active set IS the leader's star, against the ring's 2n";
-  Tables.note "cycle edges and the heartbeat detector's complete graph."
+  Tables.note ppf "Distinct directed links carrying at least one message during a 1000-tick";
+  Tables.note ppf "steady-state window (t in [3000, 4000], leader p1, failure-free).";
+  Tables.note ppf "Section 4's claim — 'eventually only these links carry messages', i.e. the";
+  Tables.note ppf "n-1 links into the leader and the n-1 out of it — holds exactly: the";
+  Tables.note ppf "transformation's active set IS the leader's star, against the ring's 2n";
+  Tables.note ppf "cycle edges and the heartbeat detector's complete graph."
 
 (* ------------------------------------------------------------------ *)
 (* E15 — Section 5.4's closing point, generalised: noise tolerance    *)
 (* ------------------------------------------------------------------ *)
 
-let e15 () =
-  Tables.heading "E15"
+let e15 ppf =
+  Tables.heading ppf "E15"
     "Suspicion-noise sweep: majority-of-ACKs vs first-majority under random NACKs";
   let n = 9 in
   let majority = (n / 2) + 1 in
@@ -1028,25 +1032,25 @@ let e15 () =
         | _ -> assert false)
       qs grid
   in
-  Tables.table
+  Tables.table ppf
     ~headers:
       [ "P(wrongly suspect leader)"; "ACK-majority exists"; "<>C extended decides";
         "<>C strict decides" ]
     ~rows;
-  Tables.note "n=%d (majority %d), %d runs per row, stable accurate leader p1; each other"
+  Tables.note ppf "n=%d (majority %d), %d runs per row, stable accurate leader p1; each other"
     n majority trials;
-  Tables.note "process independently NACKs it forever with probability q.  The extended";
-  Tables.note "wait decides in exactly the runs where a majority of ACKs exists at all";
-  Tables.note "(the information-theoretic best); the strict first-majority rule collapses";
-  Tables.note "as soon as any NACKer exists, because its NACK beats the ACKs to the";
-  Tables.note "coordinator every round.  This quantifies Section 5.4's closing claim."
+  Tables.note ppf "process independently NACKs it forever with probability q.  The extended";
+  Tables.note ppf "wait decides in exactly the runs where a majority of ACKs exists at all";
+  Tables.note ppf "(the information-theoretic best); the strict first-majority rule collapses";
+  Tables.note ppf "as soon as any NACKer exists, because its NACK beats the ACKs to the";
+  Tables.note ppf "coordinator every round.  This quantifies Section 5.4's closing claim."
 
 (* ------------------------------------------------------------------ *)
 (* E16 — extension: the <>C stack over fair-lossy links               *)
 (* ------------------------------------------------------------------ *)
 
-let e16 () =
-  Tables.heading "E16"
+let e16 ppf =
+  Tables.heading ppf "E16"
     "Message loss (extension): the <>C stack raw vs over stubborn channels";
   let n = 5 in
   let horizon = 40_000 in
@@ -1097,24 +1101,24 @@ let e16 () =
         | _ -> assert false)
       drops grid
   in
-  Tables.table
+  Tables.table ppf
     ~headers:[ "loss rate"; "raw one-shot messages"; "stubborn channels" ]
     ~rows;
-  Tables.note "n=%d, %d seeds per cell, horizon %d.  The raw stack tolerates surprising"
+  Tables.note ppf "n=%d, %d seeds per cell, horizon %d.  The raw stack tolerates surprising"
     n (List.length seeds) horizon;
-  Tables.note "loss (a round only needs majority paths, failed rounds retry, and the";
-  Tables.note "detector's traffic is periodic anyway), but it degrades with luck; the";
-  Tables.note "retransmitting transport keeps every run deciding quickly.  Fig. 2 needed";
-  Tables.note "no retransmission because its traffic is periodic by construction — this";
-  Tables.note "extension supplies the analogous guarantee to the one-shot consensus";
-  Tables.note "messages (cf. quiescent reliable communication, Aguilera et al. [1])."
+  Tables.note ppf "loss (a round only needs majority paths, failed rounds retry, and the";
+  Tables.note ppf "detector's traffic is periodic anyway), but it degrades with luck; the";
+  Tables.note ppf "retransmitting transport keeps every run deciding quickly.  Fig. 2 needed";
+  Tables.note ppf "no retransmission because its traffic is periodic by construction — this";
+  Tables.note ppf "extension supplies the analogous guarantee to the one-shot consensus";
+  Tables.note ppf "messages (cf. quiescent reliable communication, Aguilera et al. [1])."
 
 (* ------------------------------------------------------------------ *)
 (* E17 — application layer: replicated-log commit latency             *)
 (* ------------------------------------------------------------------ *)
 
-let e17 () =
-  Tables.heading "E17"
+let e17 ppf =
+  Tables.heading ppf "E17"
     "Replicated log over repeated <>C consensus: commit latency and slot efficiency";
   let commands = 20 in
   let measure ~n ~seed =
@@ -1191,23 +1195,23 @@ let e17 () =
         ])
       log_ns grid
   in
-  Tables.table
+  Tables.table ppf
     ~headers:[ "n"; "committed everywhere"; "mean commit latency"; "slots consumed" ]
     ~rows;
-  Tables.note "%d commands submitted 40 ticks apart at rotating replicas, %d seeds."
+  Tables.note ppf "%d commands submitted 40 ticks apart at rotating replicas, %d seeds."
     commands (List.length seeds);
-  Tables.note "Commit latency = submission until delivery at ALL replicas.  One consensus";
-  Tables.note "instance per slot; a slot can be 'wasted' when a command wins a slot while";
-  Tables.note "also pending elsewhere (slots > commands measures that overhead).  This is";
-  Tables.note "the application-layer face of the paper's one-round stable-case claim:";
-  Tables.note "latency stays a small constant (a few message delays) at every n."
+  Tables.note ppf "Commit latency = submission until delivery at ALL replicas.  One consensus";
+  Tables.note ppf "instance per slot; a slot can be 'wasted' when a command wins a slot while";
+  Tables.note ppf "also pending elsewhere (slots > commands measures that overhead).  This is";
+  Tables.note ppf "the application-layer face of the paper's one-round stable-case claim:";
+  Tables.note ppf "latency stays a small constant (a few message delays) at every n."
 
 (* ------------------------------------------------------------------ *)
 (* E18 — substrate: engine lifecycle accounting under a full FD stack *)
 (* ------------------------------------------------------------------ *)
 
-let e18 () =
-  Tables.heading "E18"
+let e18 ppf =
+  Tables.heading ppf "E18"
     "Engine resource accounting: timer-table residency is O(in-flight), not O(run length)";
   let measure ~n ~horizon =
     let engine = Scenario.engine ~net:{ Scenario.default_net with seed = 23 } ~n () in
@@ -1242,16 +1246,16 @@ let e18 () =
              horizons per_horizon)
          ns cells)
   in
-  Tables.table
+  Tables.table ppf
     ~headers:
       [ "n"; "horizon"; "events"; "timers set"; "reclaimed"; "residency"; "capacity"; "queue hw" ]
     ~rows;
-  Tables.note "Residency and capacity depend on n (in-flight timers), not on the horizon:";
-  Tables.note "a 10x longer run sets 10x more timers but occupies the same few slots.";
-  Tables.note "The pre-registry engine kept one table entry per cancellation forever."
+  Tables.note ppf "Residency and capacity depend on n (in-flight timers), not on the horizon:";
+  Tables.note ppf "a 10x longer run sets 10x more timers but occupies the same few slots.";
+  Tables.note ppf "The pre-registry engine kept one table entry per cancellation forever."
 
-let e19 () =
-  Tables.heading "E19"
+let e19 ppf =
+  Tables.heading ppf "E19"
     "Seed replay: same seed, flipped component-registration order, identical outputs";
   (* Two independent broadcasters over a draw-free synchronous link: flipping
      the order they are installed in permutes every same-instant event (and
@@ -1287,17 +1291,18 @@ let e19 () =
     | [ ab; ba ] -> (ab, ba)
     | _ -> assert false
   in
-  Tables.table
+  Tables.table ppf
     ~headers:[ "registration order"; "snapshot entries"; "messages sent" ]
     ~rows:
       [
         [ "alpha, beta"; Tables.fi (List.length snap_ab); Tables.fi sent_ab ];
         [ "beta, alpha"; Tables.fi (List.length snap_ba); Tables.fi sent_ba ];
       ];
-  Tables.note "snapshots identical: %b; sends-by-round identical: %b"
+  Tables.note ppf "snapshots identical: %b; sends-by-round identical: %b"
     (snap_ab = snap_ba) (rounds_ab = rounds_ba);
-  Tables.note "Pre-R2, Stats.snapshot surfaced Hashtbl bucket order and the two runs";
-  Tables.note "diffed; ecfd check rule A4 (dune build @lint) now rejects such escapes statically."
+  Tables.note ppf "Pre-R2, Stats.snapshot surfaced Hashtbl bucket order and the two runs";
+  Tables.note ppf
+    "diffed; ecfd check rule A4 (dune build @lint) now rejects such escapes statically."
 
 let all =
   [ e1; e2; e3; e4; e5; e6; e7; e8; e9; e10; e11; e12; e13; e14; e15; e16; e17; e18; e19 ]

@@ -12,9 +12,12 @@
    Domain.recommended_domain_count capped at 8, and 1 is fully
    sequential.  Tables are rendered from order-restored results, so
    stdout is byte-identical at every domain count — only the wall-clock
-   (recorded in BENCH_experiments.json, reported on stderr) changes. *)
+   (recorded in BENCH_experiments.json, reported on stderr) changes.
+   Every experiment renders into the formatter it is given; this is the
+   one place that picks stdout.  `dune runtest` diffs the full stdout
+   against test/golden/EXPERIMENTS.txt. *)
 
-let experiments =
+let experiments : (string * (Format.formatter -> unit)) list =
   [
     ("e1", Experiments.e1);
     ("e2", Experiments.e2);
@@ -113,9 +116,10 @@ let () =
   (* The domain count and build profile go to stderr only: stdout must
      stay byte-identical across --domains values and profiles. *)
   Printf.eprintf "ecfd-bench: %d domain(s), build profile %s\n%!" domains Build_profile.name;
-  Format.printf
+  let ppf = Format.std_formatter in
+  Format.fprintf ppf
     "Reproduction harness for \"Eventually consistent failure detectors\" (JPDC 65, 2005)@.";
-  Format.printf "Experiments: %s@." (String.concat " " requested);
+  Format.fprintf ppf "Experiments: %s@." (String.concat " " requested);
   let t_total = wall () in
   let timings =
     List.map
@@ -123,12 +127,12 @@ let () =
         let f = List.assoc name experiments in
         Exec.Pool.reset_metrics ();
         let t0 = wall () in
-        f ();
+        f ppf;
         { name; wall_s = wall () -. t0; pool = Exec.Pool.metrics () })
       requested
   in
   let total_s = wall () -. t_total in
-  Format.printf "@.Done.@.";
+  Format.fprintf ppf "@.Done.@.";
   emit_json ~domains ~total_s timings;
   List.iter
     (fun t ->

@@ -118,10 +118,10 @@ let write_json rows =
   Printf.fprintf oc "\n  ]\n}\n";
   close_out oc
 
-let e20 () =
-  Tables.heading "E20" "Engine cost: timer churn and heartbeat scaling, allocs/event on the wheel";
+let e20 ppf =
+  Tables.heading ppf "E20" "Engine cost: timer churn and heartbeat scaling, allocs/event on the wheel";
   let rows = churn () :: List.map heartbeat [ 100; 1_000; 10_000 ] in
-  Tables.table
+  Tables.table ppf
     ~headers:
       [
         "mix"; "n"; "events"; "timers set"; "fired"; "cancelled"; "queue hw"; "capacity";
@@ -143,13 +143,13 @@ let e20 () =
              Printf.sprintf "%.2f" r.words_per_event;
            ])
          rows);
-  Tables.note "Timer counts cover the whole run; events and words/event the measured window.";
-  Tables.note "Steady-state heartbeat pop/fire/re-arm allocates no minor-heap words";
-  Tables.note "(Gc.minor_words deltas after a warm-up; asserted < 0.01/event).";
+  Tables.note ppf "Timer counts cover the whole run; events and words/event the measured window.";
+  Tables.note ppf "Steady-state heartbeat pop/fire/re-arm allocates no minor-heap words";
+  Tables.note ppf "(Gc.minor_words deltas after a warm-up; asserted < 0.01/event).";
   List.iter
     (fun r ->
       Printf.eprintf "e20: %-9s n=%-5d %7d events in %.3fs CPU, %.0f events/sec\n" r.mix r.n
         r.events r.elapsed (events_per_sec r))
     rows;
   write_json rows;
-  Tables.note "Wrote %s; elapsed time and events/sec are there and on stderr." json_file
+  Tables.note ppf "Wrote %s; elapsed time and events/sec are there and on stderr." json_file

@@ -69,8 +69,8 @@ let run_one case detector =
     report;
   }
 
-let e22 () =
-  Tables.heading "E22" "Detector QoS and SLA rollups (Chen-Toueg metrics over E1-E4 sweeps)";
+let e22 ppf =
+  Tables.heading ppf "E22" "Detector QoS and SLA rollups (Chen-Toueg metrics over E1-E4 sweeps)";
   let scenarios =
     Exec.Pool.run
       (List.concat_map
@@ -99,9 +99,9 @@ let e22 () =
         ])
       scenarios
   in
-  Tables.table ~headers ~rows;
-  Tables.note "TD = detection time (ticks); avail = correct-view time / accounting window.";
-  Tables.note "full per-pair figures: %s (schema docs/schemas/qos.schema.json)" json_file;
+  Tables.table ppf ~headers ~rows;
+  Tables.note ppf "TD = detection time (ticks); avail = correct-view time / accounting window.";
+  Tables.note ppf "full per-pair figures: %s (schema docs/schemas/qos.schema.json)" json_file;
   let oc = open_out json_file in
   output_string oc (Obs.Rollup.to_json ~build_profile:Build_profile.name scenarios);
   close_out oc

@@ -1,16 +1,16 @@
-(* Plain-text table rendering for the experiment reports.  When the
-   ECFD_CSV_DIR environment variable points at a directory, every table is
-   also written there as <experiment-id>[-k].csv for plotting. *)
+(* Plain-text table rendering for the experiment reports, into the
+   formatter each experiment is given (only bench/main.ml picks stdout).
+   When the ECFD_CSV_DIR environment variable points at a directory, every
+   table is also written there as <experiment-id>[-k].csv for plotting. *)
 
 let current_id = ref "table"
 let table_counter = ref 0
 
-let heading id title =
+let heading ppf id title =
   current_id := String.lowercase_ascii id;
   table_counter := 0;
-  Format.printf "@.%s@." (String.make 78 '=');
-  Format.printf "%s  %s@." id title;
-  Format.printf "%s@.@." (String.make 78 '=')
+  let rule = String.make 78 '=' in
+  Format.fprintf ppf "@.%s@.%s  %s@.%s@.@." rule id title rule
 
 let csv_escape cell =
   if String.exists (fun c -> c = ',' || c = '"' || c = '\n') cell then
@@ -30,9 +30,9 @@ let write_csv ~headers ~rows =
       (headers :: rows);
     close_out oc
 
-let note fmt = Format.printf ("  " ^^ fmt ^^ "@.")
+let note ppf fmt = Format.fprintf ppf ("  " ^^ fmt ^^ "@.")
 
-let table ~headers ~rows =
+let table ppf ~headers ~rows =
   write_csv ~headers ~rows;
   let all = headers :: rows in
   let columns = List.length headers in
@@ -43,14 +43,14 @@ let table ~headers ~rows =
     (List.iteri (fun c cell -> widths.(c) <- Stdlib.max widths.(c) (String.length cell)))
     all;
   let print_row row =
-    Format.printf "  |";
-    List.iteri (fun c cell -> Format.printf " %*s |" widths.(c) cell) row;
-    Format.printf "@."
+    Format.fprintf ppf "  |";
+    List.iteri (fun c cell -> Format.fprintf ppf " %*s |" widths.(c) cell) row;
+    Format.fprintf ppf "@."
   in
   let rule () =
-    Format.printf "  +";
-    Array.iter (fun w -> Format.printf "%s+" (String.make (w + 2) '-')) widths;
-    Format.printf "@."
+    Format.fprintf ppf "  +";
+    Array.iter (fun w -> Format.fprintf ppf "%s+" (String.make (w + 2) '-')) widths;
+    Format.fprintf ppf "@."
   in
   rule ();
   print_row headers;

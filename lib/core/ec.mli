@@ -46,7 +46,4 @@ val conforms : n:int -> Sim.Pid.t -> Fd.Fd_view.t -> bool
     process does not suspect itself.  (Definition 1's temporal clauses are
     trace properties, not view properties.) *)
 
-val component_of_omega : string
-val component_of_perfect : string
-val component_of_ring : string
 val component_of_leader_s : string

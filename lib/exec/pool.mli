@@ -19,13 +19,9 @@
     never a deadlock). *)
 
 val recommended_domains : unit -> int
-(** [Domain.recommended_domain_count ()] capped to {!max_domains}; at least
-    1. *)
-
-val max_domains : int
-(** Upper bound (8) on the default parallelism — sweeps are memory-bandwidth
-    bound well before that; an explicit [~domains]/[set_default_domains] may
-    exceed it. *)
+(** [Domain.recommended_domain_count ()] capped at 8 (sweeps are
+    memory-bandwidth bound well before that; an explicit
+    [~domains]/[set_default_domains] may exceed it); at least 1. *)
 
 val default_domains : unit -> int
 (** Domain count used when [run] is not given [~domains]: the last

@@ -23,7 +23,6 @@
 
 type t
 
-val slot_bits : int
 val slots_per_level : int  (** 32 *)
 
 val levels : int  (** 6 *)

@@ -1,28 +1,17 @@
 (* The Domain job pool (lib/exec): order restoration, exception
    propagation, sequential equivalence, metrics — and the harness-level
-   determinism contract, checked by running a real experiment (E4) under
-   different domain counts and comparing the captured output
-   byte-for-byte, and by running E20, the one experiment that reads the
-   clock, twice. *)
+   determinism contract, checked by rendering a real experiment (E4) into
+   a buffer under different domain counts and comparing the bytes, and by
+   rendering E20, the one experiment that reads the clock, twice. *)
 
 let tc name f = Alcotest.test_case name `Quick f
 
-(* Capture everything an [f ()] prints through Format.std_formatter (the
-   only channel the table renderer uses). *)
-let capture f =
+(* Everything experiment [e] renders into a formatter of its own. *)
+let render e =
   let buf = Buffer.create 4096 in
-  let saved = Format.pp_get_formatter_out_functions Format.std_formatter () in
-  Format.pp_set_formatter_out_functions Format.std_formatter
-    {
-      saved with
-      Format.out_string = (fun s pos len -> Buffer.add_substring buf s pos len);
-      out_flush = (fun () -> ());
-    };
-  Fun.protect
-    ~finally:(fun () ->
-      Format.pp_print_flush Format.std_formatter ();
-      Format.pp_set_formatter_out_functions Format.std_formatter saved)
-    f;
+  let ppf = Format.formatter_of_buffer buf in
+  e ppf;
+  Format.pp_print_flush ppf ();
   Buffer.contents buf
 
 (* A job whose cost shrinks with its index: late jobs finish first under
@@ -107,14 +96,12 @@ let pool_tests =
 let determinism_tests =
   [
     tc "E4 renders byte-identical tables at 1 and 4 domains" (fun () ->
-        let render domains =
-          Exec.Pool.with_domains domains (fun () -> capture Experiments.e4)
-        in
-        let sequential = render 1 in
+        let at domains = Exec.Pool.with_domains domains (fun () -> render Experiments.e4) in
+        let sequential = at 1 in
         Alcotest.(check bool)
           "E4 produced output" true
           (String.length sequential > 0);
-        Alcotest.(check string) "identical output" sequential (render 4));
+        Alcotest.(check string) "identical output" sequential (at 4));
     tc "E4 trace exports are byte-identical at 1 and 4 domains" (fun () ->
         (* The CI artifact contract: the canonical-run exports are a pure
            function of (seed, config), so rendering them through the pool
@@ -130,12 +117,12 @@ let determinism_tests =
         Alcotest.(check string) "jsonl identical" jsonl1 jsonl4);
     tc "E20 renders byte-identical tables on two runs" (fun () ->
         (* Elapsed time and events/sec go to stderr and the JSON only. *)
-        let first = capture Micro.e20 in
+        let first = render Micro.e20 in
         Alcotest.(check bool) "E20 produced output" true (String.length first > 0);
-        Alcotest.(check string) "identical output" first (capture Micro.e20));
+        Alcotest.(check string) "identical output" first (render Micro.e20));
     tc "one E20 run writes the churn and every heartbeat row to its JSON" (fun () ->
         if Sys.file_exists Micro.json_file then Sys.remove Micro.json_file;
-        ignore (capture Micro.e20 : string);
+        ignore (render Micro.e20 : string);
         let open Tracequery_core.Json_min in
         let rows =
           match member "rows" (parse (Test_util.read_file Micro.json_file)) with

@@ -71,6 +71,8 @@ let is_write_fn np =
   | [ "Buffer"; ("clear" | "reset" | "truncate") ] -> true
   | [ "Queue"; ("push" | "add" | "pop" | "take" | "clear" | "transfer") ] -> true
   | [ "Stack"; ("push" | "pop" | "clear") ] -> true
+  | [ "Format"; ("fprintf" | "kfprintf") ] -> true
+  | [ "Format"; f ] when String.starts_with ~prefix:"pp_print_" f -> true
   | _ -> false
 
 (* Reading functions whose first positional argument is the structure
